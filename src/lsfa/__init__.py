@@ -46,6 +46,7 @@ from .objective import (
     grad_h_tau,
     hessian_blocks,
     hessian_h_tau,
+    hessian_vector_product,
     sample_covariance,
 )
 from .prox import (
@@ -99,6 +100,7 @@ __all__ = [
     "grad_h_tau",
     "hessian_blocks",
     "hessian_h_tau",
+    "hessian_vector_product",
     "index_set_T",
     "ipm_solve",
     "line_search",

@@ -16,7 +16,9 @@ class InfeasiblePointError(ValueError):
 class NumericalBreakdownError(RuntimeError):
     """A factorization that is guaranteed to exist by the problem structure failed.
 
-    Raised when the reduced Newton system, which is a principal submatrix of a
-    positive-definite Hessian, cannot be factorized; this signals an assembly
-    bug or catastrophic conditioning rather than a user error.
+    Raised when the Newton step's generalized eigendecomposition of (L, Sigma)
+    fails, or when the Schur complement on s_T of the reduced Newton system
+    (positive definite, since the reduced system is a principal submatrix of
+    the positive-definite Hessian) cannot be Cholesky-factorized; this signals
+    an assembly bug or catastrophic conditioning rather than a user error.
     """

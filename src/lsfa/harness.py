@@ -73,6 +73,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Raise ConfigError naming the first offending field."""
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         checks = [
             (self.p >= 1, "p must be >= 1"),
             (1 <= self.r < self.p, "r must satisfy 1 <= r < p"),
@@ -96,10 +99,10 @@ class RunConfig:
             (self.bcd_max_iters >= 1, "bcd_max_iters must be >= 1"),
             (self.bcd_step_ell > 0, "bcd_step_ell must be > 0"),
             (self.folds >= 2, "folds must be >= 2"),
-            (len(self.c_grid) >= 1 and all(c > 0 for c in self.c_grid),
-             "c_grid must be non-empty with positive entries"),
-            (len(self.mu_grid) >= 1 and all(m > 0 for m in self.mu_grid),
-             "mu_grid must be non-empty with positive entries"),
+            (len(self.c_grid) >= 1 and all(0 < c < math.inf for c in self.c_grid),
+             "c_grid must be non-empty with finite positive entries"),
+            (len(self.mu_grid) >= 1 and all(0 < m < math.inf for m in self.mu_grid),
+             "mu_grid must be non-empty with finite positive entries"),
         ]
         for ok, message in checks:
             if not ok:
@@ -197,18 +200,15 @@ def run_generate(config: RunConfig) -> dict:
 
 def load_problem(config: RunConfig) -> ProblemData:
     """Build ProblemData from the configured covariance or samples file."""
-    if config.covariance_file is not None:
-        sigma = read_matrix_csv(config.path(config.covariance_file))
-    else:
-        samples = read_matrix_csv(config.path(config.samples_file))
-        sigma = sample_covariance(samples)
+    source = config.covariance_file or config.samples_file
     try:
+        if config.covariance_file is not None:
+            sigma = read_matrix_csv(config.path(config.covariance_file))
+        else:
+            sigma = sample_covariance(read_matrix_csv(config.path(config.samples_file)))
         return ProblemData(sigma, C=config.C, mu=config.mu)
     except DataError as exc:
-        raise DataError(
-            f"sample covariance from {config.samples_file!r} is singular "
-            f"(n < p or degenerate data): {exc}"
-        ) from exc
+        raise DataError(f"cannot use the covariance from {source!r}: {exc}") from exc
 
 
 def run_solve(config: RunConfig) -> Solution:

@@ -38,18 +38,12 @@ class IpmParams:
     newton: NewtonParams | None = None
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError(f"C must be > 0, got {self.C}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        for name in ("C", "mu", "gamma", "tau0", "epsilon"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not self.tau0 > 0:
-            raise ValueError(f"tau0 must be > 0, got {self.tau0}")
         if self.newton is None:
             self.newton = NewtonParams(gamma=self.gamma)
         elif self.newton.gamma != self.gamma:

@@ -6,11 +6,11 @@ solves the reduced symmetric positive-definite system
     H[(ell, s_T), (ell, s_T)] d = [ H[ell, s_~T] s_~T - g_ell ;
                                     H[s_T, s_~T] s_~T - g_{s_T} ]
 
-(the Schur-free back-substitution of the full Newton system, using
-d_{s_~T} = -s_{~T}), guards the direction with a descent test and falls back
-to a scaled-gradient direction when the test fails, then runs a backtracking
-line search.  The update is modified so that the coordinates off T take a
-unit step regardless of the accepted alpha, which zeroes them exactly:
+(the back-substitution of the full Newton system, using d_{s_~T} = -s_{~T}),
+guards the direction with a descent test and falls back to a scaled-gradient
+direction when the test fails, then runs a backtracking line search.  The
+update is modified so that the coordinates off T take a unit step
+regardless of the accepted alpha, which zeroes them exactly:
 
     ell(alpha) = ell + alpha d_ell,
     s(alpha)   = s + alpha d_s on T,   0 off T.
@@ -24,6 +24,14 @@ objective, and under the published rule alone the solve would abort there.
 The first test admits steps that bring coordinates into the support, which
 the penalized merit charges C each however small alpha is.  Trial points
 outside the positive-definite cone evaluate to +inf and fail both tests.
+
+The reduced matrix of size m + |T| is never formed.  The ell block is
+eliminated exactly: in the generalized eigenbasis of (L, Sigma) its inverse
+and its Schur complement apply in O(p^3), so only the |T| x |T| Schur
+complement on s_T is assembled and Cholesky-factorized (see
+_SchurComplement), and one step of iterative refinement with the
+matrix-free Hessian-vector product recovers the accuracy of a dense solve.
+The dense Hessian (objective.hessian_blocks) remains as the test oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .objective import (
     eval_f_at,
     eval_h_tau,
     grad_h_tau,
-    hessian_blocks,
+    hessian_vector_product,
 )
 from .prox import StationarityResidual, complement, stationarity_residual
 from .trace import TraceRow
@@ -65,16 +73,14 @@ class NewtonParams:
     max_backtracks: int = 50
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        for name in ("gamma", "delta", "residual_tol"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 < self.sigma < 0.5:
             raise ValueError(f"sigma must be in (0, 1/2), got {self.sigma}")
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if not self.residual_tol > 0:
-            raise ValueError(f"residual_tol must be > 0, got {self.residual_tol}")
         if self.max_inner_iters < 1 or self.max_backtracks < 1:
             raise ValueError("iteration caps must be >= 1")
 
@@ -88,51 +94,123 @@ class Direction:
     kind: str  # "newton" | "gradient-fallback"
 
 
+class _SchurComplement:
+    """The reduced Newton system, block-eliminated onto s_T.
+
+    Write G(X) for the matrix of Z -> X Z X (SymmetricBasis.sym_kron) and
+    A = mu G(Sigma^-1), B = tau G(L^-1), C = tau G(S^-1).  The reduced
+    matrix is [[A + B, A[:, T]], [A[T, :], A_TT + C_TT]].  Eliminating d_ell
+    leaves the |T| x |T| Schur complement E_TT + C_TT, with
+
+        E = A - A (A + B)^-1 A = ((1/mu) G(Sigma) + (1/tau) G(L))^-1.
+
+    The generalized eigenpairs L W = Sigma W diag(lam), W^T Sigma W = I,
+    diagonalize both maps: with Phi the matrix of Z -> W Z W^T and V = Sigma W,
+
+        E = Phi diag(delta) Phi^T,   delta_kl = mu tau / (tau + mu lam_k lam_l),
+        (A + B)^-1 X = V [(V^T X V) * r] V^T,   r_kl = lam_k lam_l / (mu lam_k lam_l + tau),
+
+    so only the rows T of Phi are formed, E_TT is one product F F^T with
+    F = Phi_T sqrt(delta), and every other operator applies in O(p^3).
+    """
+
+    def __init__(self, iterate: Iterate, T: np.ndarray, barrier: BarrierObjective):
+        self.basis = basis = iterate.basis
+        self.T = T
+        self.mu = mu = barrier.problem.mu
+        tau = barrier.tau
+        try:
+            lam, W = scipy.linalg.eigh(iterate.L, iterate.sigma)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdownError(
+                f"generalized eigendecomposition of (L, Sigma) failed: {exc}"
+            ) from exc
+        self.W, self.V = W, iterate.sigma @ W
+        lam2 = np.multiply.outer(lam, lam)
+        self.r = lam2 / (mu * lam2 + tau)
+        self.cho = None
+        if len(T) == 0:
+            return
+        delta = (mu * tau) / (tau + mu * lam2)
+        F = basis.sym_kron(W, rows=T)
+        F *= np.sqrt(delta[basis.rows, basis.cols])
+        K = F @ F.T
+        C_TT = basis.sym_kron(iterate.inv_S, rows=T, cols=T)
+        C_TT *= tau
+        K += C_TT
+        try:
+            # K is symmetric, so K.T is the Fortran-ordered array LAPACK factors
+            # in place; it is finite because W, delta and S^-1 are.
+            self.cho = scipy.linalg.cho_factor(
+                K.T, lower=True, overwrite_a=True, check_finite=False
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdownError(
+                f"Schur complement of the reduced Newton matrix, of size {len(T)}, "
+                f"is not positive definite: {exc}"
+            ) from exc
+
+    def _vec(self, M: np.ndarray) -> np.ndarray:
+        return self.basis.mat_to_vec(0.5 * (M + M.T))
+
+    def solve(self, r_ell: np.ndarray, r_T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d_ell, d_T) with K [d_ell; d_T] = [r_ell; r_T] for the reduced matrix K."""
+        W, V, T, basis = self.W, self.V, self.T, self.basis
+        # Y: (A + B)^-1 r_ell = V Y V^T
+        Y = V.T @ basis.vec_to_mat(r_ell) @ V
+        Y *= self.r
+        d_T = np.zeros(0)
+        if self.cho is not None:
+            # [A (A + B)^-1 r_ell]_T, with A V Y V^T = mu W Y W^T
+            b_T = r_T - self.mu * self._vec(W @ Y @ W.T)[T]
+            d_T = scipy.linalg.cho_solve(self.cho, b_T, check_finite=False)
+            # d_ell = (A + B)^-1 (r_ell - A d_s), d_s = d_T on T and 0 off it,
+            # where V^T A X V = mu W^T X W
+            d_s = np.zeros(basis.m)
+            d_s[T] = d_T
+            Y -= self.mu * self.r * (W.T @ basis.vec_to_mat(d_s) @ W)
+        return self._vec(V @ Y @ V.T), d_T
+
+
 def newton_direction(
     iterate: Iterate,
     T: np.ndarray,
     barrier: BarrierObjective,
     grad: tuple[np.ndarray, np.ndarray] | None = None,
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Direction:
-    """Solve the reduced Newton system of size m + |T|.
+    """Solve the reduced Newton system of size m + |T| by its Schur complement on s_T.
 
-    `grad` and `blocks` may carry precomputed gradient and Hessian blocks;
-    without them only the rows T of H_ss are formed.  The off-T terms of the
-    right-hand side vanish unless a coordinate leaves the support
-    (s_{~T} != 0).  The reduced matrix is a principal submatrix of the
-    positive-definite Hessian, so the factorization must succeed; failure
-    raises NumericalBreakdownError.
+    The right-hand side's off-T terms vanish unless a coordinate leaves the
+    support (s_{~T} != 0).  One step of iterative refinement, with residuals
+    from the matrix-free Hessian-vector product, brings the direction to the
+    accuracy of a dense solve.  The Schur complement is positive definite
+    because the reduced matrix is a principal submatrix of the positive
+    definite Hessian; a failed eigendecomposition or factorization raises
+    NumericalBreakdownError.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
-    if blocks is not None:
-        H_ll, H_ls, H_ss = blocks
-        H_ss_T = H_ss[T]
-    else:
-        H_ll, H_ls, H_ss_T = hessian_blocks(iterate, barrier, T)
     m = iterate.basis.m
     Tbar = complement(T, m)
     s_Tbar = iterate.s[Tbar]
 
-    H_ls_T = H_ls[:, T]
-    K = np.block([[H_ll, H_ls_T], [H_ls_T.T, H_ss_T[:, T]]])
-    rhs = np.concatenate([-g_ell, -g_s[T]])
+    r_ell, r_T = -g_ell, -g_s[T]
     if s_Tbar.any():
-        rhs[:m] += H_ls[:, Tbar] @ s_Tbar
-        rhs[m:] += H_ss_T.take(Tbar, axis=1) @ s_Tbar
-    try:
-        # K is symmetric, so K.T is the Fortran-ordered array LAPACK factors in place
-        cho = scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdownError(
-            f"reduced Newton matrix of size {K.shape[0]} is not positive definite: {exc}"
-        ) from exc
-    sol = scipy.linalg.cho_solve(cho, rhs)
+        s_off = np.zeros(m)
+        s_off[Tbar] = s_Tbar
+        h_ell, h_s = hessian_vector_product(iterate, barrier, np.zeros(m), s_off)
+        r_ell = r_ell + h_ell
+        r_T = r_T + h_s[T]
 
+    schur = _SchurComplement(iterate, T, barrier)
+    d_ell, d_T = schur.solve(r_ell, r_T)
     d_s = np.zeros(m)
-    d_s[T] = sol[m:]
+    d_s[T] = d_T
+    h_ell, h_s = hessian_vector_product(iterate, barrier, d_ell, d_s)
+    e_ell, e_T = schur.solve(r_ell - h_ell, r_T - h_s[T])
+    d_ell += e_ell
+    d_s[T] += e_T
     d_s[Tbar] = -s_Tbar
-    return Direction(d_ell=sol[:m], d_s=d_s, kind="newton")
+    return Direction(d_ell=d_ell, d_s=d_s, kind="newton")
 
 
 def descent_safeguard(

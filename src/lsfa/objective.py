@@ -53,6 +53,8 @@ def sample_covariance(samples) -> np.ndarray:
         raise ValueError(f"samples must form an N x p array, got ndim={Y.ndim}")
     if Y.shape[0] == 0:
         raise ValueError("need at least one sample")
+    if not np.isfinite(Y).all():
+        raise DataError("samples contain NaN or infinite values")
     cov = Y.T @ Y / Y.shape[0]
     return 0.5 * (cov + cov.T)
 
@@ -78,23 +80,26 @@ class ProblemData:
     """Fixed problem data: sample covariance, cached inverse, and weights.
 
     Args:
-        sigma_check: symmetric positive-definite p x p sample covariance.
-        C: sparsity weight on the noise block, > 0.
-        mu: fit (KL) weight, >= 0.  Zero is accepted so that derivative
-            identities can be exercised in the degenerate limit; solver entry
-            points require mu > 0.
+        sigma_check: finite, symmetric positive-definite p x p sample
+            covariance; non-finite entries raise DataError.
+        C: sparsity weight on the noise block, finite and > 0.
+        mu: fit (KL) weight, finite and >= 0.  Zero is accepted so that
+            derivative identities can be exercised in the degenerate limit;
+            solver entry points require mu > 0.
     """
 
     def __init__(self, sigma_check: np.ndarray, C: float, mu: float):
         S = np.asarray(sigma_check, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"sample covariance must be square, got shape {S.shape}")
+        if not np.isfinite(S).all():
+            raise DataError("sample covariance contains NaN or infinite values")
         if np.linalg.norm(S - S.T) > 1e-12 * np.linalg.norm(S):
             raise ValueError("sample covariance must be symmetric")
-        if not C > 0:
-            raise ValueError(f"sparsity weight C must be > 0, got {C}")
-        if mu < 0:
-            raise ValueError(f"fit weight mu must be >= 0, got {mu}")
+        if not 0 < C < np.inf:
+            raise ValueError(f"sparsity weight C must be finite and > 0, got {C}")
+        if not 0 <= mu < np.inf:
+            raise ValueError(f"fit weight mu must be finite and >= 0, got {mu}")
         chol = _try_cholesky(S)
         if chol is None:
             raise DataError(
@@ -251,12 +256,12 @@ def grad_h_tau(iterate: Iterate, barrier: BarrierObjective) -> tuple[np.ndarray,
 
 
 def hessian_blocks(
-    iterate: Iterate, barrier: BarrierObjective, T: np.ndarray | None = None
+    iterate: Iterate, barrier: BarrierObjective
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three distinct m x m blocks (H_ll, H_ls, H_ss) of the Hessian.
 
-    With an index set T the last block holds only the rows H_ss[T], the part
-    of H_ss that the reduced Newton system reads.
+    A dense oracle: the Newton step applies the Hessian through
+    hessian_vector_product and never forms these blocks.
     """
     iterate._require_feasible()
     basis = iterate.basis
@@ -266,10 +271,39 @@ def hessian_blocks(
     H_ll = basis.sym_kron(iterate.inv_L)
     H_ll *= tau
     H_ll += mu_G_sigma
-    H_ss = basis.sym_kron(iterate.inv_S, rows=T)
+    H_ss = basis.sym_kron(iterate.inv_S)
     H_ss *= tau
-    H_ss += mu_G_sigma if T is None else mu_G_sigma[T]
+    H_ss += mu_G_sigma
     return H_ll, mu_G_sigma, H_ss
+
+
+def _congruence(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y X for symmetric X and Y, symmetrized against rounding."""
+    Z = X @ Y @ X
+    Z += Z.T
+    Z *= 0.5
+    return Z
+
+
+def hessian_vector_product(
+    iterate: Iterate, barrier: BarrierObjective, x_ell: np.ndarray, x_s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The product of the Hessian with (x_ell, x_s), without forming it.
+
+    Each block is a congruence map, so the product costs O(p^3):
+
+        H [x_ell; x_s] = vec( mu Sigma^-1 (X_l + X_s) Sigma^-1 + tau L^-1 X_l L^-1 ;
+                              mu Sigma^-1 (X_l + X_s) Sigma^-1 + tau S^-1 X_s S^-1 ).
+    """
+    iterate._require_feasible()
+    basis = iterate.basis
+    tau = barrier.tau
+    X_l, X_s = basis.vec_to_mat(x_ell), basis.vec_to_mat(x_s)
+    fit = _congruence(iterate.inv_sigma, X_l + X_s)
+    fit *= barrier.problem.mu
+    H_l = fit + tau * _congruence(iterate.inv_L, X_l)
+    H_s = fit + tau * _congruence(iterate.inv_S, X_s)
+    return basis.mat_to_vec(H_l), basis.mat_to_vec(H_s)
 
 
 def hessian_h_tau(iterate: Iterate, barrier: BarrierObjective) -> np.ndarray:

@@ -146,6 +146,22 @@ def test_cli_solve_singular_covariance_is_numerical_error(tmp_path):
     assert main(["solve", "--p", "6", "--run-dir", str(tmp_path)]) == 4
 
 
+def test_cli_solve_non_finite_covariance_is_data_error(tmp_path, capsys):
+    cov = np.eye(4)
+    cov[1, 2] = cov[2, 1] = np.nan
+    write_matrix_csv(tmp_path / "cov.csv", cov)
+    assert "nan" in (tmp_path / "cov.csv").read_text()
+    assert main(["solve", "--run-dir", str(tmp_path), "--covariance", "cov.csv"]) == 4
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_config_validation_rejects_non_finite():
+    with pytest.raises(ConfigError, match="C must be finite"):
+        RunConfig(C=float("inf")).validate()
+    with pytest.raises(ConfigError, match="c_grid"):
+        RunConfig(c_grid=(0.5, float("inf"))).validate()
+
+
 def test_solve_deterministic(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):

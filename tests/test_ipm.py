@@ -40,6 +40,15 @@ def test_params_validation():
         IpmParams(C=1.0, mu=1.0, gamma=0.5, newton=NewtonParams(gamma=0.25))
 
 
+@pytest.mark.parametrize("name", ["C", "mu", "gamma", "tau0", "epsilon"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_params_reject_non_finite(name, bad):
+    kwargs = dict(C=1.0, mu=1.0, gamma=0.5)
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        IpmParams(**kwargs)
+
+
 def test_params_build_default_newton():
     params = IpmParams(C=1.0, mu=1.0, gamma=0.5)
     assert params.newton.gamma == 0.5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from lsfa import (
@@ -16,6 +17,7 @@ from lsfa import (
     fallback_direction,
     grad_h_tau,
     hessian_blocks,
+    hessian_h_tau,
     index_set_T,
     line_search,
     newton_direction,
@@ -86,6 +88,45 @@ def test_back_substitution_equivalence(p):
         stacked = np.concatenate([d.d_ell, d.d_s[T], d.d_s[Tbar]])
         assert np.linalg.norm(A @ stacked - rhs) < 1e-10
         assert_allclose(d.d_s[Tbar], -it.s[Tbar], atol=1e-15)
+
+
+def _ill_conditioned_instance(p, seed):
+    """A point whose L spans five decades, at tau = 1e-6 and mu = 100."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    L = (Q * np.geomspace(1e-5, 10.0, p)) @ Q.T
+    S = np.diag(rng.uniform(0.5, 2.0, p))
+    for _ in range(p):
+        i, j = rng.choice(p, 2, replace=False)
+        S[i, j] = S[j, i] = rng.uniform(-0.2, 0.2)
+    S += (max(0.0, -np.linalg.eigvalsh(S).min()) + 0.05) * np.eye(p)
+    basis = SymmetricBasis(p)
+    it = Iterate.from_matrices(0.5 * (L + L.T), S, basis)
+    problem = ProblemData(L + S + 0.1 * np.eye(p), C=0.5, mu=100.0)
+    return it, basis, BarrierObjective(problem, tau=1e-6), rng
+
+
+@pytest.mark.parametrize("p", [8, 9, 10])
+def test_direction_matches_dense_oracle_when_ill_conditioned(p):
+    it, basis, barrier, rng = _ill_conditioned_instance(p, seed=p)
+    lam = scipy.linalg.eigh(it.L, it.sigma, eigvals_only=True)
+    assert lam.min() < 1e-4 and lam.max() > 0.5
+    assert np.linalg.cond(hessian_h_tau(it, barrier)) > 1e9
+    m = basis.m
+    T = np.union1d(np.flatnonzero(~basis.off_diag),
+                   rng.choice(np.flatnonzero(basis.off_diag), m // 3, replace=False))
+    s_on_T = np.zeros(m)
+    s_on_T[T] = it.s[T]
+    cases = [(it, T), (Iterate(it.ell, s_on_T, basis), T), (it, np.array([], dtype=int))]
+    for point, TT in cases:
+        d = newton_direction(point, TT, barrier)
+        A, rhs, Tbar = _full_newton_system(point, barrier, TT)
+        x = np.concatenate([d.d_ell, d.d_s[TT], d.d_s[Tbar]])
+        x_dense = np.linalg.solve(A, rhs)
+        backward = np.linalg.norm(A @ x - rhs) / (np.linalg.norm(A, 2) * np.linalg.norm(x))
+        assert backward < 1e-15
+        assert np.linalg.norm(x - x_dense) < 1e-8 * np.linalg.norm(x_dense)
+        assert_allclose(d.d_s[Tbar], -point.s[Tbar], atol=0)
 
 
 def test_reduced_matrix_positive_definite():
@@ -349,17 +390,10 @@ def test_params_validation():
         NewtonParams(gamma=0.5, max_inner_iters=0)
 
 
-def test_direction_from_precomputed_blocks_matches_row_restricted_path():
-    rng = np.random.default_rng(31)
-    p = 5
-    problem = ProblemData(random_spd(rng, p), C=0.5, mu=2.0)
-    barrier = BarrierObjective(problem, tau=0.2)
-    it, basis = random_interior_point(rng, p)
-    T = np.array([0, 2, 5, 9, 12, 14])
-    s_off_T_zero = it.s.copy()
-    s_off_T_zero[complement(T, basis.m)] = 0.0
-    for point in (it, Iterate(it.ell, s_off_T_zero, basis)):
-        d = newton_direction(point, T, barrier)
-        d_blocks = newton_direction(point, T, barrier, blocks=hessian_blocks(point, barrier))
-        np.testing.assert_array_equal(d.d_ell, d_blocks.d_ell)
-        np.testing.assert_array_equal(d.d_s, d_blocks.d_s)
+@pytest.mark.parametrize("name", ["gamma", "delta", "residual_tol"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_params_reject_non_finite(name, bad):
+    kwargs = dict(gamma=0.5)
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        NewtonParams(**kwargs)

@@ -12,8 +12,8 @@ from lsfa import (
     eval_f,
     eval_h_tau,
     grad_h_tau,
-    hessian_blocks,
     hessian_h_tau,
+    hessian_vector_product,
     sample_covariance,
 )
 from conftest import random_interior_point, random_spd
@@ -46,6 +46,14 @@ def test_sample_covariance_ragged_rejected():
         sample_covariance([[1.0, 2.0], [3.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_covariance_rejects_non_finite(bad):
+    samples = np.ones((4, 3))
+    samples[2, 1] = bad
+    with pytest.raises(DataError, match="NaN or infinite"):
+        sample_covariance(samples)
+
+
 # ---------- problem data ----------
 
 def test_problem_data_requires_pd():
@@ -63,6 +71,22 @@ def test_problem_data_rejects_bad_weights():
         ProblemData(np.eye(2), C=0.0, mu=1.0)
     with pytest.raises(ValueError):
         ProblemData(np.eye(2), C=1.0, mu=-0.5)
+
+
+@pytest.mark.parametrize("weights", [
+    dict(C=np.inf, mu=1.0), dict(C=np.nan, mu=1.0), dict(C=1.0, mu=np.inf), dict(C=1.0, mu=np.nan),
+])
+def test_problem_data_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="finite"):
+        ProblemData(np.eye(2), **weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_data_rejects_non_finite_covariance(bad):
+    sigma = np.eye(3)
+    sigma[0, 2] = sigma[2, 0] = bad
+    with pytest.raises(DataError, match="NaN or infinite"):
+        ProblemData(sigma, C=1.0, mu=1.0)
 
 
 # ---------- smooth objective ----------
@@ -256,17 +280,17 @@ def test_hessian_positive_definite_at_interior_points():
         assert eigs.min() > 0
 
 
-def test_hessian_blocks_rows_of_H_ss_on_T():
+def test_hessian_vector_product_matches_dense_hessian():
     rng = np.random.default_rng(23)
-    problem = ProblemData(random_spd(rng, 5), C=1.0, mu=1.5)
-    barrier = BarrierObjective(problem, tau=0.3)
-    it, _ = random_interior_point(rng, 5)
-    T = np.array([0, 1, 4, 9, 14])
-    H_ll, H_ls, H_ss = hessian_blocks(it, barrier)
-    H_ll_T, H_ls_T, H_ss_T = hessian_blocks(it, barrier, T)
-    np.testing.assert_array_equal(H_ll_T, H_ll)
-    np.testing.assert_array_equal(H_ls_T, H_ls)
-    np.testing.assert_array_equal(H_ss_T, H_ss[T])
+    for p in (1, 3, 5):
+        problem = ProblemData(random_spd(rng, p), C=1.0, mu=1.5)
+        barrier = BarrierObjective(problem, tau=0.3)
+        it, basis = random_interior_point(rng, p)
+        H = hessian_h_tau(it, barrier)
+        for _ in range(3):
+            x = rng.standard_normal(2 * basis.m)
+            Hx = np.concatenate(hessian_vector_product(it, barrier, x[:basis.m], x[basis.m:]))
+            assert_allclose(Hx, H @ x, rtol=1e-12, atol=1e-12 * np.abs(H).max())
 
 
 def test_hessian_scalar_closed_form():

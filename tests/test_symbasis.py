@@ -110,7 +110,7 @@ def test_inner_product_preservation():
         assert abs(matrix_ip - vec_ip) < 1e-12 * max(1.0, abs(matrix_ip))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 9])
 def test_sym_kron_matches_bruteforce(p):
     rng = np.random.default_rng(p)
     basis = build_basis(p)
@@ -123,4 +123,27 @@ def test_sym_kron_matches_bruteforce(p):
     assert_allclose(basis.sym_kron(A), brute, atol=1e-12)
     rows = np.arange(0, basis.m, 2)
     np.testing.assert_array_equal(basis.sym_kron(A, rows=rows), basis.sym_kron(A)[rows])
+    cols = np.arange(1, basis.m, 3)
+    np.testing.assert_array_equal(basis.sym_kron(A, rows=rows, cols=cols),
+                                  basis.sym_kron(A)[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 9])
+def test_sym_kron_nonsymmetric_matches_bruteforce(p):
+    # G[a, b] = tr(E_a A E_b A^T), the matrix of X -> A X A^T; at p = 9 the
+    # m = 45 rows are formed in more than one block
+    rng = np.random.default_rng(10 + p)
+    basis = build_basis(p)
+    A = rng.standard_normal((p, p))
+    E = basis.elements()
+    brute = np.array(
+        [[np.trace(E[a] @ A @ E[b] @ A.T) for b in range(basis.m)] for a in range(basis.m)]
+    )
+    assert_allclose(basis.sym_kron(A), brute, atol=1e-12)
+    X = rng.standard_normal((p, p))
+    X = X + X.T
+    assert_allclose(basis.sym_kron(A) @ basis.mat_to_vec(X), basis.mat_to_vec(A @ X @ A.T),
+                    atol=1e-12)
+    rows = np.arange(1, basis.m, 2)
+    assert_allclose(basis.sym_kron(A, rows=rows, cols=rows), brute[np.ix_(rows, rows)], atol=1e-12)
 
