@@ -1,7 +1,8 @@
 """Command-line interface: generate, solve, compare, cv.
 
 Exit codes: 0 success/converged, 2 invalid configuration, 3 I/O failure,
-4 numerical failure (including non-converged solves).  All flags mirror
+4 numerical failure (including non-converged solves, and a cv grid in which
+every point has a fold whose fit did not converge).  All flags mirror
 RunConfig fields; a JSON config file may supply any subset, with explicit
 flags taking precedence.  The run directory defaults to $LSFA_RUN_DIR.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError
@@ -92,8 +94,9 @@ def main(argv: list[str] | None = None) -> int:
             summary = run_compare(config)
             return 0 if summary["ipm"]["status"] == "converged" else 4
         if args.command == "cv":
-            run_cv(config)
-            return 0
+            result = run_cv(config)
+            # every grid point scored inf: each has a fold whose fit did not converge
+            return 0 if math.isfinite(result["best_score"]) else 4
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

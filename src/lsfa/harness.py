@@ -211,6 +211,11 @@ def load_problem(config: RunConfig) -> ProblemData:
         raise DataError(f"cannot use the covariance from {source!r}: {exc}") from exc
 
 
+def _json_number(x: float) -> float | None:
+    """x, or None (JSON null) for NaN and infinities, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def run_solve(config: RunConfig) -> Solution:
     """Full interior-point solve; writes solution matrices and the trace."""
     config.validate()
@@ -232,8 +237,8 @@ def run_solve(config: RunConfig) -> Solution:
         "status": solution.status,
         "outer_solves": solution.n_outer,
         "inner_iterations": solution.n_inner_total,
-        "final_tau": solution.final_tau,
-        "final_residual_normalized": solution.final_residual_normalized,
+        "final_tau": _json_number(solution.final_tau),
+        "final_residual_normalized": _json_number(solution.final_residual_normalized),
         "rank_estimate": solution.rank_estimate,
         **_l0_counts(solution.S_star, basis),
     }
@@ -360,5 +365,6 @@ def run_cv(config: RunConfig) -> dict:
             fh.write(f"{row['C']:.17g},{row['mu']:.17g},{row['score']:.17g}\n")
     result = {"best_C": best["C"], "best_mu": best["mu"], "best_score": best["score"],
               "table": table}
-    print("cv result:", json.dumps({k: v for k, v in result.items() if k != "table"}))
+    print("cv result:", json.dumps({"best_C": best["C"], "best_mu": best["mu"],
+                                    "best_score": _json_number(best["score"])}))
     return result

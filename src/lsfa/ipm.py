@@ -63,7 +63,7 @@ class Solution:
     rank_estimate: int
     support: np.ndarray  # boolean p x p mask of the nonzero entries of S_star
     traces: list[TraceRow] = field(default_factory=list)
-    status: str = "converged"
+    status: str = "converged"  # or "iteration-cap", "line-search-failure", "empty-schedule"
     n_outer: int = 0
     n_inner_total: int = 0
     final_tau: float = np.nan
@@ -215,13 +215,20 @@ def ipm_solve(
 
     A line-search failure in an inner solve aborts the loop and propagates in
     the status together with the partial trace; an inner iteration cap is
-    recorded but the outer loop continues.
+    recorded but the outer loop continues.  When tau0 <= epsilon the schedule
+    is empty: no solve runs, the initial matrices come back with status
+    "empty-schedule", final_tau is tau0 and the residual is NaN.
     """
     basis = SymmetricBasis(problem.p)
     L0, S0 = init
     it = Iterate(basis.mat_to_vec(np.asarray(L0, dtype=float)), basis.mat_to_vec(np.asarray(S0, dtype=float)), basis)
     if not it.is_strictly_feasible:
         raise InfeasiblePointError("initial (L0, S0) must both be strictly positive definite")
+
+    if params.tau0 <= params.epsilon:
+        # no barrier level to solve: the start, read out with no barrier floor
+        solution = recover_solution(it, eta_rank=eta_rank, eta_supp=eta_supp, status="empty-schedule")
+        return replace(solution, final_tau=params.tau0)
 
     rows: list[TraceRow] = []
     statuses: list[str] = []

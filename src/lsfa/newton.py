@@ -28,10 +28,12 @@ outside the positive-definite cone evaluate to +inf and fail both tests.
 The reduced matrix of size m + |T| is never formed.  The ell block is
 eliminated exactly: in the generalized eigenbasis of (L, Sigma) its inverse
 and its Schur complement apply in O(p^3), so only the |T| x |T| Schur
-complement on s_T is assembled and Cholesky-factorized (see
-_SchurComplement), and one step of iterative refinement with the
-matrix-free Hessian-vector product recovers the accuracy of a dense solve.
-The dense Hessian (objective.hessian_blocks) remains as the test oracle.
+complement on s_T is assembled, from the rows T of a congruence matrix or
+from an m x m pair Gram, whichever costs less at that |T|, and
+Cholesky-factorized (see _SchurComplement); one step of iterative refinement
+with the matrix-free Hessian-vector product recovers the accuracy of a dense
+solve.  The dense Hessian (objective.hessian_blocks) remains as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -110,8 +112,23 @@ class _SchurComplement:
         E = Phi diag(delta) Phi^T,   delta_kl = mu tau / (tau + mu lam_k lam_l),
         (A + B)^-1 X = V [(V^T X V) * r] V^T,   r_kl = lam_k lam_l / (mu lam_k lam_l + tau),
 
-    so only the rows T of Phi are formed, E_TT is one product F F^T with
-    F = Phi_T sqrt(delta), and every other operator applies in O(p^3).
+    and every operator but E_TT applies in O(p^3).  E_TT takes the cheaper
+    of two products:
+
+    - F F^T with F = Phi_T sqrt(delta), the rows T of sym_kron(W): |T|^2 m
+      flops, O(p^6) for a dense working set;
+    - a gather (SymmetricBasis.pair_gram_block) from the pair Gram
+
+          M = P delta P^T,   P[q, k] = W[x_q, k] W[y_q, k],
+
+      an m x m matrix over the pairs q = {x_q, y_q}: 2 m^2 p flops, O(p^5).
+
+    The first is used while |T|^2 < m p, where it does under half the pair
+    Gram's flops; its gather of Phi_T is memory-bound, and at p = 40 and 60
+    the two took equal time at |T|^2 between 0.3 and 0.5 times 2 m p.  The
+    sparse working sets of a sparse start (|T| about 2p) stay on the first,
+    the dense ones of a dense start (|T| near m) on the second.
+    C_TT = tau G(S^-1)[T, T] is a block of sym_kron.
     """
 
     def __init__(self, iterate: Iterate, T: np.ndarray, barrier: BarrierObjective):
@@ -132,9 +149,13 @@ class _SchurComplement:
         if len(T) == 0:
             return
         delta = (mu * tau) / (tau + mu * lam2)
-        F = basis.sym_kron(W, rows=T)
-        F *= np.sqrt(delta[basis.rows, basis.cols])
-        K = F @ F.T
+        if len(T) ** 2 < basis.m * basis.p:
+            F = basis.sym_kron(W, rows=T)
+            F *= np.sqrt(delta[basis.rows, basis.cols])
+            K = F @ F.T
+        else:
+            P = W[basis.rows] * W[basis.cols]
+            K = basis.pair_gram_block((P @ delta) @ P.T, rows=T, cols=T)
         C_TT = basis.sym_kron(iterate.inv_S, rows=T, cols=T)
         C_TT *= tau
         K += C_TT

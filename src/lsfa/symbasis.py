@@ -8,7 +8,12 @@ positions, the unique scaling that makes the family orthonormal.  The map is
 then an isometry: ||vec(S)||_2 = ||S||_F for every symmetric S.
 
 Coordinates enumerate the upper triangle in row-major order, so for p = 2
-the basis is [[1,0],[0,0]], (1/sqrt 2)[[0,1],[1,0]], [[0,0],[0,1]].
+the basis is [[1,0],[0,0]], (1/sqrt 2)[[0,1],[1,0]], [[0,0],[0,1]].  A p x p
+table holds the coordinate of every position (the pair index), so both maps
+are single gathers.  The matrices of the congruence X -> A X A^T (sym_kron)
+and of the weighted map X -> W (D o W^T X W) W^T (pair_gram_block, o the
+entrywise product) are formed entry by entry from gathers, a block of rows
+at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ class SymmetricBasis:
         rows, cols: upper-triangle index pairs in row-major order; coordinate
             a lives at positions (rows[a], cols[a]) and (cols[a], rows[a]).
         off_diag: boolean mask of the off-diagonal coordinates.
+        pair_index: p x p table of coordinates, pair_index[x, y] = q(x, y)
+            the coordinate of the unordered pair {x, y}.
     """
 
     def __init__(self, p: int):
@@ -48,6 +55,11 @@ class SymmetricBasis:
         self.off_diag = rows != cols
         # <S, E_a> picks up both mirrored entries of an off-diagonal pair.
         self._vec_scale = np.where(self.off_diag, _SQRT2, 1.0)
+        coords = np.arange(self.m)
+        self.pair_index = np.empty((self.p, self.p), dtype=np.intp)
+        self.pair_index[rows, cols] = coords
+        self.pair_index[cols, rows] = coords
+        self._upper_flat = rows * self.p + cols
 
     def mat_to_vec(self, S: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
         """Coordinates of a symmetric matrix: s_a = <S, E_a>.
@@ -65,17 +77,14 @@ class SymmetricBasis:
                 f"matrix is not symmetric: ||S - S.T||_F = {asym:.3e} exceeds "
                 f"the relative tolerance {rtol:g}"
             )
-        return S[self.rows, self.cols] * self._vec_scale
+        return S.take(self._upper_flat) * self._vec_scale
 
     def vec_to_mat(self, v: np.ndarray) -> np.ndarray:
         """Matrix sum_a v_a E_a; exact inverse of :meth:`mat_to_vec`."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.m,):
             raise ValueError(f"expected a coordinate vector of length {self.m}, got shape {v.shape}")
-        S = np.zeros((self.p, self.p))
-        S[self.rows, self.cols] = v / self._vec_scale
-        S[self.cols, self.rows] = S[self.rows, self.cols]
-        return S
+        return (v / self._vec_scale).take(self.pair_index)
 
     def element(self, a: int) -> np.ndarray:
         """The a-th basis matrix E_a."""
@@ -115,6 +124,48 @@ class SymmetricBasis:
             A_i, A_j, g = A[ia[blk]], A[ja[blk]], G[blk]
             np.multiply(A_i.take(ib, axis=1), A_j.take(jb, axis=1), out=g)
             g += A_i.take(jb, axis=1) * A_j.take(ib, axis=1)
+            g *= np.multiply.outer(2.0 * ca[blk], cb)
+        return G
+
+    def pair_gram_block(
+        self, M: np.ndarray, rows: np.ndarray | None = None, cols: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Block [rows, cols] of the matrix of the map whose pair Gram is M.
+
+        M is an m x m matrix indexed by unordered pairs of {0..p-1} (the
+        coordinates q(x, y) of pair_index), of the form M = P D P^T with
+        P[q, k] = W[x_q, k] W[y_q, k] for a p x p matrix W and a symmetric
+        p x p weight D.  The map is X -> W (D o W^T X W) W^T, with o the
+        entrywise product, and its matrix in this basis is
+
+            G[a, b] = sum_kl (W^T E_a W)_kl D_kl (W^T E_b W)_kl
+                    = 2 c_a c_b (M[q(i_a, i_b), q(j_a, j_b)] + M[q(i_a, j_b), q(j_a, i_b)]).
+
+        For a rank-one M = v v^T with v_q = A[x_q, y_q] and symmetric A the
+        map is X -> A X A, and G is sym_kron(A).  Forming M costs one m x p by p x m product,
+        2 m^2 p flops; the block is then two gathers per entry.  Their flat
+        indices q(x, y) m + q(x', y') add a row of a p x ncols table indexed
+        by x to a row of one indexed by x', a block of rows at a time, so the
+        integer temporaries stay in cache.
+        """
+        M = np.ascontiguousarray(M, dtype=float)
+        i, j, c, m = self.rows, self.cols, self._coord_scale, self.m
+        ia, ja, ca = (i, j, c) if rows is None else (i[rows], j[rows], c[rows])
+        ib, jb, cb = (i, j, c) if cols is None else (i[cols], j[cols], c[cols])
+        Q = self.pair_index
+        # row x of Qm_i holds q(x, i_b) m over the columns b, and so on
+        Qm_i, Qm_j = (Q * m).take(ib, axis=1), (Q * m).take(jb, axis=1)
+        Q_i, Q_j = Q.take(ib, axis=1), Q.take(jb, axis=1)
+        G = np.empty((len(ia), len(ib)))
+        for lo in range(0, len(ia), _ROW_BLOCK):
+            blk = slice(lo, lo + _ROW_BLOCK)
+            x, y, g = ia[blk], ja[blk], G[blk]
+            flat = Qm_i[x]
+            flat += Q_j[y]
+            M.take(flat, out=g)
+            flat = Qm_j[x]
+            flat += Q_i[y]
+            g += M.take(flat)
             g *= np.multiply.outer(2.0 * ca[blk], cb)
         return G
 

@@ -135,6 +135,35 @@ def test_cli_solve_from_covariance_file(small_run_dir):
     assert code == 0
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not a JSON value")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_solve_empty_schedule_exits_numerical(small_run_dir, capsys):
+    # tau0 <= eps leaves no barrier level to solve: not a converged solve
+    code = main(["solve", *SMALL, "--run-dir", str(small_run_dir),
+                 "--tau0", "1e-7", "--eps", "1e-6"])
+    assert code == 4
+    summary = _strict_json(capsys.readouterr().out.split("solve summary:")[1].splitlines()[0])
+    assert summary["status"] == "empty-schedule"
+    assert summary["final_tau"] == 1e-7
+    assert summary["final_residual_normalized"] is None
+
+
+def test_cli_cv_without_a_converged_fit_exits_numerical(small_run_dir, capsys):
+    # every fit is an empty schedule and scores inf, so no grid point is usable
+    code = main(["cv", *SMALL, "--run-dir", str(small_run_dir), "--tau0", "1e-7",
+                 "--eps", "1e-6", "--c-grid", "0.5", "--mu-grid", "10", "--folds", "2"])
+    assert code == 4
+    result = _strict_json(capsys.readouterr().out.split("cv result:")[1].splitlines()[0])
+    assert result["best_score"] is None
+    assert main(["cv", *SMALL, "--run-dir", str(small_run_dir),
+                 "--c-grid", "0.5", "--mu-grid", "10", "--folds", "2"]) == 0
+
+
 def test_cli_solve_missing_input_is_io_error(tmp_path):
     assert main(["solve", "--run-dir", str(tmp_path)]) == 3
 

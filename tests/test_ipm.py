@@ -109,6 +109,8 @@ def test_zero_solves_when_tau0_below_epsilon():
     assert solution.traces == []
     assert_allclose(solution.L_star, 0.5 * sigma, rtol=1e-15)
     assert_allclose(solution.S_star, 0.5 * sigma, rtol=1e-15)
+    assert solution.status == "empty-schedule"
+    assert solution.final_tau == params.tau0
 
 
 # ---------- trace bookkeeping ----------

@@ -24,6 +24,7 @@ from lsfa import (
     solve_tau_min,
     stationarity_residual,
 )
+from lsfa.newton import _SchurComplement
 from conftest import random_interior_point, random_spd
 
 
@@ -127,6 +128,24 @@ def test_direction_matches_dense_oracle_when_ill_conditioned(p):
         assert backward < 1e-15
         assert np.linalg.norm(x - x_dense) < 1e-8 * np.linalg.norm(x_dense)
         assert_allclose(d.d_s[Tbar], -point.s[Tbar], atol=0)
+
+
+@pytest.mark.parametrize("n_off", [10, 26])
+def test_schur_complement_matches_dense_reduced_matrix(n_off):
+    # p = 9, m = 45, T holds the whole diagonal: |T| = 19 (|T|^2 < m p) forms
+    # E_TT from Phi_T, |T| = 35 from the pair Gram, in more than one 32-row pass
+    rng = np.random.default_rng(91)
+    p = 9
+    problem = ProblemData(random_spd(rng, p), C=1.0, mu=2.0)
+    barrier = BarrierObjective(problem, tau=0.3)
+    it, basis = random_interior_point(rng, p)
+    T = np.union1d(np.flatnonzero(~basis.off_diag),
+                   rng.choice(np.flatnonzero(basis.off_diag), n_off, replace=False))
+    assert (len(T) ** 2 < basis.m * p) == (n_off == 10)
+    H_ll, H_ls, H_ss = hessian_blocks(it, barrier)
+    dense = H_ss[np.ix_(T, T)] - H_ls[:, T].T @ np.linalg.solve(H_ll, H_ls[:, T])
+    factor = np.tril(_SchurComplement(it, T, barrier).cho[0])
+    assert_allclose(factor @ factor.T, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
 def test_reduced_matrix_positive_definite():

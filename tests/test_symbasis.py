@@ -147,3 +147,56 @@ def test_sym_kron_nonsymmetric_matches_bruteforce(p):
     rows = np.arange(1, basis.m, 2)
     assert_allclose(basis.sym_kron(A, rows=rows, cols=rows), brute[np.ix_(rows, rows)], atol=1e-12)
 
+
+@pytest.mark.parametrize("p", [2, 5, 9])
+def test_pair_gram_block_of_rank_one_gram_is_sym_kron(p):
+    # M = a a^T with a_q = A[x_q, y_q]; at p = 9 the m = 45 rows are gathered
+    # in two passes
+    rng = np.random.default_rng(20 + p)
+    basis = build_basis(p)
+    A = rng.standard_normal((p, p))
+    A = A + A.T
+    a = A[basis.rows, basis.cols]
+    M = np.outer(a, a)
+    G = basis.sym_kron(A)
+    scale = np.abs(G).max()
+    assert np.abs(basis.pair_gram_block(M) - G).max() <= 1e-14 * scale
+    rows = np.arange(1, basis.m, 2)
+    cols = np.arange(0, basis.m, 3)
+    block = basis.pair_gram_block(M, rows=rows, cols=cols)
+    assert np.abs(block - G[np.ix_(rows, cols)]).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("p", [3, 9])
+def test_pair_gram_block_matches_bruteforce_weighted_congruence(p):
+    # M = P delta P^T with P[q, k] = W[x_q, k] W[y_q, k] gathers the matrix
+    # Phi diag(delta) Phi^T, Phi the matrix of Z -> W Z W^T
+    rng = np.random.default_rng(30 + p)
+    basis = build_basis(p)
+    W = rng.standard_normal((p, p))
+    delta = rng.uniform(0.1, 2.0, (p, p))
+    delta = delta + delta.T
+    E = basis.elements()
+    Phi = np.array([[np.trace(E[a] @ W @ E[b] @ W.T) for b in range(basis.m)]
+                    for a in range(basis.m)])
+    T = np.union1d(np.flatnonzero(~basis.off_diag), np.arange(0, basis.m, 2))
+    brute = Phi[T] @ np.diag(delta[basis.rows, basis.cols]) @ Phi[T].T
+    P = W[basis.rows] * W[basis.cols]
+    block = basis.pair_gram_block((P @ delta) @ P.T, rows=T, cols=T)
+    assert_allclose(block, brute, rtol=0, atol=1e-13 * np.abs(brute).max())
+
+
+def test_vec_of_transposed_view_equals_contiguous_copy():
+    rng = np.random.default_rng(5)
+    basis = build_basis(7)
+    M = rng.standard_normal((7, 7))
+    # asymmetric within the tolerance, so the view's upper triangle is not the
+    # upper triangle of the array it views
+    S = M + M.T + 1e-14 * rng.standard_normal((7, 7))
+    view = S.T
+    assert not np.array_equal(view, S)
+    assert not view.flags.c_contiguous
+    np.testing.assert_array_equal(basis.mat_to_vec(view), basis.mat_to_vec(np.ascontiguousarray(view)))
+    strided = S[::2, ::2]
+    np.testing.assert_array_equal(build_basis(4).mat_to_vec(strided),
+                                  build_basis(4).mat_to_vec(np.ascontiguousarray(strided)))
