@@ -30,10 +30,11 @@ eliminated exactly: in the generalized eigenbasis of (L, Sigma) its inverse
 and its Schur complement apply in O(p^3), so only the |T| x |T| Schur
 complement on s_T is assembled, from the rows T of a congruence matrix or
 from an m x m pair Gram, whichever costs less at that |T|, and
-Cholesky-factorized (see _SchurComplement); one step of iterative refinement
-with the matrix-free Hessian-vector product recovers the accuracy of a dense
-solve.  The dense Hessian (objective.hessian_blocks) remains as the test
-oracle.
+Cholesky-factorized (see _SchurComplement); its gathered blocks are formed
+only in the upper triangle that the factorization reads.  One step of
+iterative refinement with the matrix-free Hessian-vector product recovers
+the accuracy of a dense solve.  The dense Hessian (objective.hessian_blocks)
+remains as the test oracle.
 """
 
 from __future__ import annotations
@@ -129,6 +130,12 @@ class _SchurComplement:
     sparse working sets of a sparse start (|T| about 2p) stay on the first,
     the dense ones of a dense start (|T| near m) on the second.
     C_TT = tau G(S^-1)[T, T] is a block of sym_kron.
+
+    The Cholesky factorization reads only the upper triangle of K = E_TT +
+    C_TT, so both gathers (the pair-Gram block and C_TT) form only that
+    triangle, with zeros below it; the Phi_T product forms both.  Each entry
+    comes from the same arithmetic as in the full block, so the factor is
+    the same bit for bit.
     """
 
     def __init__(self, iterate: Iterate, T: np.ndarray, barrier: BarrierObjective):
@@ -155,13 +162,14 @@ class _SchurComplement:
             K = F @ F.T
         else:
             P = W[basis.rows] * W[basis.cols]
-            K = basis.pair_gram_block((P @ delta) @ P.T, rows=T, cols=T)
-        C_TT = basis.sym_kron(iterate.inv_S, rows=T, cols=T)
+            K = basis.pair_gram_block((P @ delta) @ P.T, rows=T, cols=T, upper=True)
+        C_TT = basis.sym_kron(iterate.inv_S, rows=T, cols=T, upper=True)
         C_TT *= tau
         K += C_TT
         try:
-            # K is symmetric, so K.T is the Fortran-ordered array LAPACK factors
-            # in place; it is finite because W, delta and S^-1 are.
+            # K's upper triangle holds the Schur complement; K.T is the
+            # Fortran-ordered array whose lower triangle LAPACK factors in
+            # place.  It is finite because W, delta and S^-1 are.
             self.cho = scipy.linalg.cho_factor(
                 K.T, lower=True, overwrite_a=True, check_finite=False
             )

@@ -131,7 +131,7 @@ def test_direction_matches_dense_oracle_when_ill_conditioned(p):
 
 
 @pytest.mark.parametrize("n_off", [10, 26])
-def test_schur_complement_matches_dense_reduced_matrix(n_off):
+def test_schur_complement_matches_dense_reduced_matrix(n_off, monkeypatch):
     # p = 9, m = 45, T holds the whole diagonal: |T| = 19 (|T|^2 < m p) forms
     # E_TT from Phi_T, |T| = 35 from the pair Gram, in more than one 32-row pass
     rng = np.random.default_rng(91)
@@ -144,8 +144,19 @@ def test_schur_complement_matches_dense_reduced_matrix(n_off):
     assert (len(T) ** 2 < basis.m * p) == (n_off == 10)
     H_ll, H_ls, H_ss = hessian_blocks(it, barrier)
     dense = H_ss[np.ix_(T, T)] - H_ls[:, T].T @ np.linalg.solve(H_ll, H_ls[:, T])
-    factor = np.tril(_SchurComplement(it, T, barrier).cho[0])
+    packed = _SchurComplement(it, T, barrier).cho[0]
+    factor = np.tril(packed)
     assert_allclose(factor @ factor.T, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+    # the Cholesky reads only the upper triangle of the assembled blocks: the
+    # factor equals, bit for bit, that of the blocks assembled in full
+    for name in ("sym_kron", "pair_gram_block"):
+        whole = getattr(SymmetricBasis, name)
+        monkeypatch.setattr(SymmetricBasis, name,
+                            lambda self, X, rows=None, cols=None, upper=False, _whole=whole:
+                            _whole(self, X, rows, cols))
+    packed_full = _SchurComplement(it, T, barrier).cho[0]
+    np.testing.assert_array_equal(factor, np.tril(packed_full))
+    assert not np.array_equal(np.triu(packed, 1), np.triu(packed_full, 1))
 
 
 def test_reduced_matrix_positive_definite():

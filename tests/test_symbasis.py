@@ -186,6 +186,26 @@ def test_pair_gram_block_matches_bruteforce_weighted_congruence(p):
     assert_allclose(block, brute, rtol=0, atol=1e-13 * np.abs(brute).max())
 
 
+def test_upper_triangle_blocks_equal_full_block_upper_triangle():
+    # |T| = 40 at p = 9 (m = 45): the triangle is formed in two passes, the
+    # second starting its columns at row 32
+    rng = np.random.default_rng(40)
+    basis = build_basis(9)
+    A = rng.standard_normal((9, 9))
+    W = rng.standard_normal((9, 9))
+    P = W[basis.rows] * W[basis.cols]
+    M = P @ P.T
+    T = np.sort(rng.choice(basis.m, 40, replace=False))
+    for form, X in ((basis.sym_kron, A), (basis.pair_gram_block, M)):
+        full = form(X, rows=T, cols=T)
+        upper = form(X, rows=T, cols=T, upper=True)
+        np.testing.assert_array_equal(upper, np.triu(full))
+        below = np.tril_indices(len(T), -1)
+        assert full[below].all() and not upper[below].any()
+        with pytest.raises(ValueError, match="square block"):
+            form(X, rows=T, cols=T[1:], upper=True)
+
+
 def test_vec_of_transposed_view_equals_contiguous_copy():
     rng = np.random.default_rng(5)
     basis = build_basis(7)
