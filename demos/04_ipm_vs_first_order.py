@@ -27,8 +27,7 @@ truth = generate_ground_truth(p=10, r=2, density=0.1, snr=1.0, seed=4)
 samples = sample_observations(truth, 2000, seed=5)
 problem = ProblemData(sample_covariance(samples), C=0.5, mu=20.0)
 
-ipm_solution = ipm_solve(problem, default_init(problem),
-                         IpmParams(C=0.5, mu=20.0, gamma=0.1))
+ipm_solution = ipm_solve(problem, default_init(problem), IpmParams(gamma=0.1))
 print(f"IPM: {ipm_solution.status} with {ipm_solution.n_inner_total} total inner "
       f"iterations across {ipm_solution.n_outer} barrier levels")
 

@@ -19,14 +19,11 @@ iteration counts measure convergence rate, not problem difficulty.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InfeasiblePointError
+from .errors import InfeasiblePointError, require_positive
 from .newton import InnerSolveResult
-from .objective import BarrierObjective, Iterate, eval_f_at, eval_h_tau, grad_h_tau
+from .objective import BarrierObjective, Iterate, eval_h_tau, grad_h_tau
 from .prox import prox_l0_vec, stationarity_residual
 from .trace import TraceRow
 
@@ -45,14 +42,8 @@ class BaselineParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not self.step_ell > 0:
-            raise ValueError(f"step_ell must be > 0, got {self.step_ell}")
-        if not self.residual_tol > 0:
-            raise ValueError(f"residual_tol must be > 0, got {self.residual_tol}")
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration caps must be >= 1")
+        require_positive(gamma=self.gamma, step_ell=self.step_ell, residual_tol=self.residual_tol,
+                         max_iters=self.max_iters, max_backtracks=self.max_backtracks)
 
 
 def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) -> InnerSolveResult:
@@ -109,19 +100,8 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         k += 1
         g = grad_h_tau(it, barrier)
         res = stationarity_residual(it, barrier, params.gamma, grad=g)
-        rows.append(
-            TraceRow(
-                outer_iter=0,
-                tau=barrier.tau,
-                inner_iter=k,
-                objective_h_tau=eval_h_tau(it, barrier),
-                objective_f=eval_f_at(it, problem),
-                residual_normalized=res.norm_normalized,
-                support_size=int(np.count_nonzero(it.s)),
-                step_alpha=accepted_t,
-                direction_kind="bcd",
-                wall_time_ns=time.perf_counter_ns(),
-            )
-        )
+        rows.append(TraceRow.accepted(it, barrier, outer_iter=0, inner_iter=k,
+                                      residual_normalized=res.norm_normalized,
+                                      step_alpha=accepted_t, direction_kind="bcd"))
 
     return InnerSolveResult(iterate=it, status=status, rows=rows, n_iters=k, residual=res)

@@ -1,10 +1,11 @@
 """Command-line interface: generate, solve, compare, cv.
 
 Exit codes: 0 success/converged, 2 invalid configuration, 3 I/O failure,
-4 numerical failure (including non-converged solves, and a cv grid in which
-every point has a fold whose fit did not converge).  All flags mirror
-RunConfig fields; a JSON config file may supply any subset, with explicit
-flags taking precedence.  The run directory defaults to $LSFA_RUN_DIR.
+4 numerical failure (including non-converged solves, unusable input data,
+and a cv grid in which every point has a fold whose fit did not converge).
+Every RunConfig field has one flag, of the field's type; a JSON config file
+may supply any subset, with explicit flags taking precedence.  The run
+directory defaults to $LSFA_RUN_DIR.
 """
 
 from __future__ import annotations
@@ -13,19 +14,20 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError
-from .harness import RunConfig, config_from_dict, run_compare, run_cv, run_generate, run_solve
+from .harness import (FIELD_TYPES, RunConfig, config_from_dict, run_compare, run_cv,
+                      run_generate, run_solve)
 
-_FLOAT_FLAGS = [
-    "density", "snr", "C", "mu", "gamma", "tau0", "theta", "eps", "delta",
-    "sigma", "beta", "residual_tol", "eta_rank", "eta_supp", "bcd_step_ell",
-]
-_INT_FLAGS = [
-    "p", "r", "n", "seed", "max_inner_iters", "max_backtracks",
-    "bcd_max_iters", "folds",
-]
-_STR_FLAGS = ["run_dir", "trace_out"]
+# fields whose flag is not the field name with '-' for '_'
+_FLAG_NAMES = {"samples_file": "samples", "covariance_file": "covariance"}
+_HELP = {
+    "samples_file": "samples CSV file name inside the run directory",
+    "covariance_file": "covariance CSV to use directly instead of samples",
+    "c_grid": "comma-separated C grid for cv",
+    "mu_grid": "comma-separated mu grid for cv",
+}
 
 
 def _grid(text: str) -> tuple[float, ...]:
@@ -33,6 +35,10 @@ def _grid(text: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must be comma-separated numbers: {exc}")
+
+
+# field type -> argparse converter; str fields keep the text as given
+_PARSERS = {int: int, float: float, tuple[float, ...]: _grid}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,20 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON file with RunConfig fields")
-        for flag in _INT_FLAGS:
-            cmd.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int)
-        for flag in _FLOAT_FLAGS:
-            cmd.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=float)
-        for flag in _STR_FLAGS:
-            cmd.add_argument(f"--{flag.replace('_', '-')}", dest=flag)
-        cmd.add_argument("--samples", dest="samples_file",
-                         help="samples CSV file name inside the run directory")
-        cmd.add_argument("--covariance", dest="covariance_file",
-                         help="covariance CSV to use directly instead of samples")
-        cmd.add_argument("--c-grid", dest="c_grid", type=_grid,
-                         help="comma-separated C grid for cv")
-        cmd.add_argument("--mu-grid", dest="mu_grid", type=_grid,
-                         help="comma-separated mu grid for cv")
+        for f in fields(RunConfig):
+            flag = "--" + _FLAG_NAMES.get(f.name, f.name).replace("_", "-")
+            cmd.add_argument(flag, dest=f.name, type=_PARSERS.get(FIELD_TYPES[f.name]),
+                             help=_HELP.get(f.name))
     return parser
 
 
@@ -71,7 +67,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object of RunConfig fields")
+        data.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
@@ -98,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             # every grid point scored inf: each has a fold whose fit did not converge
             return 0 if math.isfinite(result["best_score"]) else 4
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, NumericalBreakdownError
+from .errors import ConfigError, NumericalBreakdownError, require_positive
 
 
 @dataclass
@@ -30,6 +30,15 @@ class GroundTruth:
     support_mask: np.ndarray  # boolean p x p mask of nonzero entries of S_hat
     r: int
     seed: int
+
+
+def check_instance(p: int, r: int, density: float, snr: float) -> None:
+    """Raise ConfigError unless generate_ground_truth accepts these sizes and ratios."""
+    if not 1 <= r < p:
+        raise ConfigError(f"factor count must satisfy 1 <= r < p, got r={r}, p={p}")
+    if not 0 < density <= 1:
+        raise ConfigError(f"density must be in (0, 1], got {density}")
+    require_positive(snr=snr)
 
 
 def generate_ground_truth(
@@ -50,13 +59,7 @@ def generate_ground_truth(
         snr: target ||Gamma Gamma^T||_F / ||S_hat||_F.
         seed: RNG seed; identical seeds give bit-identical outputs.
     """
-    if not 1 <= r < p:
-        raise ConfigError(f"factor count must satisfy 1 <= r < p, got r={r}, p={p}")
-    if not 0 < density <= 1:
-        raise ConfigError(f"density must be in (0, 1], got {density}")
-    if not snr > 0:
-        raise ConfigError(f"snr must be > 0, got {snr}")
-
+    check_instance(p, r, density, snr)
     rng = np.random.default_rng(seed)
     for _ in range(100):
         Gamma = rng.standard_normal((p, r))

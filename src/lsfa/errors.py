@@ -1,4 +1,6 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack, and the shared range check."""
+
+import math
 
 
 class ConfigError(ValueError):
@@ -22,3 +24,10 @@ class NumericalBreakdownError(RuntimeError):
     the positive-definite Hessian) cannot be Cholesky-factorized; this signals
     an assembly bug or catastrophic conditioning rather than a user error.
     """
+
+
+def require_positive(**values: float) -> None:
+    """Raise ConfigError naming the first of `values` that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")

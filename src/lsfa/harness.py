@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from .baseline import BaselineParams, bcd_solve
-from .datagen import generate_ground_truth, sample_observations
-from .errors import ConfigError, DataError
+from .datagen import check_instance, generate_ground_truth, sample_observations
+from .errors import ConfigError, DataError, require_positive
 from .ipm import IpmParams, Solution, ipm_solve, sparse_init
 from .newton import NewtonParams
 from .objective import BarrierObjective, Iterate, ProblemData, sample_covariance
@@ -72,45 +74,30 @@ class RunConfig:
             self.run_dir = os.environ.get(RUN_DIR_ENV, ".")
 
     def validate(self) -> "RunConfig":
-        """Raise ConfigError naming the first offending field."""
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        checks = [
-            (self.p >= 1, "p must be >= 1"),
-            (1 <= self.r < self.p, "r must satisfy 1 <= r < p"),
-            (self.n >= 1, "n must be >= 1"),
-            (0 < self.density <= 1, "density must be in (0, 1]"),
-            (self.snr > 0, "snr must be > 0"),
-            (self.C > 0, "C must be > 0"),
-            (self.mu > 0, "mu must be > 0"),
-            (self.gamma > 0, "gamma must be > 0"),
-            (self.tau0 > 0, "tau0 must be > 0"),
-            (0 < self.theta < 1, "theta must be in (0, 1)"),
-            (self.eps > 0, "eps must be > 0"),
-            (self.delta > 0, "delta must be > 0"),
-            (0 < self.sigma < 0.5, "sigma must be in (0, 1/2)"),
-            (0 < self.beta < 1, "beta must be in (0, 1)"),
-            (self.residual_tol > 0, "residual_tol must be > 0"),
-            (self.max_inner_iters >= 1, "max_inner_iters must be >= 1"),
-            (self.max_backtracks >= 1, "max_backtracks must be >= 1"),
-            (self.eta_rank > 0, "eta_rank must be > 0"),
-            (self.eta_supp > 0, "eta_supp must be > 0"),
-            (self.bcd_max_iters >= 1, "bcd_max_iters must be >= 1"),
-            (self.bcd_step_ell > 0, "bcd_step_ell must be > 0"),
-            (self.folds >= 2, "folds must be >= 2"),
-            (len(self.c_grid) >= 1 and all(0 < c < math.inf for c in self.c_grid),
-             "c_grid must be non-empty with finite positive entries"),
-            (len(self.mu_grid) >= 1 and all(0 < m < math.inf for m in self.mu_grid),
-             "mu_grid must be non-empty with finite positive entries"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        """Raise ConfigError naming the first offending field.
+
+        Each value is checked by the code that uses it: the instance sizes by
+        datagen.check_instance, the weights by ProblemData.check_weights, the
+        solver parameters by the classes ipm_params() and baseline_params()
+        build.  Checked here are only the fields nothing else reads.
+        """
+        require_positive(p=self.p, n=self.n, eta_rank=self.eta_rank, eta_supp=self.eta_supp)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        for name in ("c_grid", "mu_grid"):
+            grid = getattr(self, name)
+            if not grid or not all(0 < x < math.inf for x in grid):
+                raise ConfigError(f"{name} must be non-empty with finite positive entries")
+        check_instance(self.p, self.r, self.density, self.snr)
+        ProblemData.check_weights(self.C, self.mu)
+        self.ipm_params()
+        self.baseline_params()
         return self
 
-    def newton_params(self) -> NewtonParams:
-        return NewtonParams(
+    def ipm_params(self) -> IpmParams:
+        newton = NewtonParams(
             gamma=self.gamma,
             delta=self.delta,
             sigma=self.sigma,
@@ -119,17 +106,8 @@ class RunConfig:
             max_inner_iters=self.max_inner_iters,
             max_backtracks=self.max_backtracks,
         )
-
-    def ipm_params(self) -> IpmParams:
-        return IpmParams(
-            C=self.C,
-            mu=self.mu,
-            gamma=self.gamma,
-            tau0=self.tau0,
-            theta=self.theta,
-            epsilon=self.eps,
-            newton=self.newton_params(),
-        )
+        return IpmParams(gamma=self.gamma, tau0=self.tau0, theta=self.theta, epsilon=self.eps,
+                         newton=newton)
 
     def baseline_params(self) -> BaselineParams:
         return BaselineParams(
@@ -144,17 +122,38 @@ class RunConfig:
         return os.path.join(self.run_dir, name)
 
 
+# field name -> declared type: int, float, str, str | None or tuple[float, ...]
+FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def _is_number(x, kind=numbers.Real) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _as_field_type(name: str, value):
+    """`value` as RunConfig field `name` holds it; ConfigError if it has another type.
+
+    An int is accepted where a float is declared, a list where a tuple is.
+    """
+    kind = FIELD_TYPES[name]
+    if kind is int and _is_number(value, numbers.Integral):
+        return int(value)
+    if kind is float and _is_number(value):
+        return float(value)
+    if kind == tuple[float, ...] and isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+        return tuple(float(x) for x in value)
+    if isinstance(value, str) and kind in (str, str | None) or value is None and kind == str | None:
+        return value
+    kind_name = kind.__name__ if isinstance(kind, type) else kind
+    raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from a plain dict (e.g. parsed JSON), rejecting unknown keys."""
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
+    """Build a RunConfig from a plain dict (e.g. parsed JSON), rejecting unknown keys and types."""
+    unknown = set(data) - set(FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    cleaned = dict(data)
-    for key in ("c_grid", "mu_grid"):
-        if key in cleaned:
-            cleaned[key] = tuple(float(x) for x in cleaned[key])
-    return RunConfig(**cleaned)
+    return RunConfig(**{name: _as_field_type(name, value) for name, value in data.items()})
 
 
 def write_matrix_csv(path, M: np.ndarray) -> None:
@@ -162,7 +161,11 @@ def write_matrix_csv(path, M: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    """The matrix in a CSV file; DataError when the file is not a numeric matrix."""
+    try:
+        return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    except ValueError as exc:
+        raise DataError(f"{path} is not a numeric CSV matrix: {exc}") from exc
 
 
 def _l0_counts(S: np.ndarray, basis: SymmetricBasis) -> dict:
@@ -331,6 +334,7 @@ def run_cv(config: RunConfig) -> dict:
     order = rng.permutation(n)
     fold_ids = np.array_split(order, config.folds)
 
+    params = config.ipm_params()
     table = []
     for C in config.c_grid:
         for mu in config.mu_grid:
@@ -340,7 +344,6 @@ def run_cv(config: RunConfig) -> dict:
                 train_idx = np.concatenate([fold_ids[j] for j in range(config.folds) if j != k])
                 try:
                     problem = ProblemData(sample_covariance(samples[train_idx]), C=C, mu=mu)
-                    params = replace(config, C=C, mu=mu).ipm_params()
                     solution = ipm_solve(
                         problem, sparse_init(problem, params), params,
                         eta_rank=config.eta_rank, eta_supp=config.eta_supp,

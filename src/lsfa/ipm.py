@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InfeasiblePointError
+from .errors import ConfigError, InfeasiblePointError, require_positive
 from .newton import InnerSolveResult, NewtonParams, solve_tau_min
 from .objective import BarrierObjective, Iterate, ProblemData
 from .symbasis import SymmetricBasis
@@ -23,14 +23,13 @@ from .trace import TraceRow
 
 @dataclass
 class IpmParams:
-    """Outer-loop parameters plus the solver weights.
+    """Outer-loop parameters: the prox stepsize and the barrier schedule.
 
-    `newton` defaults to a NewtonParams built from `gamma`; when passed
-    explicitly its gamma must agree with the top-level one.
+    The weights C and mu belong to the ProblemData being solved.  `newton`
+    defaults to a NewtonParams built from `gamma`; when passed explicitly its
+    gamma must agree with the top-level one.
     """
 
-    C: float
-    mu: float
     gamma: float
     tau0: float = 0.5
     theta: float = 0.5
@@ -38,16 +37,13 @@ class IpmParams:
     newton: NewtonParams | None = None
 
     def __post_init__(self):
-        for name in ("C", "mu", "gamma", "tau0", "epsilon"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require_positive(gamma=self.gamma, tau0=self.tau0, epsilon=self.epsilon)
         if not 0 < self.theta < 1:
-            raise ValueError(f"theta must be in (0, 1), got {self.theta}")
+            raise ConfigError(f"theta must be in (0, 1), got {self.theta}")
         if self.newton is None:
             self.newton = NewtonParams(gamma=self.gamma)
         elif self.newton.gamma != self.gamma:
-            raise ValueError(
+            raise ConfigError(
                 f"newton.gamma = {self.newton.gamma} disagrees with gamma = {self.gamma}"
             )
 

@@ -39,17 +39,15 @@ remains as the test oracle.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InfeasiblePointError, NumericalBreakdownError
+from .errors import ConfigError, InfeasiblePointError, NumericalBreakdownError, require_positive
 from .objective import (
     BarrierObjective,
     Iterate,
-    eval_f_at,
     eval_h_tau,
     grad_h_tau,
     hessian_vector_product,
@@ -76,16 +74,12 @@ class NewtonParams:
     max_backtracks: int = 50
 
     def __post_init__(self):
-        for name in ("gamma", "delta", "residual_tol"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require_positive(gamma=self.gamma, delta=self.delta, residual_tol=self.residual_tol,
+                         max_inner_iters=self.max_inner_iters, max_backtracks=self.max_backtracks)
         if not 0 < self.sigma < 0.5:
-            raise ValueError(f"sigma must be in (0, 1/2), got {self.sigma}")
+            raise ConfigError(f"sigma must be in (0, 1/2), got {self.sigma}")
         if not 0 < self.beta < 1:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if self.max_inner_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration caps must be >= 1")
+            raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
 
 
 @dataclass
@@ -365,19 +359,8 @@ def solve_tau_min(
         k += 1
         g = grad_h_tau(it, barrier)
         res = stationarity_residual(it, barrier, params.gamma, grad=g)
-        rows.append(
-            TraceRow(
-                outer_iter=outer_index,
-                tau=barrier.tau,
-                inner_iter=k,
-                objective_h_tau=eval_h_tau(it, barrier),
-                objective_f=eval_f_at(it, barrier.problem),
-                residual_normalized=res.norm_normalized,
-                support_size=int(np.count_nonzero(it.s)),
-                step_alpha=ls.alpha,
-                direction_kind=direction.kind,
-                wall_time_ns=time.perf_counter_ns(),
-            )
-        )
+        rows.append(TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=k,
+                                      residual_normalized=res.norm_normalized,
+                                      step_alpha=ls.alpha, direction_kind=direction.kind))
 
     return InnerSolveResult(iterate=it, status=status, rows=rows, n_iters=k, residual=res)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DataError, InfeasiblePointError
+from .errors import DataError, InfeasiblePointError, require_positive
 from .symbasis import SymmetricBasis
 
 
@@ -44,15 +44,18 @@ def sample_covariance(samples) -> np.ndarray:
 
     Returns:
         Symmetric positive-semidefinite p x p matrix.
+
+    Raises:
+        DataError: the rows are ragged, empty, or not finite.
     """
     try:
         Y = np.asarray(samples, dtype=float)
     except ValueError as exc:
-        raise ValueError(f"samples have non-uniform lengths: {exc}") from exc
+        raise DataError(f"samples have non-uniform lengths: {exc}") from exc
     if Y.ndim != 2:
-        raise ValueError(f"samples must form an N x p array, got ndim={Y.ndim}")
+        raise DataError(f"samples must form an N x p array, got ndim={Y.ndim}")
     if Y.shape[0] == 0:
-        raise ValueError("need at least one sample")
+        raise DataError("need at least one sample")
     if not np.isfinite(Y).all():
         raise DataError("samples contain NaN or infinite values")
     cov = Y.T @ Y / Y.shape[0]
@@ -81,25 +84,23 @@ class ProblemData:
 
     Args:
         sigma_check: finite, symmetric positive-definite p x p sample
-            covariance; non-finite entries raise DataError.
+            covariance; any other matrix raises DataError.
         C: sparsity weight on the noise block, finite and > 0.
-        mu: fit (KL) weight, finite and >= 0.  Zero is accepted so that
-            derivative identities can be exercised in the degenerate limit;
-            solver entry points require mu > 0.
+        mu: fit (KL) weight, finite and > 0 (check_weights).  Zero is also
+            accepted here, so that derivative identities can be exercised
+            in the degenerate limit.
     """
 
     def __init__(self, sigma_check: np.ndarray, C: float, mu: float):
         S = np.asarray(sigma_check, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError(f"sample covariance must be square, got shape {S.shape}")
+        if S.ndim != 2 or S.shape[0] != S.shape[1] or S.size == 0:
+            raise DataError(f"sample covariance must be square and non-empty, got shape {S.shape}")
         if not np.isfinite(S).all():
             raise DataError("sample covariance contains NaN or infinite values")
         if np.linalg.norm(S - S.T) > 1e-12 * np.linalg.norm(S):
-            raise ValueError("sample covariance must be symmetric")
-        if not 0 < C < np.inf:
-            raise ValueError(f"sparsity weight C must be finite and > 0, got {C}")
-        if not 0 <= mu < np.inf:
-            raise ValueError(f"fit weight mu must be finite and >= 0, got {mu}")
+            raise DataError("sample covariance must be symmetric")
+        # mu = 0 passes too: the degenerate limit of the derivative identities
+        self.check_weights(C, 1.0 if mu == 0 else mu)
         chol = _try_cholesky(S)
         if chol is None:
             raise DataError(
@@ -112,6 +113,11 @@ class ProblemData:
         self.C = float(C)
         self.mu = float(mu)
         self.p = S.shape[0]
+
+    @staticmethod
+    def check_weights(C: float, mu: float) -> None:
+        """Raise ConfigError unless the weights C and mu are finite and > 0."""
+        require_positive(C=C, mu=mu)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass, fields
+from typing import get_type_hints
+
+import numpy as np
+
+from .objective import BarrierObjective, Iterate, eval_f_at, eval_h_tau
 
 
 @dataclass
@@ -26,14 +32,31 @@ class TraceRow:
     direction_kind: str
     wall_time_ns: int
 
+    @classmethod
+    def accepted(cls, it: Iterate, barrier: BarrierObjective, *, outer_iter: int, inner_iter: int,
+                 residual_normalized: float, step_alpha: float, direction_kind: str) -> TraceRow:
+        """The row of an accepted step to `it`, with the objectives evaluated there."""
+        return cls(
+            outer_iter=outer_iter,
+            tau=barrier.tau,
+            inner_iter=inner_iter,
+            objective_h_tau=eval_h_tau(it, barrier),
+            objective_f=eval_f_at(it, barrier.problem),
+            residual_normalized=residual_normalized,
+            support_size=int(np.count_nonzero(it.s)),
+            step_alpha=step_alpha,
+            direction_kind=direction_kind,
+            wall_time_ns=time.perf_counter_ns(),
+        )
+
 
 TRACE_COLUMNS = [f.name for f in fields(TraceRow)]
-_FLOAT_FIELDS = {"tau", "objective_h_tau", "objective_f", "residual_normalized", "step_alpha"}
-_INT_FIELDS = {"outer_iter", "inner_iter", "support_size", "wall_time_ns"}
+# column name -> int, float or str: what a CSV cell is parsed back with
+_COLUMN_TYPES = get_type_hints(TraceRow)
 
 
 def _format_cell(name: str, value) -> str:
-    if name in _FLOAT_FIELDS:
+    if _COLUMN_TYPES[name] is float:
         return format(float(value), ".17g")
     return str(value)
 
@@ -49,19 +72,9 @@ def write_trace_csv(rows: list[TraceRow], path) -> None:
 
 def read_trace_csv(path) -> list[TraceRow]:
     """Read trace rows back; exact inverse of :func:`write_trace_csv`."""
-    rows: list[TraceRow] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace columns {reader.fieldnames} in {path}")
-        for rec in reader:
-            kwargs = {}
-            for name in TRACE_COLUMNS:
-                if name in _FLOAT_FIELDS:
-                    kwargs[name] = float(rec[name])
-                elif name in _INT_FIELDS:
-                    kwargs[name] = int(rec[name])
-                else:
-                    kwargs[name] = rec[name]
-            rows.append(TraceRow(**kwargs))
-    return rows
+        return [TraceRow(**{name: _COLUMN_TYPES[name](rec[name]) for name in TRACE_COLUMNS})
+                for rec in reader]

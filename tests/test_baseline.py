@@ -39,6 +39,15 @@ def test_params_validation():
         BaselineParams(gamma=0.5, max_iters=0)
 
 
+@pytest.mark.parametrize("name", ["gamma", "step_ell", "residual_tol"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_params_reject_non_finite(name, bad):
+    kwargs = dict(gamma=0.5)
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        BaselineParams(**kwargs)
+
+
 def test_bcd_converges_on_small_instance(bcd_run):
     _, _, params, result = bcd_run
     assert result.status == "converged"

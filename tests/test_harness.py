@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lsfa import ConfigError, TraceRow, read_trace_csv, write_trace_csv
-from lsfa.cli import main
+from lsfa.cli import build_parser, main
 from lsfa.harness import (
+    FIELD_TYPES,
     RunConfig,
     config_from_dict,
     gaussian_nll,
@@ -67,6 +70,42 @@ def test_config_validation_names_fields():
         RunConfig(n=0).validate()
     with pytest.raises(ConfigError, match="sigma"):
         RunConfig(sigma=0.7).validate()
+
+
+@pytest.mark.parametrize("name", ["C", "mu"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_config_validation_rejects_non_finite_weights(name, bad):
+    # the weights are checked once, by ProblemData.check_weights
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        RunConfig(**{name: bad}).validate()
+
+
+def test_config_validation_rejects_zero_weights():
+    # ProblemData itself admits mu = 0, the degenerate limit; a run needs mu > 0
+    with pytest.raises(ConfigError, match="C must be"):
+        RunConfig(C=0.0).validate()
+    with pytest.raises(ConfigError, match="mu must be"):
+        RunConfig(mu=0.0).validate()
+
+
+# today's flags are the field names with '-' for '_', except these two
+RENAMED_FLAGS = {"samples_file": "--samples", "covariance_file": "--covariance"}
+# field type -> (flag text, the value it parses to)
+FLAG_VALUES = {int: ("3", 3), float: ("0.25", 0.25), tuple[float, ...]: ("0.5,1", (0.5, 1.0))}
+
+
+def test_every_config_field_has_one_flag_of_its_type():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        flags = {a.dest: a.option_strings for a in sub._actions if a.dest not in ("help", "config")}
+        assert set(flags) == {f.name for f in fields(RunConfig)}
+        for f in fields(RunConfig):
+            flag = RENAMED_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+            assert flags[f.name] == [flag]
+            text, value = FLAG_VALUES.get(FIELD_TYPES[f.name], ("x.csv", "x.csv"))
+            parsed = getattr(parser.parse_args([command, flag, text]), f.name)
+            assert parsed == value and type(parsed) is type(value)
 
 
 def test_config_rejects_unknown_fields():
@@ -182,6 +221,43 @@ def test_cli_solve_non_finite_covariance_is_data_error(tmp_path, capsys):
     assert "nan" in (tmp_path / "cov.csv").read_text()
     assert main(["solve", "--run-dir", str(tmp_path), "--covariance", "cov.csv"]) == 4
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--covariance", "1,2,3\n4,5,6\n"),
+    ("--covariance", "2,1\n0,2\n"),
+    ("--samples", "1,2,3\n4,5\n"),
+    ("--samples", ""),
+], ids=["not-square", "not-symmetric", "ragged-rows", "empty"])
+@pytest.mark.filterwarnings("ignore:loadtxt")  # the empty file: "input contained no data"
+def test_cli_malformed_matrix_file_is_data_error(tmp_path, capsys, flag, text):
+    (tmp_path / "m.csv").write_text(text)
+    assert main(["solve", "--run-dir", str(tmp_path), flag, "m.csv"]) == 4
+    assert "cannot use the covariance from" in capsys.readouterr().err
+
+
+def test_cli_cv_ragged_samples_is_data_error(tmp_path, capsys):
+    (tmp_path / "samples.csv").write_text("1,2,3\n4,5\n")
+    assert main(["cv", "--p", "3", "--r", "1", "--run-dir", str(tmp_path)]) == 4
+    assert "is not a numeric CSV matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,argv", [
+    ('{"p": "40"}', []),
+    ('{"c_grid": 5}', []),
+    ('{"p": 6.5, "r": 2}', []),
+    ('{"p": 6, "r": 2', []),
+    ('[["p", 6]]', []),
+    (None, ["--seed", "-1"]),
+], ids=["str-for-int", "number-for-grid", "float-for-int", "malformed-json", "not-an-object",
+        "negative-seed"])
+def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config, argv):
+    args = ["generate", "--run-dir", str(tmp_path), *argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        args += ["--config", str(tmp_path / "cfg.json")]
+    assert main(args) == 2
+    assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_config_validation_rejects_non_finite():

@@ -22,7 +22,7 @@ from conftest import random_spd
 def small_ipm_run():
     rng = np.random.default_rng(40)
     problem = ProblemData(random_spd(rng, 6, shift=2.0), C=0.5, mu=10.0)
-    params = IpmParams(C=0.5, mu=10.0, gamma=0.1)
+    params = IpmParams(gamma=0.1)
     solution = ipm_solve(problem, default_init(problem), params)
     return problem, params, solution
 
@@ -31,26 +31,26 @@ def small_ipm_run():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        IpmParams(C=0.0, mu=1.0, gamma=0.5)
+        IpmParams(gamma=0.0)
     with pytest.raises(ValueError):
-        IpmParams(C=1.0, mu=1.0, gamma=0.5, theta=1.0)
+        IpmParams(gamma=0.5, theta=1.0)
     with pytest.raises(ValueError):
-        IpmParams(C=1.0, mu=1.0, gamma=0.5, epsilon=0.0)
+        IpmParams(gamma=0.5, epsilon=0.0)
     with pytest.raises(ValueError, match="disagrees"):
-        IpmParams(C=1.0, mu=1.0, gamma=0.5, newton=NewtonParams(gamma=0.25))
+        IpmParams(gamma=0.5, newton=NewtonParams(gamma=0.25))
 
 
-@pytest.mark.parametrize("name", ["C", "mu", "gamma", "tau0", "epsilon"])
+@pytest.mark.parametrize("name", ["gamma", "tau0", "epsilon"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_params_reject_non_finite(name, bad):
-    kwargs = dict(C=1.0, mu=1.0, gamma=0.5)
+    kwargs = dict(gamma=0.5)
     kwargs[name] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         IpmParams(**kwargs)
 
 
 def test_params_build_default_newton():
-    params = IpmParams(C=1.0, mu=1.0, gamma=0.5)
+    params = IpmParams(gamma=0.5)
     assert params.newton.gamma == 0.5
 
 
@@ -103,7 +103,7 @@ def test_zero_solves_when_tau0_below_epsilon():
     rng = np.random.default_rng(43)
     sigma = random_spd(rng, 3)
     problem = ProblemData(sigma, C=1.0, mu=1.0)
-    params = IpmParams(C=1.0, mu=1.0, gamma=0.5, tau0=1e-8, epsilon=1e-6)
+    params = IpmParams(gamma=0.5, tau0=1e-8, epsilon=1e-6)
     solution = ipm_solve(problem, default_init(problem), params)
     assert solution.n_outer == 0
     assert solution.traces == []
@@ -150,15 +150,14 @@ def test_solution_matrices_positive_definite(small_ipm_run):
 def test_iteration_cap_propagates():
     rng = np.random.default_rng(44)
     problem = ProblemData(random_spd(rng, 5, shift=2.0), C=0.5, mu=10.0)
-    params = IpmParams(C=0.5, mu=10.0, gamma=0.1,
-                       newton=NewtonParams(gamma=0.1, max_inner_iters=1))
+    params = IpmParams(gamma=0.1, newton=NewtonParams(gamma=0.1, max_inner_iters=1))
     solution = ipm_solve(problem, default_init(problem), params)
     assert solution.status == "iteration-cap"
 
 
 def test_infeasible_init_rejected():
     problem = ProblemData(np.eye(3), C=1.0, mu=1.0)
-    params = IpmParams(C=1.0, mu=1.0, gamma=0.5)
+    params = IpmParams(gamma=0.5)
     with pytest.raises(InfeasiblePointError):
         ipm_solve(problem, (np.eye(3), -np.eye(3)), params)
 
@@ -213,7 +212,7 @@ def test_rank_read_out_dominant_factors_above_noise_tail():
 def test_sparse_init_feasible_and_deterministic():
     rng = np.random.default_rng(45)
     problem = ProblemData(random_spd(rng, 6, shift=2.0), C=0.5, mu=10.0)
-    params = IpmParams(C=0.5, mu=10.0, gamma=0.1)
+    params = IpmParams(gamma=0.1)
     L0, S0 = sparse_init(problem, params)
     again = sparse_init(problem, params)
     assert_allclose(L0, again[0], rtol=0, atol=0)
