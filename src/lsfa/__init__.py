@@ -27,8 +27,6 @@ from .ipm import (
 )
 from .newton import (
     Direction,
-    InnerSolveResult,
-    LineSearchResult,
     NewtonParams,
     descent_safeguard,
     fallback_direction,
@@ -41,7 +39,6 @@ from .objective import (
     Iterate,
     ProblemData,
     eval_f,
-    eval_f_at,
     eval_h_tau,
     grad_h_tau,
     hessian_blocks,
@@ -50,8 +47,6 @@ from .objective import (
     sample_covariance,
 )
 from .prox import (
-    StationarityReport,
-    StationarityResidual,
     check_gamma_stationary,
     complement,
     evaluate_stationarity_clauses,
@@ -61,7 +56,7 @@ from .prox import (
     stationarity_residual,
 )
 from .symbasis import SymmetricBasis, build_basis
-from .trace import TRACE_COLUMNS, TraceRow, read_trace_csv, write_trace_csv
+from .trace import TraceRow, read_trace_csv, write_trace_csv
 
 __all__ = [
     "BarrierObjective",
@@ -71,18 +66,13 @@ __all__ = [
     "Direction",
     "GroundTruth",
     "InfeasiblePointError",
-    "InnerSolveResult",
     "IpmParams",
     "Iterate",
-    "LineSearchResult",
     "NewtonParams",
     "NumericalBreakdownError",
     "ProblemData",
     "Solution",
-    "StationarityReport",
-    "StationarityResidual",
     "SymmetricBasis",
-    "TRACE_COLUMNS",
     "TraceRow",
     "bcd_solve",
     "build_basis",
@@ -91,7 +81,6 @@ __all__ = [
     "default_init",
     "descent_safeguard",
     "eval_f",
-    "eval_f_at",
     "eval_h_tau",
     "evaluate_stationarity_clauses",
     "fallback_direction",

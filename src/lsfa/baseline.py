@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasiblePointError, require_positive
-from .newton import InnerSolveResult
+from .errors import require_positive
+from .newton import InnerSolveResult, fixed_barrier_loop
 from .objective import BarrierObjective, Iterate, eval_h_tau, grad_h_tau
-from .prox import prox_l0_vec, stationarity_residual
-from .trace import TraceRow
+from .prox import prox_l0_vec
 
 # Standard small sufficient-decrease fraction for the smooth-block step.
 _ARMIJO_SLOPE = 1e-4
@@ -47,25 +46,11 @@ class BaselineParams:
 
 
 def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) -> InnerSolveResult:
-    """Run the alternating first-order iteration until the residual rule fires."""
-    if not init.is_strictly_feasible:
-        raise InfeasiblePointError("baseline solve requires a strictly feasible starting point")
+    """Run the alternating first-order iteration in the fixed-barrier loop."""
     problem = barrier.problem
     basis = init.basis
 
-    it = init
-    g = grad_h_tau(it, barrier)
-    res = stationarity_residual(it, barrier, params.gamma, grad=g)
-    rows: list[TraceRow] = []
-    k = 0
-    while True:
-        if res.norm_normalized <= params.residual_tol:
-            status = "converged"
-            break
-        if k >= params.max_iters:
-            status = "iteration-cap"
-            break
-
+    def bcd_step(it, g, res):
         h_here = eval_h_tau(it, barrier)
 
         # Smooth-block gradient step with sufficient decrease.
@@ -86,22 +71,14 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         # barrier objective is nonincreasing (a no-move trial satisfies this
         # with equality, so exact fixed points are accepted immediately).
         g_s_mid = grad_h_tau(it_mid, barrier)[1]
-        it_next = it_mid
         gp = params.gamma
         for _ in range(params.max_backtracks + 1):
             s_plus = prox_l0_vec(it_mid.s - gp * g_s_mid, gp, problem.C)
             trial = Iterate(it_mid.ell, s_plus, basis)
             if eval_h_tau(trial, barrier) <= h_mid:
-                it_next = trial
-                break
+                return trial, accepted_t, "bcd"
             gp *= 0.5
+        return it_mid, accepted_t, "bcd"
 
-        it = it_next
-        k += 1
-        g = grad_h_tau(it, barrier)
-        res = stationarity_residual(it, barrier, params.gamma, grad=g)
-        rows.append(TraceRow.accepted(it, barrier, outer_iter=0, inner_iter=k,
-                                      residual_normalized=res.norm_normalized,
-                                      step_alpha=accepted_t, direction_kind="bcd"))
-
-    return InnerSolveResult(iterate=it, status=status, rows=rows, n_iters=k, residual=res)
+    return fixed_barrier_loop(init, barrier, bcd_step, gamma=params.gamma,
+                              residual_tol=params.residual_tol, max_iters=params.max_iters)

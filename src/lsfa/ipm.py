@@ -216,8 +216,7 @@ def ipm_solve(
     "empty-schedule", final_tau is tau0 and the residual is NaN.
     """
     basis = SymmetricBasis(problem.p)
-    L0, S0 = init
-    it = Iterate(basis.mat_to_vec(np.asarray(L0, dtype=float)), basis.mat_to_vec(np.asarray(S0, dtype=float)), basis)
+    it = Iterate.from_matrices(*init, basis)
     if not it.is_strictly_feasible:
         raise InfeasiblePointError("initial (L0, S0) must both be strictly positive definite")
 

@@ -39,6 +39,7 @@ remains as the test oracle.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,7 +279,6 @@ def line_search(
     barrier: BarrierObjective,
     params: NewtonParams,
     grad: tuple[np.ndarray, np.ndarray] | None = None,
-    h_current: float | None = None,
 ) -> LineSearchResult:
     """Backtracking search over alpha = beta^v with the modified update.
 
@@ -289,7 +289,7 @@ def line_search(
     evaluate to +inf and fail both tests.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
-    h0 = eval_h_tau(iterate, barrier) if h_current is None else h_current
+    h0 = eval_h_tau(iterate, barrier)
     C = barrier.problem.C
     merit0 = h0 + C * np.count_nonzero(iterate.s)
     slope = float(g_ell @ direction.d_ell + g_s @ direction.d_s)
@@ -318,49 +318,77 @@ class InnerSolveResult:
     residual: StationarityResidual | None = None
 
 
+def fixed_barrier_loop(
+    init: Iterate,
+    barrier: BarrierObjective,
+    step: Callable[[Iterate, tuple[np.ndarray, np.ndarray], StationarityResidual],
+                   tuple[Iterate, float, str] | None],
+    *,
+    gamma: float,
+    residual_tol: float,
+    max_iters: int,
+    outer_index: int = 0,
+) -> InnerSolveResult:
+    """Take `step` from a strictly feasible `init` until the residual rule fires.
+
+    The loop every fixed-barrier solver shares, so that their iteration
+    counts and traces compare directly.  `step(it, g, res)` gets the current
+    iterate, its gradient (g_ell, g_s) and its stationarity residual, and
+    returns the accepted iterate, the step length and the direction kind for
+    the trace row, or None when its line search failed.  The loop stops when
+    ||F|| / sqrt(2m) <= residual_tol at the prox stepsize gamma
+    ("converged"), after max_iters steps ("iteration-cap"), or when the step
+    returns None ("line-search-failure").  Each accepted step appends one
+    trace row stamped with `outer_index` and the barrier level.
+    """
+    if not init.is_strictly_feasible:
+        raise InfeasiblePointError("fixed-barrier solve requires a strictly feasible starting point")
+
+    it = init
+    g = grad_h_tau(it, barrier)
+    res = stationarity_residual(it, barrier, gamma, grad=g)
+    rows: list[TraceRow] = []
+    while True:
+        if res.norm_normalized <= residual_tol:
+            status = "converged"
+            break
+        if len(rows) >= max_iters:
+            status = "iteration-cap"
+            break
+        taken = step(it, g, res)
+        if taken is None:
+            status = "line-search-failure"
+            break
+        it, alpha, kind = taken
+        g = grad_h_tau(it, barrier)
+        res = stationarity_residual(it, barrier, gamma, grad=g)
+        rows.append(TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=len(rows) + 1,
+                                      residual_normalized=res.norm_normalized,
+                                      step_alpha=alpha, direction_kind=kind))
+
+    return InnerSolveResult(iterate=it, status=status, rows=rows, n_iters=len(rows), residual=res)
+
+
 def solve_tau_min(
     init: Iterate,
     barrier: BarrierObjective,
     params: NewtonParams,
     outer_index: int = 0,
 ) -> InnerSolveResult:
-    """Run the safeguarded Newton iteration until the residual rule fires.
+    """Run the safeguarded Newton iteration in the fixed-barrier loop.
 
-    Stops when ||F|| / sqrt(2m) <= params.residual_tol, the iteration cap is
-    hit, or the line search fails.  Each accepted step appends one trace row
-    stamped with `outer_index` and the barrier level.
+    Each step solves for the Newton direction on the working set, replaces
+    it by the gradient fallback when the descent safeguard rejects it, and
+    line-searches along the result.
     """
-    if not init.is_strictly_feasible:
-        raise InfeasiblePointError("inner solve requires a strictly feasible starting point")
 
-    it = init
-    g = grad_h_tau(it, barrier)
-    res = stationarity_residual(it, barrier, params.gamma, grad=g)
-    rows: list[TraceRow] = []
-    k = 0
-    while True:
-        if res.norm_normalized <= params.residual_tol:
-            status = "converged"
-            break
-        if k >= params.max_inner_iters:
-            status = "iteration-cap"
-            break
-
+    def newton_step(it, g, res):
         direction = newton_direction(it, res.T, barrier, grad=g)
         if not descent_safeguard(direction, g[1], it.s, res.T, params.delta, params.gamma):
             direction = fallback_direction(it, g[0], g[1], res.T)
-
         ls = line_search(it, direction, res.T, barrier, params, grad=g)
-        if not ls.success:
-            status = "line-search-failure"
-            break
+        return (ls.iterate, ls.alpha, direction.kind) if ls.success else None
 
-        it = ls.iterate
-        k += 1
-        g = grad_h_tau(it, barrier)
-        res = stationarity_residual(it, barrier, params.gamma, grad=g)
-        rows.append(TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=k,
-                                      residual_normalized=res.norm_normalized,
-                                      step_alpha=ls.alpha, direction_kind=direction.kind))
-
-    return InnerSolveResult(iterate=it, status=status, rows=rows, n_iters=k, residual=res)
+    return fixed_barrier_loop(init, barrier, newton_step, gamma=params.gamma,
+                              residual_tol=params.residual_tol,
+                              max_iters=params.max_inner_iters, outer_index=outer_index)

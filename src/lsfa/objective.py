@@ -212,6 +212,12 @@ class Iterate:
         return self._inv_sigma
 
 
+def _smooth_f(L: np.ndarray, sigma: np.ndarray, chol_sigma: np.ndarray, problem: ProblemData) -> float:
+    """tr(L) + mu (<Sigma, Sigma_check^-1> - log det Sigma), given Sigma's Cholesky factor."""
+    fit = float(np.sum(sigma * problem.sigma_check_inv)) - _logdet_from_chol(chol_sigma)
+    return float(np.trace(L)) + problem.mu * fit
+
+
 def eval_f(L: np.ndarray, S: np.ndarray, problem: ProblemData) -> float:
     """Smooth objective tr(L) + mu * {tr[(L+S) Sigma_check^{-1}] - log det(L+S)}.
 
@@ -223,8 +229,7 @@ def eval_f(L: np.ndarray, S: np.ndarray, problem: ProblemData) -> float:
     chol = _try_cholesky(0.5 * (sigma + sigma.T))
     if chol is None:
         return np.inf
-    fit = float(np.sum(sigma * problem.sigma_check_inv)) - _logdet_from_chol(chol)
-    return float(np.trace(L)) + problem.mu * fit
+    return _smooth_f(L, sigma, chol, problem)
 
 
 def eval_f_at(iterate: Iterate, problem: ProblemData) -> float:
@@ -235,8 +240,7 @@ def eval_f_at(iterate: Iterate, problem: ProblemData) -> float:
     """
     if iterate.chol_sigma is None:
         return np.inf
-    fit = float(np.sum(iterate.sigma * problem.sigma_check_inv)) - _logdet_from_chol(iterate.chol_sigma)
-    return float(np.trace(iterate.L)) + problem.mu * fit
+    return _smooth_f(iterate.L, iterate.sigma, iterate.chol_sigma, problem)
 
 
 def eval_h_tau(iterate: Iterate, barrier: BarrierObjective) -> float:

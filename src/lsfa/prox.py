@@ -26,25 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_positive
 from .objective import BarrierObjective, Iterate, grad_h_tau
-
-
-def _check_gamma_C(gamma: float, C: float):
-    if not gamma > 0:
-        raise ValueError(f"prox stepsize gamma must be > 0, got {gamma}")
-    if not C > 0:
-        raise ValueError(f"sparsity weight C must be > 0, got {C}")
 
 
 def prox_l0_scalar(x: float, gamma: float, C: float) -> float:
     """Hard threshold a scalar at sqrt(2 gamma C); ties map to 0."""
-    _check_gamma_C(gamma, C)
+    require_positive(gamma=gamma, C=C)
     return float(x) if abs(x) > np.sqrt(2.0 * gamma * C) else 0.0
 
 
 def prox_l0_vec(x: np.ndarray, gamma: float, C: float) -> np.ndarray:
     """Elementwise hard threshold of a vector at sqrt(2 gamma C)."""
-    _check_gamma_C(gamma, C)
+    require_positive(gamma=gamma, C=C)
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(x) > np.sqrt(2.0 * gamma * C), x, 0.0)
 
@@ -56,7 +50,7 @@ def index_set_T(s: np.ndarray, g_s: np.ndarray, gamma: float, C: float) -> np.nd
     solver (the prox keep-branch is strict; the one-point discrepancy at exact
     ties is measure zero).
     """
-    _check_gamma_C(gamma, C)
+    require_positive(gamma=gamma, C=C)
     s = np.asarray(s, dtype=float)
     g_s = np.asarray(g_s, dtype=float)
     if s.shape != g_s.shape:
@@ -141,7 +135,7 @@ def evaluate_stationarity_clauses(
     vanishing gradient and magnitude at least sqrt(2 gamma C); every
     unsupported coordinate has |g_{s_i}| <= sqrt(2 C / gamma).
     """
-    _check_gamma_C(gamma, C)
+    require_positive(gamma=gamma, C=C)
     violations: list[str] = []
     g_ell_max = float(np.max(np.abs(g_ell))) if len(g_ell) else 0.0
     if g_ell_max > tol:

@@ -24,7 +24,7 @@ from lsfa import (
     solve_tau_min,
     stationarity_residual,
 )
-from lsfa.newton import _SchurComplement
+from lsfa.newton import _SchurComplement, fixed_barrier_loop
 from conftest import random_interior_point, random_spd
 
 
@@ -374,6 +374,36 @@ def test_solver_keeps_diagonal_in_working_set():
     assert result.status == "converged"
     assert result.n_iters >= 1
     assert result.iterate.is_strictly_feasible
+
+
+def test_fixed_barrier_loop_stops_when_the_step_fails():
+    # a stub step that scales L up (staying feasible) k times, then fails
+    rng = np.random.default_rng(33)
+    problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
+    barrier = BarrierObjective(problem, tau=0.1)
+    init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check, SymmetricBasis(4))
+    k, gamma = 3, 0.1
+    taken = []
+
+    def step(it, g, res):
+        assert_allclose(np.concatenate(g), np.concatenate(grad_h_tau(it, barrier)))
+        if len(taken) == k:
+            return None
+        taken.append(Iterate(1.01 * it.ell, it.s, it.basis))
+        return taken[-1], 0.5, "stub"
+
+    result = fixed_barrier_loop(init, barrier, step, gamma=gamma, residual_tol=1e-12,
+                                max_iters=10, outer_index=7)
+    assert result.status == "line-search-failure"
+    assert result.n_iters == k
+    assert [row.inner_iter for row in result.rows] == list(range(1, k + 1))
+    assert {row.outer_iter for row in result.rows} == {7}
+    assert {(row.step_alpha, row.direction_kind) for row in result.rows} == {(0.5, "stub")}
+    assert result.iterate is taken[-1]
+    last = stationarity_residual(taken[-1], barrier, gamma)
+    assert result.residual.norm_normalized == last.norm_normalized
+    assert result.rows[-1].residual_normalized == last.norm_normalized
+    assert len({row.residual_normalized for row in result.rows}) == k
 
 
 def test_solver_rejects_infeasible_init():

@@ -36,10 +36,16 @@ def test_scalar_tie_resolves_to_zero():
     assert prox_l0_scalar(-1.0, gamma=0.5, C=1.0) == 0.0
 
 
-@pytest.mark.parametrize("gamma,C", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize("gamma,C", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                     (np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)])
 def test_scalar_rejects_bad_parameters(gamma, C):
+    # unchecked, an infinite gamma or C would zero every coordinate and empty T
     with pytest.raises(ValueError):
         prox_l0_scalar(1.0, gamma, C)
+    with pytest.raises(ValueError):
+        prox_l0_vec(np.array([5.0, -2.0]), gamma, C)
+    with pytest.raises(ValueError):
+        index_set_T(np.ones(3), np.zeros(3), gamma, C)
 
 
 def test_scalar_brute_force_oracle():
