@@ -76,9 +76,9 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
             s_plus = prox_l0_vec(it_mid.s - gp * g_s_mid, gp, problem.C)
             trial = Iterate(it_mid.ell, s_plus, basis)
             if eval_h_tau(trial, barrier) <= h_mid:
-                return trial, accepted_t, "bcd"
+                return trial, accepted_t, "bcd", len(res.T)
             gp *= 0.5
-        return it_mid, accepted_t, "bcd"
+        return it_mid, accepted_t, "bcd", len(res.T)
 
     return fixed_barrier_loop(init, barrier, bcd_step, gamma=params.gamma,
                               residual_tol=params.residual_tol, max_iters=params.max_iters)

@@ -7,9 +7,12 @@ solves the reduced symmetric positive-definite system
                                     H[s_T, s_~T] s_~T - g_{s_T} ]
 
 (the back-substitution of the full Newton system, using d_{s_~T} = -s_{~T}),
-guards the direction with a descent test and falls back to a scaled-gradient
-direction when the test fails, then runs a backtracking line search.  The
-update is modified so that the coordinates off T take a unit step
+moves out of T the off-diagonal coordinates whose Newton value falls below
+the keep floor sqrt(2 gamma C) and re-solves on the smaller set from the
+same factorization, guards the direction with a descent test on its joint
+slope and falls back to a scaled-gradient direction when the test fails,
+then runs a backtracking line search.  The update is modified so that the
+coordinates off the set the direction was solved on take a unit step
 regardless of the accepted alpha, which zeroes them exactly:
 
     ell(alpha) = ell + alpha d_ell,
@@ -85,11 +88,12 @@ class NewtonParams:
 
 @dataclass
 class Direction:
-    """Search direction; the block off T always equals -s there."""
+    """Search direction on the working set T; the block off T equals -s there."""
 
     d_ell: np.ndarray
     d_s: np.ndarray
     kind: str  # "newton" | "gradient-fallback"
+    T: np.ndarray
 
 
 class _SchurComplement:
@@ -201,6 +205,7 @@ def newton_direction(
     T: np.ndarray,
     barrier: BarrierObjective,
     grad: tuple[np.ndarray, np.ndarray] | None = None,
+    keep_floor: float | None = None,
 ) -> Direction:
     """Solve the reduced Newton system of size m + |T| by its Schur complement on s_T.
 
@@ -211,6 +216,12 @@ def newton_direction(
     because the reduced matrix is a principal submatrix of the positive
     definite Hessian; a failed eigendecomposition or factorization raises
     NumericalBreakdownError.
+
+    With a keep_floor (the prox's sqrt(2 gamma C)), the off-diagonal
+    coordinates D of T whose predicted value |s_i + d_i| falls below it
+    leave the working set in the same step: the direction is re-solved on
+    T \\ D with d_D = -s_D, from the factor already held for T (see
+    _drop_predicted).  The returned Direction names the set it was solved on.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     m = iterate.basis.m
@@ -234,7 +245,62 @@ def newton_direction(
     d_ell += e_ell
     d_s[T] += e_T
     d_s[Tbar] = -s_Tbar
-    return Direction(d_ell=d_ell, d_s=d_s, kind="newton")
+    if keep_floor is not None:
+        pos = np.flatnonzero(iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor))
+        if len(pos):
+            T = _drop_predicted(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s, pos)
+    return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=T)
+
+
+def _drop_predicted(
+    schur: _SchurComplement,
+    iterate: Iterate,
+    barrier: BarrierObjective,
+    grad: tuple[np.ndarray, np.ndarray],
+    d_ell: np.ndarray,
+    d_s: np.ndarray,
+    pos: np.ndarray,
+) -> np.ndarray:
+    """Turn the direction solved on T into the one on T \\ D, D = T[pos], in place.
+
+    With K the reduced matrix on T and E_D its columns D, the system on
+    T \\ D with d_D pinned to a target is the bordered system
+
+        K x = r + E_D lam,   x_D = target,
+
+    so x = K^-1 r + Z lam with Z = K^-1 E_D and Z_DD lam = target - (K^-1 r)_D.
+    Z_DD is the block D of the inverse Schur complement, |D| cho_solve
+    columns with the factor held for T.  The direction on T is K^-1 r, so
+    pinning d_D = -s_D takes one correction; one refinement step on the
+    residual of the rows T \\ D, pinned to 0 on D, follows.  Returns T \\ D.
+    """
+    g_ell, g_s = grad
+    T, m = schur.T, schur.basis.m
+    D = T[pos]
+    unit = np.zeros((len(T), len(pos)))
+    unit[pos, np.arange(len(pos))] = 1.0
+    Z_DD = scipy.linalg.cho_solve(schur.cho, unit, check_finite=False)[pos]
+
+    def pinning(x_T, target):
+        """The correction Z lam that moves x_T[pos] to target."""
+        r_T = np.zeros(len(T))
+        r_T[pos] = np.linalg.solve(Z_DD, target - x_T[pos])
+        return schur.solve(np.zeros(m), r_T)
+
+    s_D = iterate.s[D]
+    c_ell, c_T = pinning(d_s[T], -s_D)
+    d_ell += c_ell
+    d_s[T] += c_T
+    d_s[D] = -s_D
+    h_ell, h_s = hessian_vector_product(iterate, barrier, d_ell, d_s)
+    res_T = -g_s[T] - h_s[T]
+    res_T[pos] = 0.0
+    e_ell, e_T = schur.solve(-g_ell - h_ell, res_T)
+    c_ell, c_T = pinning(e_T, 0.0)
+    d_ell += e_ell + c_ell
+    d_s[T] += e_T + c_T
+    d_s[D] = -s_D
+    return np.delete(T, pos)
 
 
 def descent_safeguard(
@@ -244,15 +310,29 @@ def descent_safeguard(
     T: np.ndarray,
     delta: float,
     gamma: float,
+    *,
+    g_ell: np.ndarray | None = None,
 ) -> bool:
     """True when <g_{s_T}, d_{s_T}> <= -delta ||d_s||^2 + ||s_{~T}||^2 / (4 gamma).
 
     ||d_s|| is the norm of the full s-block of the direction, including the
-    off-T part.
+    off-T part.  That is the published test.  With g_ell it is the joint
+    test on the whole direction,
+
+        <g_ell, d_ell> + <g_{s_T}, d_{s_T}> <= -delta (||d_ell||^2 + ||d_s||^2)
+                                               + ||s_{~T}||^2 / (4 gamma).
+
+    The s-block test rejects Newton directions that move s uphill while ell
+    compensates; with s_{~T} = 0 the joint slope of a Newton direction is
+    -r^T K^-1 r < 0, so the joint test accepts them.
     """
     Tbar = complement(T, len(s))
     lhs = float(g_s[T] @ direction.d_s[T])
-    rhs = -delta * float(direction.d_s @ direction.d_s) + float(s[Tbar] @ s[Tbar]) / (4.0 * gamma)
+    norm2 = float(direction.d_s @ direction.d_s)
+    if g_ell is not None:
+        lhs += float(g_ell @ direction.d_ell)
+        norm2 += float(direction.d_ell @ direction.d_ell)
+    rhs = -delta * norm2 + float(s[Tbar] @ s[Tbar]) / (4.0 * gamma)
     return lhs <= rhs
 
 
@@ -261,7 +341,7 @@ def fallback_direction(iterate: Iterate, g_ell: np.ndarray, g_s: np.ndarray, T: 
     d_s = -g_s.copy()
     Tbar = complement(T, iterate.basis.m)
     d_s[Tbar] = -iterate.s[Tbar]
-    return Direction(d_ell=-g_ell, d_s=d_s, kind="gradient-fallback")
+    return Direction(d_ell=-g_ell, d_s=d_s, kind="gradient-fallback", T=T)
 
 
 @dataclass
@@ -322,7 +402,7 @@ def fixed_barrier_loop(
     init: Iterate,
     barrier: BarrierObjective,
     step: Callable[[Iterate, tuple[np.ndarray, np.ndarray], StationarityResidual],
-                   tuple[Iterate, float, str] | None],
+                   tuple[Iterate, float, str, int] | None],
     *,
     gamma: float,
     residual_tol: float,
@@ -334,8 +414,9 @@ def fixed_barrier_loop(
     The loop every fixed-barrier solver shares, so that their iteration
     counts and traces compare directly.  `step(it, g, res)` gets the current
     iterate, its gradient (g_ell, g_s) and its stationarity residual, and
-    returns the accepted iterate, the step length and the direction kind for
-    the trace row, or None when its line search failed.  The loop stops when
+    returns the accepted iterate, the step length, the direction kind and
+    the size of the index set the step updated (it zeroed every coordinate
+    off that set), for the trace row, or None when its line search failed.  The loop stops when
     ||F|| / sqrt(2m) <= residual_tol at the prox stepsize gamma
     ("converged"), after max_iters steps ("iteration-cap"), or when the step
     returns None ("line-search-failure").  Each accepted step appends one
@@ -359,11 +440,12 @@ def fixed_barrier_loop(
         if taken is None:
             status = "line-search-failure"
             break
-        it, alpha, kind = taken
+        it, alpha, kind, working_set_size = taken
         g = grad_h_tau(it, barrier)
         res = stationarity_residual(it, barrier, gamma, grad=g)
         rows.append(TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=len(rows) + 1,
                                       residual_normalized=res.norm_normalized,
+                                      working_set_size=working_set_size,
                                       step_alpha=alpha, direction_kind=kind))
 
     return InnerSolveResult(iterate=it, status=status, rows=rows, n_iters=len(rows), residual=res)
@@ -377,17 +459,38 @@ def solve_tau_min(
 ) -> InnerSolveResult:
     """Run the safeguarded Newton iteration in the fixed-barrier loop.
 
-    Each step solves for the Newton direction on the working set, replaces
-    it by the gradient fallback when the descent safeguard rejects it, and
-    line-searches along the result.
+    Each step solves for the Newton direction on the working set, dropping
+    from it the coordinates whose Newton value falls below the keep floor
+    sqrt(2 gamma C); replaces the direction by the gradient fallback when
+    the joint descent test rejects it; and line-searches along the result
+    on the set the direction was solved on, zeroing the dropped coordinates
+    at every alpha.  When no alpha passes, it searches the same direction
+    again with the dropped coordinates moving with alpha, toward zero at
+    alpha = 1: far from the solution a full-step prediction can name
+    coordinates whose removal no step size pays for.
+
+    Both the drop and the joint test deviate from the published rules,
+    which drop nothing and test the s block alone: the s-block test rejects
+    descent directions that move s uphill while ell compensates, and
+    without the drop a step overshoots to below the optimum on the smaller
+    support, so that h_tau must rise when the prox later drops the
+    coordinate.
     """
+    keep_floor = np.sqrt(2.0 * params.gamma * barrier.problem.C)
 
     def newton_step(it, g, res):
-        direction = newton_direction(it, res.T, barrier, grad=g)
-        if not descent_safeguard(direction, g[1], it.s, res.T, params.delta, params.gamma):
+        direction = newton_direction(it, res.T, barrier, grad=g, keep_floor=keep_floor)
+        if not descent_safeguard(direction, g[1], it.s, direction.T, params.delta, params.gamma,
+                                 g_ell=g[0]):
             direction = fallback_direction(it, g[0], g[1], res.T)
-        ls = line_search(it, direction, res.T, barrier, params, grad=g)
-        return (ls.iterate, ls.alpha, direction.kind) if ls.success else None
+        moved = direction.T
+        ls = line_search(it, direction, moved, barrier, params, grad=g)
+        if not ls.success and len(moved) < len(res.T):
+            # zeroing the predicted drops at every alpha failed; let them
+            # shrink with alpha instead, and the prox drop them later
+            moved = res.T
+            ls = line_search(it, direction, moved, barrier, params, grad=g)
+        return (ls.iterate, ls.alpha, direction.kind, len(moved)) if ls.success else None
 
     return fixed_barrier_loop(init, barrier, newton_step, gamma=params.gamma,
                               residual_tol=params.residual_tol,

@@ -17,7 +17,10 @@ class TraceRow:
     """One accepted solver iteration.
 
     `residual_normalized` is the stationarity residual divided by sqrt(2m),
-    the quantity every solver in this package stops on; `wall_time_ns` is a
+    the quantity every solver in this package stops on; `working_set_size`
+    is the size of the index set the step updated, every coordinate of s off
+    it being zeroed (for a Newton step, the set it was solved on, after the
+    coordinates it predicts to drop have left); `wall_time_ns` is a
     monotonic clock stamp taken when the step was accepted.
     """
 
@@ -28,13 +31,15 @@ class TraceRow:
     objective_f: float
     residual_normalized: float
     support_size: int
+    working_set_size: int
     step_alpha: float
     direction_kind: str
     wall_time_ns: int
 
     @classmethod
     def accepted(cls, it: Iterate, barrier: BarrierObjective, *, outer_iter: int, inner_iter: int,
-                 residual_normalized: float, step_alpha: float, direction_kind: str) -> TraceRow:
+                 residual_normalized: float, working_set_size: int, step_alpha: float,
+                 direction_kind: str) -> TraceRow:
         """The row of an accepted step to `it`, with the objectives evaluated there."""
         return cls(
             outer_iter=outer_iter,
@@ -44,6 +49,7 @@ class TraceRow:
             objective_f=eval_f_at(it, barrier.problem),
             residual_normalized=residual_normalized,
             support_size=int(np.count_nonzero(it.s)),
+            working_set_size=int(working_set_size),
             step_alpha=step_alpha,
             direction_kind=direction_kind,
             wall_time_ns=time.perf_counter_ns(),

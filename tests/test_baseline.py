@@ -13,6 +13,7 @@ from lsfa import (
     bcd_solve,
     grad_h_tau,
     prox_l0_vec,
+    stationarity_residual,
 )
 from conftest import random_spd
 
@@ -91,10 +92,14 @@ def test_prox_fixed_point_algebraic():
 
 
 def test_bcd_trace_schema_matches_newton(bcd_run):
-    _, _, _, result = bcd_run
+    problem, barrier, params, result = bcd_run
     row = result.rows[0]
     assert isinstance(row, TraceRow)
     assert row.direction_kind == "bcd"
+    # a BCD step records the working set T at the point it started from
+    init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check,
+                                 SymmetricBasis(5))
+    assert row.working_set_size == len(stationarity_residual(init, barrier, params.gamma).T)
     assert row.outer_iter == 0
     assert result.rows[-1].inner_iter == len(result.rows)
 

@@ -46,6 +46,7 @@ def test_trace_csv_round_trip(tmp_path):
             objective_f=float(rng.standard_normal() * 1e3),
             residual_normalized=float(np.exp(rng.uniform(-12, 0))),
             support_size=int(rng.integers(0, 800)),
+            working_set_size=int(rng.integers(0, 820)),
             step_alpha=float(0.5 ** rng.integers(0, 30)),
             direction_kind=rng.choice(["newton", "gradient-fallback", "bcd"]),
             wall_time_ns=int(rng.integers(0, 2**60)),
@@ -329,6 +330,16 @@ def test_cv_scores_finite_and_reproducible(small_run_dir):
     lines = (small_run_dir / "cv_scores.csv").read_text().strip().splitlines()
     assert lines[0] == "C,mu,score"
     assert len(lines) == 3
+
+
+def test_cv_does_not_stall_at_the_seed_11_mu_300_point(tmp_path):
+    # With the s-block descent test alone, every fold's fit at (C=1, mu=300)
+    # on generator seed 11 stalled at tau ~ 4e-6 (gradient fallbacks accepted
+    # at alpha ~ 3e-14) until the iteration cap, and the point scored inf.
+    cfg = RunConfig(seed=11, run_dir=str(tmp_path), c_grid=(1.0,), mu_grid=(300.0,))
+    run_generate(cfg)
+    result = run_cv(cfg)
+    assert np.isfinite(result["best_score"])
 
 
 def test_cv_warns_on_small_folds(small_run_dir):

@@ -3,28 +3,37 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import lsfa.newton
 from lsfa import (
     BarrierObjective,
     Direction,
     InfeasiblePointError,
+    IpmParams,
     Iterate,
     NewtonParams,
     ProblemData,
     SymmetricBasis,
+    check_gamma_stationary,
     complement,
+    default_init,
     descent_safeguard,
     eval_h_tau,
     fallback_direction,
+    generate_ground_truth,
     grad_h_tau,
     hessian_blocks,
     hessian_h_tau,
     index_set_T,
+    ipm_solve,
     line_search,
     newton_direction,
+    sample_covariance,
+    sample_observations,
     solve_tau_min,
     stationarity_residual,
 )
 from lsfa.newton import _SchurComplement, fixed_barrier_loop
+from lsfa.objective import hessian_vector_product
 from conftest import random_interior_point, random_spd
 
 
@@ -159,6 +168,69 @@ def test_schur_complement_matches_dense_reduced_matrix(n_off, monkeypatch):
     assert not np.array_equal(np.triu(packed, 1), np.triu(packed_full, 1))
 
 
+def _interior_point_with_working_set(seed, p):
+    """A random interior point, a barrier, and T = the diagonal plus half the off-diagonal."""
+    rng = np.random.default_rng(seed)
+    problem = ProblemData(random_spd(rng, p), C=0.5, mu=rng.uniform(1.0, 20.0))
+    barrier = BarrierObjective(problem, tau=rng.uniform(0.01, 0.5))
+    it, basis = random_interior_point(rng, p)
+    off = np.flatnonzero(basis.off_diag)
+    T = np.union1d(np.flatnonzero(~basis.off_diag), rng.choice(off, len(off) // 2, replace=False))
+    return it, basis, barrier, T
+
+
+def test_direction_without_keep_floor_is_the_refined_schur_solve():
+    # keep_floor=None is the plain direction on T: one Schur solve and one
+    # refinement step, here written out, equal bit for bit
+    for seed, p in [(40, 5), (41, 8)]:
+        it, basis, barrier, T = _interior_point_with_working_set(seed, p)
+        g_ell, g_s = grad_h_tau(it, barrier)
+        Tbar = complement(T, basis.m)
+        s_off = np.zeros(basis.m)
+        s_off[Tbar] = it.s[Tbar]
+        h_ell, h_s = hessian_vector_product(it, barrier, np.zeros(basis.m), s_off)
+        r_ell, r_T = -g_ell + h_ell, -g_s[T] + h_s[T]
+        schur = _SchurComplement(it, T, barrier)
+        d_ell, d_T = schur.solve(r_ell, r_T)
+        d_s = np.zeros(basis.m)
+        d_s[T] = d_T
+        h_ell, h_s = hessian_vector_product(it, barrier, d_ell, d_s)
+        e_ell, e_T = schur.solve(r_ell - h_ell, r_T - h_s[T])
+        d_ell += e_ell
+        d_s[T] += e_T
+        d_s[Tbar] = -it.s[Tbar]
+        d = newton_direction(it, T, barrier)
+        np.testing.assert_array_equal(d.d_ell, d_ell)
+        np.testing.assert_array_equal(d.d_s, d_s)
+        np.testing.assert_array_equal(d.T, T)
+        # a floor nothing falls below changes nothing either
+        d0 = newton_direction(it, T, barrier, keep_floor=0.0)
+        np.testing.assert_array_equal(d0.d_ell, d_ell)
+        np.testing.assert_array_equal(d0.d_s, d_s)
+
+
+@pytest.mark.parametrize("seed,p", [(50, 4), (51, 6), (52, 8), (53, 9)])
+def test_predicted_drop_matches_a_fresh_solve_on_the_smaller_set(seed, p):
+    it, basis, barrier, T = _interior_point_with_working_set(seed, p)
+    plain = newton_direction(it, T, barrier)
+    off_T = T[basis.off_diag[T]]
+    predicted = np.abs(it.s[off_T] + plain.d_s[off_T])
+    floor = float(np.median(predicted))  # about half the off-diagonal of T drops
+    d = newton_direction(it, T, barrier, keep_floor=floor)
+    D = off_T[predicted < floor]
+    assert len(D) >= 1
+    np.testing.assert_array_equal(d.T, np.setdiff1d(T, D))
+    assert_allclose(d.d_s[D], -it.s[D], rtol=0, atol=0)
+    fresh = newton_direction(it, d.T, barrier)
+    x = np.concatenate([d.d_ell, d.d_s])
+    x_fresh = np.concatenate([fresh.d_ell, fresh.d_s])
+    assert np.linalg.norm(x - x_fresh) <= 1e-12 * np.linalg.norm(x_fresh)
+    # and it solves the full Newton system on that set
+    A, rhs, Tbar = _full_newton_system(it, barrier, d.T)
+    stacked = np.concatenate([d.d_ell, d.d_s[d.T], d.d_s[Tbar]])
+    assert np.linalg.norm(A @ stacked - rhs) < 1e-10
+
+
 def test_reduced_matrix_positive_definite():
     rng = np.random.default_rng(77)
     p = 4
@@ -176,23 +248,26 @@ def test_reduced_matrix_positive_definite():
 # ---------- descent safeguard ----------
 
 def test_safeguard_trivial_zero_direction():
-    d = Direction(d_ell=np.zeros(2), d_s=np.zeros(3), kind="newton")
+    T = np.array([0, 1])
+    d = Direction(d_ell=np.zeros(2), d_s=np.zeros(3), kind="newton", T=T)
     assert descent_safeguard(d, g_s=np.ones(3), s=np.array([1.0, 2.0, 0.0]),
-                             T=np.array([0, 1]), delta=1e-4, gamma=0.5)
+                             T=T, delta=1e-4, gamma=0.5)
 
 
 def test_safeguard_steepest_descent_passes():
     g_s = np.array([1.0, -2.0, 0.0])
-    d = Direction(d_ell=np.zeros(1), d_s=-g_s, kind="newton")
+    T = np.array([0, 1])
+    d = Direction(d_ell=np.zeros(1), d_s=-g_s, kind="newton", T=T)
     s = np.array([1.0, 1.0, 0.0])
-    assert descent_safeguard(d, g_s, s, T=np.array([0, 1]), delta=1e-4, gamma=0.5)
+    assert descent_safeguard(d, g_s, s, T=T, delta=1e-4, gamma=0.5)
 
 
 def test_safeguard_rejects_ascent():
     g_s = np.array([1.0, -2.0, 0.0])
-    d = Direction(d_ell=np.zeros(1), d_s=g_s.copy(), kind="newton")
+    T = np.array([0, 1])
+    d = Direction(d_ell=np.zeros(1), d_s=g_s.copy(), kind="newton", T=T)
     s = np.array([1.0, 1.0, 0.0])  # s off T is zero
-    assert not descent_safeguard(d, g_s, s, T=np.array([0, 1]), delta=1e-4, gamma=0.5)
+    assert not descent_safeguard(d, g_s, s, T=T, delta=1e-4, gamma=0.5)
 
 
 def test_fallback_always_passes_safeguard_when_off_block_empty():
@@ -206,6 +281,38 @@ def test_fallback_always_passes_safeguard_when_off_block_empty():
         d = fallback_direction(it, g_ell, g_s, T)
         for delta in (1e-4, 0.5, 1.0):
             assert descent_safeguard(d, g_s, it.s, T, delta, gamma=0.5)
+
+
+def test_joint_safeguard_is_the_written_out_inequality():
+    rng = np.random.default_rng(60)
+    m, delta, gamma = 10, 1e-2, 0.3
+    outcomes = set()
+    for _ in range(200):
+        g_ell, g_s, d_ell, d_s = (rng.standard_normal(m) * rng.uniform(0.1, 3.0) for _ in range(4))
+        s = rng.standard_normal(m) * rng.uniform(0.0, 2.0)
+        T = np.flatnonzero(rng.random(m) < 0.7)
+        Tbar = complement(T, m)
+        d = Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=T)
+        joint = (g_ell @ d_ell + g_s[T] @ d_s[T]
+                 <= -delta * (d_ell @ d_ell + d_s @ d_s) + s[Tbar] @ s[Tbar] / (4 * gamma))
+        assert descent_safeguard(d, g_s, s, T, delta, gamma, g_ell=g_ell) == joint
+        outcomes.add(bool(joint))
+    assert outcomes == {True, False}
+
+
+def test_joint_safeguard_accepts_a_newton_direction_the_s_block_test_rejects():
+    # with s off T zero, the joint slope of a Newton direction is -r^T K^-1 r
+    for seed in range(70, 90):
+        it, basis, barrier, T = _interior_point_with_working_set(seed, 5)
+        s_on_T = np.zeros(basis.m)
+        s_on_T[T] = it.s[T]
+        it = Iterate(it.ell, s_on_T, basis)
+        g = grad_h_tau(it, barrier)
+        d = newton_direction(it, T, barrier, grad=g)
+        assert descent_safeguard(d, g[1], it.s, T, 1e-4, 0.1, g_ell=g[0])
+        if not descent_safeguard(d, g[1], it.s, T, 1e-4, 0.1):
+            return
+    pytest.fail("no seed where the s-block test rejects a Newton direction")
 
 
 # ---------- fallback ----------
@@ -243,7 +350,7 @@ def test_line_search_zero_direction_accepts_immediately(small_instance):
     root = small_instance["result"].iterate
     basis = small_instance["basis"]
     T = np.flatnonzero(root.s)
-    d = Direction(d_ell=np.zeros(basis.m), d_s=np.zeros(basis.m), kind="newton")
+    d = Direction(d_ell=np.zeros(basis.m), d_s=np.zeros(basis.m), kind="newton", T=T)
     ls = line_search(root, d, T, barrier, small_instance["params"])
     assert ls.success
     assert ls.alpha == 1.0
@@ -283,7 +390,7 @@ def test_line_search_failure_reported():
     it, basis = random_interior_point(rng, 2)
     g_ell, g_s = grad_h_tau(it, barrier)
     T = np.arange(basis.m)
-    d = Direction(d_ell=g_ell.copy(), d_s=g_s.copy(), kind="newton")  # ascent
+    d = Direction(d_ell=g_ell.copy(), d_s=g_s.copy(), kind="newton", T=T)  # ascent
     params = NewtonParams(gamma=0.5, max_backtracks=20)
     ls = line_search(it, d, T, barrier, params)
     assert not ls.success
@@ -338,6 +445,54 @@ def test_solver_converges_and_h_monotone(small_instance):
     assert result.n_iters == len(result.rows)
 
 
+@pytest.mark.parametrize("seed", [2, 3, 7])
+def test_dense_start_takes_only_newton_steps_with_monotone_h(seed):
+    # with the s-block test alone, 43-60 of 106-136 steps were gradient
+    # fallbacks here, and h_tau rose inside solve 0 on seeds 2 and 7
+    truth = generate_ground_truth(10, 2, 0.2, 1.0, seed)
+    problem = ProblemData(sample_covariance(sample_observations(truth, 300, seed=seed + 1)),
+                          C=0.5, mu=100.0)
+    solution = ipm_solve(problem, default_init(problem), IpmParams(gamma=0.1))
+    assert solution.status == "converged"
+    assert {row.direction_kind for row in solution.traces} == {"newton"}
+    assert len(solution.traces) <= 60
+    for k in range(solution.n_outer):
+        hs = [row.objective_h_tau for row in solution.traces if row.outer_iter == k]
+        assert all(b <= a + 1e-9 for a, b in zip(hs, hs[1:])), k
+    # the support after a step lies inside the set the step updated
+    assert all(row.support_size <= row.working_set_size for row in solution.traces)
+
+
+def test_solver_lets_predicted_drops_shrink_when_zeroing_them_fails(monkeypatch):
+    # demo 02's solve: at its fourth step the Newton direction predicts three
+    # drops, and no step size pays for zeroing them at once; the same
+    # direction, with them moving with alpha, is accepted
+    truth = generate_ground_truth(p=10, r=2, density=0.1, snr=1.0, seed=0)
+    problem = ProblemData(sample_covariance(sample_observations(truth, 2000, seed=1)),
+                          C=0.5, mu=20.0)
+    basis = SymmetricBasis(10)
+    init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check, basis)
+    barrier = BarrierObjective(problem, tau=0.05)
+    params = NewtonParams(gamma=0.1, residual_tol=1e-8)
+    searches = []  # (|set the direction was solved on|, |set searched|, success)
+
+    def spy(it, direction, T, *args, **kwargs):
+        result = line_search(it, direction, T, *args, **kwargs)
+        searches.append((len(direction.T), len(T), result.success))
+        return result
+
+    monkeypatch.setattr(lsfa.newton, "line_search", spy)
+    result = solve_tau_min(init, barrier, params)
+    assert result.status == "converged"
+    assert check_gamma_stationary(result.iterate, barrier, params.gamma, tol=1e-6).is_stationary
+    retried = [k for k in range(1, len(searches)) if not searches[k - 1][2]]
+    assert retried
+    for k in retried:
+        solved_on, first_set, _ = searches[k - 1]
+        assert first_set == solved_on < searches[k][1] and searches[k][2]
+    assert len(searches) == result.n_iters + len(retried)
+
+
 def test_solver_zero_iterations_at_stationary_init(small_instance):
     barrier = small_instance["barrier"]
     params = small_instance["params"]
@@ -390,7 +545,7 @@ def test_fixed_barrier_loop_stops_when_the_step_fails():
         if len(taken) == k:
             return None
         taken.append(Iterate(1.01 * it.ell, it.s, it.basis))
-        return taken[-1], 0.5, "stub"
+        return taken[-1], 0.5, "stub", 4
 
     result = fixed_barrier_loop(init, barrier, step, gamma=gamma, residual_tol=1e-12,
                                 max_iters=10, outer_index=7)
@@ -398,7 +553,8 @@ def test_fixed_barrier_loop_stops_when_the_step_fails():
     assert result.n_iters == k
     assert [row.inner_iter for row in result.rows] == list(range(1, k + 1))
     assert {row.outer_iter for row in result.rows} == {7}
-    assert {(row.step_alpha, row.direction_kind) for row in result.rows} == {(0.5, "stub")}
+    assert {(row.step_alpha, row.direction_kind, row.working_set_size)
+            for row in result.rows} == {(0.5, "stub", 4)}
     assert result.iterate is taken[-1]
     last = stationarity_residual(taken[-1], barrier, gamma)
     assert result.residual.norm_normalized == last.norm_normalized
