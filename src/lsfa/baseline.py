@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import require_positive
-from .newton import InnerSolveResult, fixed_barrier_loop
+from .newton import InnerSolveResult, NewtonParams, fixed_barrier_loop
 from .objective import BarrierObjective, Iterate, eval_h_tau, grad_h_tau
 from .prox import prox_l0_vec
 
@@ -32,13 +32,17 @@ _ARMIJO_SLOPE = 1e-4
 
 @dataclass
 class BaselineParams:
-    """First-order solver parameters; gamma doubles as the prox stepsize."""
+    """First-order solver parameters; gamma doubles as the prox stepsize.
+
+    The stopping threshold and the backtracking cap default to the Newton
+    solver's, so the two solvers compare under the same rules.
+    """
 
     gamma: float
     step_ell: float = 1.0
-    residual_tol: float = 1e-4
+    residual_tol: float = NewtonParams.residual_tol
     max_iters: int = 20000
-    max_backtracks: int = 60
+    max_backtracks: int = NewtonParams.max_backtracks
 
     def __post_init__(self):
         require_positive(gamma=self.gamma, step_ell=self.step_ell, residual_tol=self.residual_tol,

@@ -21,7 +21,7 @@ import numpy as np
 from .baseline import BaselineParams, bcd_solve
 from .datagen import check_instance, generate_ground_truth, sample_observations
 from .errors import ConfigError, DataError, require_positive
-from .ipm import IpmParams, Solution, ipm_solve, sparse_init
+from .ipm import ETA_RANK, ETA_SUPP, IpmParams, Solution, ipm_solve, sparse_init
 from .newton import NewtonParams
 from .objective import BarrierObjective, Iterate, ProblemData, sample_covariance
 from .symbasis import SymmetricBasis
@@ -45,20 +45,20 @@ class RunConfig:
     C: float = 0.5
     mu: float = 100.0
     gamma: float = 0.1
-    tau0: float = 0.5
-    theta: float = 0.5
-    eps: float = 1e-6
-    delta: float = 1e-4
-    sigma: float = 5e-5
-    beta: float = 0.5
-    residual_tol: float = 1e-4
-    max_inner_iters: int = 200
-    max_backtracks: int = 50
-    eta_rank: float = 1e-6
-    eta_supp: float = 1e-6
+    tau0: float = IpmParams.tau0
+    theta: float = IpmParams.theta
+    eps: float = IpmParams.epsilon
+    delta: float = NewtonParams.delta
+    sigma: float = NewtonParams.sigma
+    beta: float = NewtonParams.beta
+    residual_tol: float = NewtonParams.residual_tol
+    max_inner_iters: int = NewtonParams.max_inner_iters
+    max_backtracks: int = NewtonParams.max_backtracks
+    eta_rank: float = ETA_RANK
+    eta_supp: float = ETA_SUPP
     # first-order baseline
-    bcd_max_iters: int = 20000
-    bcd_step_ell: float = 1.0
+    bcd_max_iters: int = BaselineParams.max_iters
+    bcd_step_ell: float = BaselineParams.step_ell
     # cross-validation
     folds: int = 3
     c_grid: tuple[float, ...] = (0.25, 0.5, 1.0)
@@ -97,7 +97,7 @@ class RunConfig:
         return self
 
     def ipm_params(self) -> IpmParams:
-        newton = NewtonParams(
+        return IpmParams(
             gamma=self.gamma,
             delta=self.delta,
             sigma=self.sigma,
@@ -105,9 +105,10 @@ class RunConfig:
             residual_tol=self.residual_tol,
             max_inner_iters=self.max_inner_iters,
             max_backtracks=self.max_backtracks,
+            tau0=self.tau0,
+            theta=self.theta,
+            epsilon=self.eps,
         )
-        return IpmParams(gamma=self.gamma, tau0=self.tau0, theta=self.theta, epsilon=self.eps,
-                         newton=newton)
 
     def baseline_params(self) -> BaselineParams:
         return BaselineParams(
@@ -219,18 +220,23 @@ def _json_number(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _fit(config: RunConfig, problem: ProblemData) -> tuple[tuple[np.ndarray, np.ndarray], Solution]:
+    """The pipelines' fit: the sparse start and the interior-point solve from it.
+
+    ipm_solve is looked up in this module at each call, so replacing
+    lsfa.harness.ipm_solve observes every fit the pipelines make.
+    """
+    params = config.ipm_params()
+    start = sparse_init(problem, params)
+    return start, ipm_solve(problem, start, params, eta_rank=config.eta_rank,
+                            eta_supp=config.eta_supp)
+
+
 def run_solve(config: RunConfig) -> Solution:
     """Full interior-point solve; writes solution matrices and the trace."""
     config.validate()
     problem = load_problem(config)
-    params = config.ipm_params()
-    solution = ipm_solve(
-        problem,
-        sparse_init(problem, params),
-        params,
-        eta_rank=config.eta_rank,
-        eta_supp=config.eta_supp,
-    )
+    _, solution = _fit(config, problem)
     os.makedirs(config.run_dir, exist_ok=True)
     write_matrix_csv(config.path("L_star.csv"), solution.L_star)
     write_matrix_csv(config.path("S_star.csv"), solution.S_star)
@@ -258,17 +264,8 @@ def run_compare(config: RunConfig) -> dict:
     """
     config.validate()
     problem = load_problem(config)
-    params = config.ipm_params()
-    L0, S0 = sparse_init(problem, params)
-    ipm_solution = ipm_solve(
-        problem,
-        (L0, S0),
-        params,
-        eta_rank=config.eta_rank,
-        eta_supp=config.eta_supp,
-    )
-    basis = SymmetricBasis(problem.p)
-    init = Iterate.from_matrices(L0, S0, basis)
+    start, ipm_solution = _fit(config, problem)
+    init = Iterate.from_matrices(*start, SymmetricBasis(problem.p))
     barrier = BarrierObjective(problem, ipm_solution.final_tau)
     bcd_result = bcd_solve(init, barrier, config.baseline_params())
 
@@ -334,7 +331,6 @@ def run_cv(config: RunConfig) -> dict:
     order = rng.permutation(n)
     fold_ids = np.array_split(order, config.folds)
 
-    params = config.ipm_params()
     table = []
     for C in config.c_grid:
         for mu in config.mu_grid:
@@ -344,10 +340,7 @@ def run_cv(config: RunConfig) -> dict:
                 train_idx = np.concatenate([fold_ids[j] for j in range(config.folds) if j != k])
                 try:
                     problem = ProblemData(sample_covariance(samples[train_idx]), C=C, mu=mu)
-                    solution = ipm_solve(
-                        problem, sparse_init(problem, params), params,
-                        eta_rank=config.eta_rank, eta_supp=config.eta_supp,
-                    )
+                    _, solution = _fit(config, problem)
                     if solution.status != "converged":
                         # a grid point whose fit aborts or stalls is not a
                         # usable configuration; rank it behind every fit that

@@ -22,30 +22,22 @@ from .trace import TraceRow
 
 
 @dataclass
-class IpmParams:
-    """Outer-loop parameters: the prox stepsize and the barrier schedule.
+class IpmParams(NewtonParams):
+    """Inner-solver parameters (every NewtonParams field) plus the barrier schedule.
 
-    The weights C and mu belong to the ProblemData being solved.  `newton`
-    defaults to a NewtonParams built from `gamma`; when passed explicitly its
-    gamma must agree with the top-level one.
+    Each inner solve runs with these parameters; the weights C and mu belong
+    to the ProblemData being solved.
     """
 
-    gamma: float
     tau0: float = 0.5
     theta: float = 0.5
     epsilon: float = 1e-6
-    newton: NewtonParams | None = None
 
     def __post_init__(self):
-        require_positive(gamma=self.gamma, tau0=self.tau0, epsilon=self.epsilon)
+        super().__post_init__()
+        require_positive(tau0=self.tau0, epsilon=self.epsilon)
         if not 0 < self.theta < 1:
             raise ConfigError(f"theta must be in (0, 1), got {self.theta}")
-        if self.newton is None:
-            self.newton = NewtonParams(gamma=self.gamma)
-        elif self.newton.gamma != self.gamma:
-            raise ConfigError(
-                f"newton.gamma = {self.newton.gamma} disagrees with gamma = {self.gamma}"
-            )
 
 
 @dataclass
@@ -115,7 +107,7 @@ def sparse_init(problem: ProblemData, params: IpmParams) -> tuple[np.ndarray, np
     result = solve_tau_min(
         start,
         BarrierObjective(problem, params.tau0 / params.theta),
-        replace(params.newton, gamma=gamma_start),
+        replace(params, gamma=gamma_start),
     )
     return result.iterate.L, result.iterate.S
 
@@ -125,6 +117,11 @@ def sparse_init(problem: ProblemData, params: IpmParams) -> tuple[np.ndarray, np
 # weight.  Measured on the p=40 instances: barrier-held eigenvalues sit within
 # 30 tau of it, the smallest eigenvalues that persist as tau -> 0 above 1e4 tau.
 BARRIER_FLOOR = 1e3
+
+# Read-out thresholds, relative to the largest eigenvalue of L (rank) and to
+# the largest magnitude in S (support).
+ETA_RANK = 1e-6
+ETA_SUPP = 1e-6
 
 
 def rank_read_out(eigs: np.ndarray, eta_rank: float, tau: float = np.nan) -> int:
@@ -166,8 +163,8 @@ def rank_read_out(eigs: np.ndarray, eta_rank: float, tau: float = np.nan) -> int
 
 def recover_solution(
     iterate: Iterate,
-    eta_rank: float = 1e-6,
-    eta_supp: float = 1e-6,
+    eta_rank: float = ETA_RANK,
+    eta_supp: float = ETA_SUPP,
     traces: list[TraceRow] | None = None,
     status: str = "converged",
     n_outer: int = 0,
@@ -204,8 +201,8 @@ def ipm_solve(
     problem: ProblemData,
     init: tuple[np.ndarray, np.ndarray],
     params: IpmParams,
-    eta_rank: float = 1e-6,
-    eta_supp: float = 1e-6,
+    eta_rank: float = ETA_RANK,
+    eta_supp: float = ETA_SUPP,
 ) -> Solution:
     """Drive the barrier parameter to the threshold, warm-starting each solve.
 
@@ -232,7 +229,7 @@ def ipm_solve(
     k = 0
     while (tau := params.tau0 * params.theta**k) > params.epsilon:
         result: InnerSolveResult = solve_tau_min(
-            it, BarrierObjective(problem, tau), params.newton, outer_index=k
+            it, BarrierObjective(problem, tau), params, outer_index=k
         )
         it = result.iterate
         rows.extend(result.rows)

@@ -416,11 +416,12 @@ def fixed_barrier_loop(
     iterate, its gradient (g_ell, g_s) and its stationarity residual, and
     returns the accepted iterate, the step length, the direction kind and
     the size of the index set the step updated (it zeroed every coordinate
-    off that set), for the trace row, or None when its line search failed.  The loop stops when
-    ||F|| / sqrt(2m) <= residual_tol at the prox stepsize gamma
-    ("converged"), after max_iters steps ("iteration-cap"), or when the step
-    returns None ("line-search-failure").  Each accepted step appends one
-    trace row stamped with `outer_index` and the barrier level.
+    off that set), for the trace row, or None when its line search failed.
+    The loop stops when ||F|| / sqrt(2m) <= residual_tol at the prox
+    stepsize gamma ("converged"), after max_iters steps ("iteration-cap"),
+    or when the step returns None ("line-search-failure").  Each accepted
+    step appends one trace row stamped with `outer_index` and the barrier
+    level.
     """
     if not init.is_strictly_feasible:
         raise InfeasiblePointError("fixed-barrier solve requires a strictly feasible starting point")

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 from dataclasses import fields
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lsfa import ConfigError, TraceRow, read_trace_csv, write_trace_csv
+from lsfa import (BaselineParams, ConfigError, IpmParams, TraceRow, ipm_solve, read_trace_csv,
+                  recover_solution, write_trace_csv)
 from lsfa.cli import build_parser, main
 from lsfa.harness import (
     FIELD_TYPES,
@@ -71,6 +73,17 @@ def test_config_validation_names_fields():
         RunConfig(n=0).validate()
     with pytest.raises(ConfigError, match="sigma"):
         RunConfig(sigma=0.7).validate()
+
+
+def test_config_defaults_are_the_solver_defaults():
+    # RunConfig hands the solvers exactly what a library caller gets by default
+    config = RunConfig()
+    assert config.ipm_params() == IpmParams(gamma=RunConfig.gamma)
+    assert config.baseline_params() == BaselineParams(gamma=RunConfig.gamma)
+    for read_out in (ipm_solve, recover_solution):
+        defaults = inspect.signature(read_out).parameters
+        assert defaults["eta_rank"].default == config.eta_rank
+        assert defaults["eta_supp"].default == config.eta_supp
 
 
 @pytest.mark.parametrize("name", ["C", "mu"])

@@ -1,3 +1,5 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -36,8 +38,6 @@ def test_params_validation():
         IpmParams(gamma=0.5, theta=1.0)
     with pytest.raises(ValueError):
         IpmParams(gamma=0.5, epsilon=0.0)
-    with pytest.raises(ValueError, match="disagrees"):
-        IpmParams(gamma=0.5, newton=NewtonParams(gamma=0.25))
 
 
 @pytest.mark.parametrize("name", ["gamma", "tau0", "epsilon"])
@@ -50,8 +50,11 @@ def test_params_reject_non_finite(name, bad):
 
 
 def test_params_build_default_newton():
+    # the barrier schedule extends the inner solver's parameters, defaults included
     params = IpmParams(gamma=0.5)
-    assert params.newton.gamma == 0.5
+    assert isinstance(params, NewtonParams)
+    assert {f.name: getattr(params, f.name) for f in fields(NewtonParams)} == asdict(
+        NewtonParams(gamma=0.5))
 
 
 # ---------- default initialization ----------
@@ -136,7 +139,7 @@ def test_h_monotone_within_each_solve(small_ipm_run):
 def test_converged_run(small_ipm_run):
     _, params, solution = small_ipm_run
     assert solution.status == "converged"
-    assert solution.final_residual_normalized <= params.newton.residual_tol
+    assert solution.final_residual_normalized <= params.residual_tol
     assert solution.final_tau == params.tau0 * params.theta ** (solution.n_outer - 1)
 
 
@@ -150,7 +153,7 @@ def test_solution_matrices_positive_definite(small_ipm_run):
 def test_iteration_cap_propagates():
     rng = np.random.default_rng(44)
     problem = ProblemData(random_spd(rng, 5, shift=2.0), C=0.5, mu=10.0)
-    params = IpmParams(gamma=0.1, newton=NewtonParams(gamma=0.1, max_inner_iters=1))
+    params = IpmParams(gamma=0.1, max_inner_iters=1)
     solution = ipm_solve(problem, default_init(problem), params)
     assert solution.status == "iteration-cap"
 
