@@ -61,6 +61,7 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         g_ell = g[0]
         slope = float(g_ell @ g_ell)
         it_mid, h_mid, accepted_t = it, h_here, 0.0
+        rejected = 0  # trial points rejected in both blocks, for the trace row
         if slope > 0:
             t = params.step_ell
             for _ in range(params.max_backtracks + 1):
@@ -70,6 +71,7 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
                     it_mid, h_mid, accepted_t = trial, h_trial, t
                     break
                 t *= 0.5
+                rejected += 1
 
         # Sparse-block prox-gradient step; the stepsize halves until the
         # barrier objective is nonincreasing (a no-move trial satisfies this
@@ -80,9 +82,10 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
             s_plus = prox_l0_vec(it_mid.s - gp * g_s_mid, gp, problem.C)
             trial = Iterate(it_mid.ell, s_plus, basis)
             if eval_h_tau(trial, barrier) <= h_mid:
-                return trial, accepted_t, "bcd", len(res.T)
+                return trial, accepted_t, "bcd", len(res.T), rejected
             gp *= 0.5
-        return it_mid, accepted_t, "bcd", len(res.T)
+            rejected += 1
+        return it_mid, accepted_t, "bcd", len(res.T), rejected
 
     return fixed_barrier_loop(init, barrier, bcd_step, gamma=params.gamma,
                               residual_tol=params.residual_tol, max_iters=params.max_iters)

@@ -1,11 +1,13 @@
-"""Outer interior-point loop: geometric barrier decay with warm starts.
+"""Outer interior-point loop: geometric barrier decay with extrapolated warm starts.
 
 The k-th inner solve runs at tau = tau0 * theta^k (computed in closed form so
-the schedule is exact), warm-started from the previous inner solution; the
-loop ends once tau drops to the termination threshold.  The final interior
-iterate is mapped back to matrices; the support is read off with a relative
-threshold and the rank as the number of dominant factors above the barrier
-floor (rank_read_out).
+the schedule is exact); the loop ends once tau drops to the termination
+threshold.  Each solve starts from the point the last two solutions predict
+for its level (extrapolated_start), or from the previous solution when no
+such prediction is available or it fails.  The final interior iterate is
+mapped back to matrices; the support is read off with a relative threshold
+and the rank as the number of dominant factors above the barrier floor
+(rank_read_out).
 """
 
 from __future__ import annotations
@@ -197,6 +199,33 @@ def recover_solution(
     )
 
 
+def extrapolated_start(previous: Iterate, current: Iterate, theta: float) -> Iterate:
+    """The start the centres of two barrier levels predict for the next level.
+
+    With x_{k-1} = previous and x_k = current the solutions at tau_{k-1} and
+    tau_k, the secant x_k + theta (x_k - x_{k-1}) with theta =
+    (tau_{k+1} - tau_k) / (tau_k - tau_{k-1}), which is the schedule's
+    ratio theta for the geometric schedule.  It is exact for components of
+    the central path that are linear in tau, such as the eigenvalues of L
+    the barrier holds up, and for components that have stopped moving.
+    From x_k itself a full Newton step toward the centre at theta tau sends
+    a component that scales with tau to (2 - 1/theta) times its value there
+    (in the one-dimensional model), onto the cone boundary at theta = 1/2,
+    so the line search halves the first step of every level.
+
+    The secant applies to ell and to the coordinates of s that are nonzero
+    in both centres; every other coordinate of s keeps x_k's value, so a
+    zero stays zero and a coordinate that left the support does not come
+    back with its sign flipped.  Returns `current` itself when the
+    prediction is not strictly feasible.
+    """
+    ell = current.ell + theta * (current.ell - previous.ell)
+    both = (previous.s != 0) & (current.s != 0)
+    s = np.where(both, current.s + theta * (current.s - previous.s), current.s)
+    predicted = Iterate(ell, s, current.basis)
+    return predicted if predicted.is_strictly_feasible else current
+
+
 def ipm_solve(
     problem: ProblemData,
     init: tuple[np.ndarray, np.ndarray],
@@ -206,11 +235,18 @@ def ipm_solve(
 ) -> Solution:
     """Drive the barrier parameter to the threshold, warm-starting each solve.
 
-    A line-search failure in an inner solve aborts the loop and propagates in
-    the status together with the partial trace; an inner iteration cap is
-    recorded but the outer loop continues.  When tau0 <= epsilon the schedule
-    is empty: no solve runs, the initial matrices come back with status
-    "empty-schedule", final_tau is tau0 and the residual is NaN.
+    Level 0 starts at `init` and level 1 at level 0's solution.  Once the
+    two previous levels have both converged, a level starts at the point
+    their solutions predict (extrapolated_start), or at the previous
+    solution when that point is not strictly feasible; when the solve from
+    the predicted point does not converge, the level is solved again from
+    the previous solution, and only that solve's trace rows are kept.
+
+    A line-search failure in an inner solve aborts the loop and propagates
+    in the status together with the partial trace; an inner iteration cap
+    is recorded but the outer loop continues.  When tau0 <= epsilon the
+    schedule is empty: no solve runs, the initial matrices come back with
+    status "empty-schedule", final_tau is tau0 and the residual is NaN.
     """
     basis = SymmetricBasis(problem.p)
     it = Iterate.from_matrices(*init, basis)
@@ -224,14 +260,18 @@ def ipm_solve(
 
     rows: list[TraceRow] = []
     statuses: list[str] = []
+    centres: list[Iterate] = []  # the solutions of the last levels, while they converge
     final_tau = np.nan
     final_res = np.nan
     k = 0
     while (tau := params.tau0 * params.theta**k) > params.epsilon:
-        result: InnerSolveResult = solve_tau_min(
-            it, BarrierObjective(problem, tau), params, outer_index=k
-        )
+        barrier = BarrierObjective(problem, tau)
+        start = extrapolated_start(*centres, params.theta) if len(centres) == 2 else it
+        result: InnerSolveResult = solve_tau_min(start, barrier, params, outer_index=k)
+        if start is not it and result.status != "converged":
+            result = solve_tau_min(it, barrier, params, outer_index=k)
         it = result.iterate
+        centres = [*centres[-1:], it] if result.status == "converged" else []
         rows.extend(result.rows)
         statuses.append(result.status)
         final_tau = tau

@@ -402,7 +402,7 @@ def fixed_barrier_loop(
     init: Iterate,
     barrier: BarrierObjective,
     step: Callable[[Iterate, tuple[np.ndarray, np.ndarray], StationarityResidual],
-                   tuple[Iterate, float, str, int] | None],
+                   tuple[Iterate, float, str, int, int] | None],
     *,
     gamma: float,
     residual_tol: float,
@@ -414,14 +414,17 @@ def fixed_barrier_loop(
     The loop every fixed-barrier solver shares, so that their iteration
     counts and traces compare directly.  `step(it, g, res)` gets the current
     iterate, its gradient (g_ell, g_s) and its stationarity residual, and
-    returns the accepted iterate, the step length, the direction kind and
-    the size of the index set the step updated (it zeroed every coordinate
-    off that set), for the trace row, or None when its line search failed.
-    The loop stops when ||F|| / sqrt(2m) <= residual_tol at the prox
-    stepsize gamma ("converged"), after max_iters steps ("iteration-cap"),
-    or when the step returns None ("line-search-failure").  Each accepted
-    step appends one trace row stamped with `outer_index` and the barrier
-    level.
+    returns, for the trace row, the accepted iterate, the step length, the
+    direction kind, the size of the index set the step updated (it zeroed
+    every coordinate off that set) and the number of trial points rejected
+    before the accepted one; or None when its line search failed.  The
+    residual rule, ||F|| / sqrt(2m) <= residual_tol at the prox stepsize
+    gamma ("converged"), is tested after each step, so every solve takes at
+    least one: a warm start that already meets the rule is still corrected
+    once, and every barrier level leaves a trace row.  The loop also stops
+    after max_iters steps ("iteration-cap"), or when the step returns None
+    ("line-search-failure").  Each accepted step appends one trace row
+    stamped with `outer_index` and the barrier level.
     """
     if not init.is_strictly_feasible:
         raise InfeasiblePointError("fixed-barrier solve requires a strictly feasible starting point")
@@ -431,23 +434,23 @@ def fixed_barrier_loop(
     res = stationarity_residual(it, barrier, gamma, grad=g)
     rows: list[TraceRow] = []
     while True:
+        taken = step(it, g, res)
+        if taken is None:
+            status = "line-search-failure"
+            break
+        it, alpha, kind, working_set_size, n_backtracks = taken
+        g = grad_h_tau(it, barrier)
+        res = stationarity_residual(it, barrier, gamma, grad=g)
+        rows.append(TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=len(rows) + 1,
+                                      residual_normalized=res.norm_normalized,
+                                      working_set_size=working_set_size, step_alpha=alpha,
+                                      n_backtracks=n_backtracks, direction_kind=kind))
         if res.norm_normalized <= residual_tol:
             status = "converged"
             break
         if len(rows) >= max_iters:
             status = "iteration-cap"
             break
-        taken = step(it, g, res)
-        if taken is None:
-            status = "line-search-failure"
-            break
-        it, alpha, kind, working_set_size = taken
-        g = grad_h_tau(it, barrier)
-        res = stationarity_residual(it, barrier, gamma, grad=g)
-        rows.append(TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=len(rows) + 1,
-                                      residual_normalized=res.norm_normalized,
-                                      working_set_size=working_set_size,
-                                      step_alpha=alpha, direction_kind=kind))
 
     return InnerSolveResult(iterate=it, status=status, rows=rows, n_iters=len(rows), residual=res)
 
@@ -486,12 +489,16 @@ def solve_tau_min(
             direction = fallback_direction(it, g[0], g[1], res.T)
         moved = direction.T
         ls = line_search(it, direction, moved, barrier, params, grad=g)
+        rejected = ls.n_backtracks
         if not ls.success and len(moved) < len(res.T):
             # zeroing the predicted drops at every alpha failed; let them
             # shrink with alpha instead, and the prox drop them later
             moved = res.T
             ls = line_search(it, direction, moved, barrier, params, grad=g)
-        return (ls.iterate, ls.alpha, direction.kind, len(moved)) if ls.success else None
+            rejected = params.max_backtracks + 1 + ls.n_backtracks
+        if not ls.success:
+            return None
+        return ls.iterate, ls.alpha, direction.kind, len(moved), rejected
 
     return fixed_barrier_loop(init, barrier, newton_step, gamma=params.gamma,
                               residual_tol=params.residual_tol,

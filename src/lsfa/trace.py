@@ -20,7 +20,8 @@ class TraceRow:
     the quantity every solver in this package stops on; `working_set_size`
     is the size of the index set the step updated, every coordinate of s off
     it being zeroed (for a Newton step, the set it was solved on, after the
-    coordinates it predicts to drop have left); `wall_time_ns` is a
+    coordinates it predicts to drop have left); `n_backtracks` is the number
+    of trial points rejected before the accepted one; `wall_time_ns` is a
     monotonic clock stamp taken when the step was accepted.
     """
 
@@ -33,13 +34,14 @@ class TraceRow:
     support_size: int
     working_set_size: int
     step_alpha: float
+    n_backtracks: int
     direction_kind: str
     wall_time_ns: int
 
     @classmethod
     def accepted(cls, it: Iterate, barrier: BarrierObjective, *, outer_iter: int, inner_iter: int,
                  residual_normalized: float, working_set_size: int, step_alpha: float,
-                 direction_kind: str) -> TraceRow:
+                 n_backtracks: int, direction_kind: str) -> TraceRow:
         """The row of an accepted step to `it`, with the objectives evaluated there."""
         return cls(
             outer_iter=outer_iter,
@@ -51,6 +53,7 @@ class TraceRow:
             support_size=int(np.count_nonzero(it.s)),
             working_set_size=int(working_set_size),
             step_alpha=step_alpha,
+            n_backtracks=int(n_backtracks),
             direction_kind=direction_kind,
             wall_time_ns=time.perf_counter_ns(),
         )

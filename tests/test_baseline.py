@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lsfa.baseline
 from lsfa import (
     BarrierObjective,
     BaselineParams,
@@ -102,6 +103,23 @@ def test_bcd_trace_schema_matches_newton(bcd_run):
     assert row.working_set_size == len(stationarity_residual(init, barrier, params.gamma).T)
     assert row.outer_iter == 0
     assert result.rows[-1].inner_iter == len(result.rows)
+
+
+def test_bcd_n_backtracks_counts_rejected_trials(monkeypatch):
+    # a step builds its rejected trials plus one accepted trial per block
+    rng = np.random.default_rng(52)
+    problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
+    basis = SymmetricBasis(4)
+    init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check, basis)
+    trials = []
+    monkeypatch.setattr(lsfa.baseline, "Iterate", lambda *args: trials.append(args) or Iterate(*args))
+    result = bcd_solve(init, BarrierObjective(problem, 0.1), BaselineParams(gamma=0.1, max_iters=30))
+    assert all(row.step_alpha > 0 for row in result.rows)
+    backtracks = [row.n_backtracks for row in result.rows]
+    assert len(trials) == sum(backtracks) + 2 * result.n_iters
+    assert max(backtracks) > 0
+    # the ell step's halvings alone give alpha = step_ell / 2^halvings
+    assert all(row.step_alpha >= 0.5**row.n_backtracks for row in result.rows)
 
 
 def test_bcd_rejects_infeasible_init():

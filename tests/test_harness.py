@@ -50,6 +50,7 @@ def test_trace_csv_round_trip(tmp_path):
             support_size=int(rng.integers(0, 800)),
             working_set_size=int(rng.integers(0, 820)),
             step_alpha=float(0.5 ** rng.integers(0, 30)),
+            n_backtracks=int(rng.integers(0, 102)),
             direction_kind=rng.choice(["newton", "gradient-fallback", "bcd"]),
             wall_time_ns=int(rng.integers(0, 2**60)),
         )

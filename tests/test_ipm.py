@@ -1,4 +1,4 @@
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -12,11 +12,17 @@ from lsfa import (
     ProblemData,
     SymmetricBasis,
     default_init,
+    generate_ground_truth,
     ipm_solve,
     rank_read_out,
     recover_solution,
+    sample_covariance,
+    sample_observations,
     sparse_init,
 )
+import lsfa.ipm
+from lsfa.harness import RunConfig
+from lsfa.ipm import extrapolated_start
 from conftest import random_spd
 
 
@@ -225,3 +231,99 @@ def test_sparse_init_feasible_and_deterministic():
     solution = ipm_solve(problem, (L0, S0), params)
     assert solution.status == "converged"
     assert solution.n_outer == 19
+
+
+# ---------- extrapolated warm starts ----------
+
+@pytest.fixture(scope="module")
+def default_problem():
+    truth = generate_ground_truth(p=40, r=5, density=0.05, snr=1.0, seed=7)
+    samples = sample_observations(truth, 1200, seed=8)
+    return ProblemData(sample_covariance(samples), C=0.5, mu=100.0)
+
+
+@pytest.mark.parametrize("theta, max_steps", [(0.5, 38), (0.8, 80)])
+def test_extrapolated_starts_take_full_steps_on_the_default_instance(default_problem, theta,
+                                                                     max_steps):
+    # from the previous level's solution: 48 and 184 steps, and the first
+    # step of every level from 1 on backtracks once at theta = 0.5
+    params = replace(RunConfig().ipm_params(), theta=theta)
+    solution = ipm_solve(default_problem, default_init(default_problem), params)
+    assert solution.status == "converged"
+    assert solution.n_inner_total <= max_steps
+    assert {row.outer_iter for row in solution.traces} == set(range(solution.n_outer))
+    if theta == 0.5:
+        assert all(row.n_backtracks == 0 for row in solution.traces if row.outer_iter >= 2)
+    # no second pass of the line search ran, so alpha = beta^n_backtracks
+    assert all(row.step_alpha == params.beta**row.n_backtracks for row in solution.traces)
+
+
+def test_extrapolated_start_moves_only_coordinates_nonzero_in_both_centres():
+    basis = SymmetricBasis(3)
+    previous = Iterate.from_matrices(np.diag([3.0, 2.0, 1.0]),
+                                     np.array([[2.0, 0.4, 0.0], [0.4, 2.0, 0.3], [0.0, 0.3, 2.0]]),
+                                     basis)
+    current = Iterate.from_matrices(np.diag([2.0, 1.5, 0.5]),
+                                    np.array([[1.8, 0.2, 0.1], [0.2, 1.8, 0.0], [0.1, 0.0, 1.8]]),
+                                    basis)
+    predicted = extrapolated_start(previous, current, 0.5)
+    assert_allclose(predicted.L, np.diag([1.5, 1.25, 0.25]), rtol=1e-15)
+    both = (previous.s != 0) & (current.s != 0)
+    assert_allclose(predicted.s[both], (1.5 * current.s - 0.5 * previous.s)[both], rtol=1e-15)
+    # zero in either centre: x_k's value, so a zero stays zero and the entry
+    # that just entered (0.1) does not move
+    assert np.array_equal(predicted.s[~both], current.s[~both])
+    assert np.count_nonzero(~both) == 2 and predicted.S[0, 2] == 0.1 and predicted.S[1, 2] == 0.0
+
+
+def test_extrapolated_start_falls_back_to_the_last_centre_when_infeasible():
+    basis = SymmetricBasis(2)
+    previous = Iterate.from_matrices(np.diag([2.0, 1.0]), np.eye(2), basis)
+    current = Iterate.from_matrices(np.diag([1.0, 0.3]), np.eye(2), basis)
+    assert not np.all(np.linalg.eigvalsh(1.5 * current.L - 0.5 * previous.L) > 0)
+    assert extrapolated_start(previous, current, 0.5) is current
+
+
+def test_extrapolation_waits_for_two_converged_levels(monkeypatch):
+    # level 1 reports a non-converged status: levels 2 and 3 lack two
+    # converged centres and start where the level before them ended
+    rng = np.random.default_rng(46)
+    problem = ProblemData(random_spd(rng, 5, shift=2.0), C=0.5, mu=10.0)
+    params = IpmParams(gamma=0.1, epsilon=0.5 * 0.5**6)
+    starts, results = [], []
+    solve = lsfa.ipm.solve_tau_min
+
+    def spy(init, barrier, params, outer_index):
+        result = solve(init, barrier, params, outer_index)
+        if outer_index == 1:
+            result = replace(result, status="iteration-cap")
+        starts.append((outer_index, init))
+        results.append((outer_index, result.iterate))
+        return result
+
+    monkeypatch.setattr(lsfa.ipm, "solve_tau_min", spy)
+    solution = ipm_solve(problem, default_init(problem), params)
+    assert solution.status == "iteration-cap" and solution.n_outer == 6
+    assert [k for k, _ in starts] == list(range(6))
+    ends = dict(results)
+    for k in (1, 2, 3):
+        assert starts[k][1] is ends[k - 1]
+    for k in (4, 5):
+        assert starts[k][1] is not ends[k - 1]
+        assert_allclose(starts[k][1].ell, 1.5 * ends[k - 1].ell - 0.5 * ends[k - 2].ell, rtol=1e-14)
+
+
+@pytest.mark.parametrize("seed, start", [(4, default_init), (19, sparse_init)])
+def test_extrapolated_schedule_converges_with_a_row_on_every_level(seed, start):
+    # seed 4: the solve from the predicted point of level 5 ends in a
+    # line-search failure, and only the retry from the last centre converges;
+    # seed 19: the predicted point already meets the residual rule at level
+    # 17, which the rule tested before the first step left without a row
+    truth = generate_ground_truth(10, 2, 0.1, 1.0, seed)
+    problem = ProblemData(sample_covariance(sample_observations(truth, 300, seed=seed + 1)),
+                          C=0.5, mu=300.0)
+    params = RunConfig().ipm_params()
+    init = start(problem) if start is default_init else start(problem, params)
+    solution = ipm_solve(problem, init, params)
+    assert solution.status == "converged"
+    assert {row.outer_iter for row in solution.traces} == set(range(solution.n_outer))

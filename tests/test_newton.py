@@ -474,11 +474,11 @@ def test_solver_lets_predicted_drops_shrink_when_zeroing_them_fails(monkeypatch)
     init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check, basis)
     barrier = BarrierObjective(problem, tau=0.05)
     params = NewtonParams(gamma=0.1, residual_tol=1e-8)
-    searches = []  # (|set the direction was solved on|, |set searched|, success)
+    searches = []  # (|set the direction was solved on|, |set searched|, success, backtracks)
 
     def spy(it, direction, T, *args, **kwargs):
         result = line_search(it, direction, T, *args, **kwargs)
-        searches.append((len(direction.T), len(T), result.success))
+        searches.append((len(direction.T), len(T), result.success, result.n_backtracks))
         return result
 
     monkeypatch.setattr(lsfa.newton, "line_search", spy)
@@ -488,9 +488,14 @@ def test_solver_lets_predicted_drops_shrink_when_zeroing_them_fails(monkeypatch)
     retried = [k for k in range(1, len(searches)) if not searches[k - 1][2]]
     assert retried
     for k in retried:
-        solved_on, first_set, _ = searches[k - 1]
+        solved_on, first_set, _, _ = searches[k - 1]
         assert first_set == solved_on < searches[k][1] and searches[k][2]
     assert len(searches) == result.n_iters + len(retried)
+    # the trace counts every trial rejected before the accepted one, in both passes
+    rejected = [n + (params.max_backtracks + 1 if k in retried else 0)
+                for k, (_, _, success, n) in enumerate(searches) if success]
+    assert [row.n_backtracks for row in result.rows] == rejected
+    assert any(n > params.max_backtracks for n in rejected)
 
 
 def test_solver_zero_iterations_at_stationary_init(small_instance):
@@ -545,7 +550,7 @@ def test_fixed_barrier_loop_stops_when_the_step_fails():
         if len(taken) == k:
             return None
         taken.append(Iterate(1.01 * it.ell, it.s, it.basis))
-        return taken[-1], 0.5, "stub", 4
+        return taken[-1], 0.5, "stub", 4, 1
 
     result = fixed_barrier_loop(init, barrier, step, gamma=gamma, residual_tol=1e-12,
                                 max_iters=10, outer_index=7)
@@ -553,8 +558,8 @@ def test_fixed_barrier_loop_stops_when_the_step_fails():
     assert result.n_iters == k
     assert [row.inner_iter for row in result.rows] == list(range(1, k + 1))
     assert {row.outer_iter for row in result.rows} == {7}
-    assert {(row.step_alpha, row.direction_kind, row.working_set_size)
-            for row in result.rows} == {(0.5, "stub", 4)}
+    assert {(row.step_alpha, row.direction_kind, row.working_set_size, row.n_backtracks)
+            for row in result.rows} == {(0.5, "stub", 4, 1)}
     assert result.iterate is taken[-1]
     last = stationarity_residual(taken[-1], barrier, gamma)
     assert result.residual.norm_normalized == last.norm_normalized

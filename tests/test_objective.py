@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lsfa.objective
+from lsfa.objective import eval_f_at
 from lsfa import (
     BarrierObjective,
     DataError,
@@ -148,6 +150,29 @@ def test_eval_h_tau_compositional_consistency():
             np.log(np.linalg.det(L)) + np.log(np.linalg.det(S))
         )
         assert abs(eval_h_tau(it, barrier) - separate) < 1e-10 * max(1.0, abs(separate))
+
+
+def test_objective_values_memoized_per_problem_and_tau(monkeypatch):
+    # a repeat call returns the identical float; another tau or problem recomputes
+    rng = np.random.default_rng(8)
+    problem = ProblemData(random_spd(rng, 4), C=1.0, mu=2.3)
+    other = ProblemData(problem.sigma_check, C=1.0, mu=5.0)
+    it, basis = random_interior_point(rng, 4)
+    h = eval_h_tau(it, BarrierObjective(problem, tau=0.37))
+    f = eval_f_at(it, problem)
+    calls = []
+    smooth_f = lsfa.objective._smooth_f
+    monkeypatch.setattr(lsfa.objective, "_smooth_f", lambda *a: calls.append(a) or smooth_f(*a))
+    assert eval_h_tau(it, BarrierObjective(problem, tau=0.37)) is h
+    assert eval_f_at(it, problem) is f
+    assert calls == []
+    # another tau reuses f, another problem recomputes it; each equals a fresh evaluation
+    h_low = eval_h_tau(it, BarrierObjective(problem, tau=0.1))
+    assert calls == [] and h_low != h
+    h_other = eval_h_tau(it, BarrierObjective(other, tau=0.37))
+    assert len(calls) == 1 and h_other != h
+    assert h_low == eval_h_tau(Iterate(it.ell, it.s, basis), BarrierObjective(problem, tau=0.1))
+    assert h_other == eval_h_tau(Iterate(it.ell, it.s, basis), BarrierObjective(other, tau=0.37))
 
 
 # ---------- gradient ----------
