@@ -79,9 +79,13 @@ class RunConfig:
         Each value is checked by the code that uses it: the instance sizes by
         datagen.check_instance, the weights by ProblemData.check_weights, the
         solver parameters by the classes ipm_params() and baseline_params()
-        build.  Checked here are only the fields nothing else reads.
+        build.  Checked here are the fields nothing else reads, and the three
+        those classes know by other names (epsilon, max_iters, step_ell), so
+        that the error names the field that was set.
         """
-        require_positive(p=self.p, n=self.n, eta_rank=self.eta_rank, eta_supp=self.eta_supp)
+        require_positive(p=self.p, n=self.n, eta_rank=self.eta_rank, eta_supp=self.eta_supp,
+                         eps=self.eps, bcd_max_iters=self.bcd_max_iters,
+                         bcd_step_ell=self.bcd_step_ell)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
@@ -321,6 +325,9 @@ def run_cv(config: RunConfig) -> dict:
     config.validate()
     samples = read_matrix_csv(config.path(config.samples_file))
     n = samples.shape[0]
+    if config.folds > n:
+        # a fold without samples has no held-out likelihood to score
+        raise ConfigError(f"folds={config.folds} exceeds the {n} samples in {config.samples_file}")
     if n // config.folds < config.p:
         warnings.warn(
             f"fold size {n // config.folds} is below p={config.p}; per-fold sample "

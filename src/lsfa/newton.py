@@ -8,12 +8,13 @@ solves the reduced symmetric positive-definite system
 
 (the back-substitution of the full Newton system, using d_{s_~T} = -s_{~T}),
 moves out of T the off-diagonal coordinates whose Newton value falls below
-the keep floor sqrt(2 gamma C) and re-solves on the smaller set from the
-same factorization, guards the direction with a descent test on its joint
-slope and falls back to a scaled-gradient direction when the test fails,
-then runs a backtracking line search.  The update is modified so that the
-coordinates off the set the direction was solved on take a unit step
-regardless of the accepted alpha, which zeroes them exactly:
+the keep floor sqrt(2 gamma C) and re-solves on the smaller set through a
+pinned view of the same factorization, guards the direction with a descent
+test on its joint slope and falls back to a scaled-gradient direction when
+the test fails, then runs a backtracking line search.  The update is
+modified so that the coordinates off the set the direction was solved on
+take a unit step regardless of the accepted alpha, which zeroes them
+exactly:
 
     ell(alpha) = ell + alpha d_ell,
     s(alpha)   = s + alpha d_s on T,   0 off T.
@@ -34,10 +35,12 @@ and its Schur complement apply in O(p^3), so only the |T| x |T| Schur
 complement on s_T is assembled, from the rows T of a congruence matrix or
 from an m x m pair Gram, whichever costs less at that |T|, and
 Cholesky-factorized (see _SchurComplement); its gathered blocks are formed
-only in the upper triangle that the factorization reads.  One step of
-iterative refinement with the matrix-free Hessian-vector product recovers
-the accuracy of a dense solve.  The dense Hessian (objective.hessian_blocks)
-remains as the test oracle.
+only in the upper triangle that the factorization reads.  Every direction
+comes from one refinement pass, d += K^-1 (r - H d) with the matrix-free
+Hessian-vector product (_refine): two from zero on T reach the accuracy of
+a dense solve, and a drop takes one more through a pinned view of the same
+factor (_Pinned).  The dense Hessian (objective.hessian_blocks) remains as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -200,6 +203,54 @@ class _SchurComplement:
         return self._vec(V @ Y @ V.T), d_T
 
 
+class _Pinned:
+    """A pinned view of the solver for T: the reduced system on T \\ D, D = T[pos].
+
+    With K the reduced matrix on T and E_D its columns D, the system on
+    T \\ D with x_D = 0 is the one on T with free multipliers lam in the rows D:
+
+        K x = r + E_D lam,   x_D = 0,
+
+    so x = K^-1 (r + E_D lam) = K^-1 r + Z lam with Z = K^-1 E_D, and x_D = 0
+    gives Z_DD lam = -(K^-1 r)_D.  Z_DD is the block D of the inverse Schur
+    complement: |D| cho_solve columns with the factor held for T.  The view
+    keeps T and ignores the rows D of r, so a refinement pass through it from
+    any d with d_D = -s_D lands, in exact arithmetic, on the direction solved
+    on T \\ D: its correction is the solution of this system.
+    """
+
+    def __init__(self, schur: _SchurComplement, pos: np.ndarray):
+        self.schur, self.pos, self.T = schur, pos, schur.T
+        unit = np.zeros((len(self.T), len(pos)))
+        unit[pos, np.arange(len(pos))] = 1.0
+        self.Z_DD = scipy.linalg.cho_solve(schur.cho, unit, check_finite=False)[pos]
+
+    def solve(self, r_ell: np.ndarray, r_T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x_ell, x_T) = K^-1 (r + E_D lam) with x_D = 0."""
+        x_ell, x_T = self.schur.solve(r_ell, r_T)
+        lam = np.zeros(len(self.T))
+        lam[self.pos] = np.linalg.solve(self.Z_DD, -x_T[self.pos])
+        c_ell, c_T = self.schur.solve(np.zeros_like(r_ell), lam)
+        x_T += c_T
+        x_T[self.pos] = 0.0
+        return x_ell + c_ell, x_T
+
+
+def _refine(solver: _SchurComplement | _Pinned, iterate: Iterate, barrier: BarrierObjective,
+            r: tuple[np.ndarray, np.ndarray], d_ell: np.ndarray, d_s: np.ndarray) -> None:
+    """One refinement pass, in place: d += solver.solve(r - H d) on the rows (ell, solver.T).
+
+    The product H d is skipped while d = 0: a pass from zero is a plain solve.
+    """
+    r_ell, r_T = r
+    if d_ell.any() or d_s.any():
+        h_ell, h_s = hessian_vector_product(iterate, barrier, d_ell, d_s)
+        r_ell, r_T = r_ell - h_ell, r_T - h_s[solver.T]
+    e_ell, e_T = solver.solve(r_ell, r_T)
+    d_ell += e_ell
+    d_s[solver.T] += e_T
+
+
 def newton_direction(
     iterate: Iterate,
     T: np.ndarray,
@@ -209,19 +260,20 @@ def newton_direction(
 ) -> Direction:
     """Solve the reduced Newton system of size m + |T| by its Schur complement on s_T.
 
-    The right-hand side's off-T terms vanish unless a coordinate leaves the
-    support (s_{~T} != 0).  One step of iterative refinement, with residuals
-    from the matrix-free Hessian-vector product, brings the direction to the
-    accuracy of a dense solve.  The Schur complement is positive definite
-    because the reduced matrix is a principal submatrix of the positive
-    definite Hessian; a failed eigendecomposition or factorization raises
-    NumericalBreakdownError.
+    The right-hand side r's off-T terms vanish unless a coordinate leaves
+    the support (s_{~T} != 0).  The direction is two refinement passes
+    (_refine) from zero: a solve, then one step of iterative refinement that
+    brings it to the accuracy of a dense solve.  The Schur complement is
+    positive definite because the reduced matrix is a principal submatrix
+    of the positive definite Hessian; a failed eigendecomposition or
+    factorization raises NumericalBreakdownError.
 
     With a keep_floor (the prox's sqrt(2 gamma C)), the off-diagonal
     coordinates D of T whose predicted value |s_i + d_i| falls below it
-    leave the working set in the same step: the direction is re-solved on
-    T \\ D with d_D = -s_D, from the factor already held for T (see
-    _drop_predicted).  The returned Direction names the set it was solved on.
+    leave the working set in the same step: with d_D = -s_D, one pass
+    warm-started from the direction on T re-solves on T \\ D through the
+    pinned view of the factor held for T (_Pinned).  The returned Direction
+    names the set it was solved on.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     m = iterate.basis.m
@@ -237,70 +289,17 @@ def newton_direction(
         r_T = r_T + h_s[T]
 
     schur = _SchurComplement(iterate, T, barrier)
-    d_ell, d_T = schur.solve(r_ell, r_T)
-    d_s = np.zeros(m)
-    d_s[T] = d_T
-    h_ell, h_s = hessian_vector_product(iterate, barrier, d_ell, d_s)
-    e_ell, e_T = schur.solve(r_ell - h_ell, r_T - h_s[T])
-    d_ell += e_ell
-    d_s[T] += e_T
-    d_s[Tbar] = -s_Tbar
+    d_ell, d_s = np.zeros(m), np.zeros(m)
+    for _ in range(2):
+        _refine(schur, iterate, barrier, (r_ell, r_T), d_ell, d_s)
     if keep_floor is not None:
         pos = np.flatnonzero(iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor))
         if len(pos):
-            T = _drop_predicted(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s, pos)
+            d_s[T[pos]] = -iterate.s[T[pos]]
+            _refine(_Pinned(schur, pos), iterate, barrier, (r_ell, r_T), d_ell, d_s)
+            T = np.delete(T, pos)
+    d_s[Tbar] = -s_Tbar
     return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=T)
-
-
-def _drop_predicted(
-    schur: _SchurComplement,
-    iterate: Iterate,
-    barrier: BarrierObjective,
-    grad: tuple[np.ndarray, np.ndarray],
-    d_ell: np.ndarray,
-    d_s: np.ndarray,
-    pos: np.ndarray,
-) -> np.ndarray:
-    """Turn the direction solved on T into the one on T \\ D, D = T[pos], in place.
-
-    With K the reduced matrix on T and E_D its columns D, the system on
-    T \\ D with d_D pinned to a target is the bordered system
-
-        K x = r + E_D lam,   x_D = target,
-
-    so x = K^-1 r + Z lam with Z = K^-1 E_D and Z_DD lam = target - (K^-1 r)_D.
-    Z_DD is the block D of the inverse Schur complement, |D| cho_solve
-    columns with the factor held for T.  The direction on T is K^-1 r, so
-    pinning d_D = -s_D takes one correction; one refinement step on the
-    residual of the rows T \\ D, pinned to 0 on D, follows.  Returns T \\ D.
-    """
-    g_ell, g_s = grad
-    T, m = schur.T, schur.basis.m
-    D = T[pos]
-    unit = np.zeros((len(T), len(pos)))
-    unit[pos, np.arange(len(pos))] = 1.0
-    Z_DD = scipy.linalg.cho_solve(schur.cho, unit, check_finite=False)[pos]
-
-    def pinning(x_T, target):
-        """The correction Z lam that moves x_T[pos] to target."""
-        r_T = np.zeros(len(T))
-        r_T[pos] = np.linalg.solve(Z_DD, target - x_T[pos])
-        return schur.solve(np.zeros(m), r_T)
-
-    s_D = iterate.s[D]
-    c_ell, c_T = pinning(d_s[T], -s_D)
-    d_ell += c_ell
-    d_s[T] += c_T
-    d_s[D] = -s_D
-    h_ell, h_s = hessian_vector_product(iterate, barrier, d_ell, d_s)
-    res_T = -g_s[T] - h_s[T]
-    res_T[pos] = 0.0
-    e_ell, e_T = schur.solve(-g_ell - h_ell, res_T)
-    c_ell, c_T = pinning(e_T, 0.0)
-    d_ell += e_ell + c_ell
-    d_s[T] += e_T + c_T
-    d_s[D] = -s_D
-    return np.delete(T, pos)
 
 
 def descent_safeguard(

@@ -257,6 +257,17 @@ def test_cli_cv_ragged_samples_is_data_error(tmp_path, capsys):
     assert "is not a numeric CSV matrix" in capsys.readouterr().err
 
 
+def test_cli_cv_more_folds_than_samples_is_config_error(tmp_path, capsys):
+    # an empty validation fold would score nan; the run stops before any fit
+    (tmp_path / "samples.csv").write_text("1,2\n3,5\n2,1\n")
+    argv = ["cv", "--p", "2", "--r", "1", "--folds", "5", "--c-grid", "0.5", "--mu-grid", "100",
+            "--run-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "folds=5" in err and "3 samples" in err
+    assert not (tmp_path / "cv_scores.csv").exists()
+
+
 @pytest.mark.parametrize("config,argv", [
     ('{"p": "40"}', []),
     ('{"c_grid": 5}', []),

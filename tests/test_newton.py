@@ -168,14 +168,16 @@ def test_schur_complement_matches_dense_reduced_matrix(n_off, monkeypatch):
     assert not np.array_equal(np.triu(packed, 1), np.triu(packed_full, 1))
 
 
-def _interior_point_with_working_set(seed, p):
-    """A random interior point, a barrier, and T = the diagonal plus half the off-diagonal."""
+def _interior_point_with_working_set(seed, p, n_off=None):
+    """A random interior point, a barrier, and T = the diagonal plus n_off off-diagonal
+    coordinates (by default half of them)."""
     rng = np.random.default_rng(seed)
     problem = ProblemData(random_spd(rng, p), C=0.5, mu=rng.uniform(1.0, 20.0))
     barrier = BarrierObjective(problem, tau=rng.uniform(0.01, 0.5))
     it, basis = random_interior_point(rng, p)
     off = np.flatnonzero(basis.off_diag)
-    T = np.union1d(np.flatnonzero(~basis.off_diag), rng.choice(off, len(off) // 2, replace=False))
+    n_off = len(off) // 2 if n_off is None else n_off
+    T = np.union1d(np.flatnonzero(~basis.off_diag), rng.choice(off, n_off, replace=False))
     return it, basis, barrier, T
 
 
@@ -209,13 +211,25 @@ def test_direction_without_keep_floor_is_the_refined_schur_solve():
         np.testing.assert_array_equal(d0.d_s, d_s)
 
 
-@pytest.mark.parametrize("seed,p", [(50, 4), (51, 6), (52, 8), (53, 9)])
-def test_predicted_drop_matches_a_fresh_solve_on_the_smaller_set(seed, p):
-    it, basis, barrier, T = _interior_point_with_working_set(seed, p)
+@pytest.mark.parametrize("seed,p,n_off,drop_all", [
+    # half the off-diagonal in T: |T|^2 >= m p, E_TT from the pair Gram
+    pytest.param(50, 4, None, False, id="50-4"),
+    pytest.param(51, 6, None, False, id="51-6"),
+    pytest.param(52, 8, None, False, id="52-8"),
+    pytest.param(53, 9, None, False, id="53-9"),
+    # a sparse working set: |T|^2 < m p, E_TT from Phi_T as on every sparse start
+    pytest.param(54, 9, 4, False, id="54-9-sparse"),
+    pytest.param(55, 10, 6, False, id="55-10-sparse"),
+    # a floor above every prediction: T \ D is the diagonal alone
+    pytest.param(56, 6, None, True, id="56-6-all-drop"),
+])
+def test_predicted_drop_matches_a_fresh_solve_on_the_smaller_set(seed, p, n_off, drop_all):
+    it, basis, barrier, T = _interior_point_with_working_set(seed, p, n_off)
     plain = newton_direction(it, T, barrier)
     off_T = T[basis.off_diag[T]]
     predicted = np.abs(it.s[off_T] + plain.d_s[off_T])
-    floor = float(np.median(predicted))  # about half the off-diagonal of T drops
+    # about half the off-diagonal of T drops, or all of it
+    floor = 2.0 * float(predicted.max()) if drop_all else float(np.median(predicted))
     d = newton_direction(it, T, barrier, keep_floor=floor)
     D = off_T[predicted < floor]
     assert len(D) >= 1

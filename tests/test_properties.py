@@ -1,13 +1,19 @@
-"""Properties of interior-point traces over small drawn instances (hypothesis).
+"""Properties over drawn inputs (hypothesis): interior-point traces and run configurations.
 
-Each example draws a factor-model instance with p from 3 to 6 and solves it
-on a short barrier schedule (eps = 1e-2, six levels) from both starts,
-default_init and sparse_init.  The draws are derandomized, so every run
-checks the same examples.  Monotone h_tau within a solve is not a property
-of this solver: a step accepted on the penalized merit can raise it.
+Each trace example draws a factor-model instance with p from 3 to 6 and
+solves it on a short barrier schedule (eps = 1e-2, six levels) from both
+starts, default_init and sparse_init.  Monotone h_tau within a solve is not
+a property of this solver: a step accepted on the penalized merit can raise
+it.  Each configuration example draws RunConfig field values and passes them
+through a JSON config file to the command line; none runs a solve.  The
+draws are derandomized, so every run checks the same examples.
 """
 
+import contextlib
+import io
+import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from typing import get_type_hints
@@ -28,6 +34,8 @@ from lsfa import (
     sparse_init,
     write_trace_csv,
 )
+from lsfa.cli import build_parser, config_from_args, main
+from lsfa.harness import FIELD_TYPES, RunConfig
 
 PARAMS = IpmParams(gamma=0.1, epsilon=1e-2)
 SCHEDULE = [PARAMS.tau0 * PARAMS.theta**k for k in range(6)]  # 0.5 down to 0.5**6 > 1e-2
@@ -73,3 +81,70 @@ def test_trace_properties(problem):
             path = Path(tmp) / "trace.csv"
             write_trace_csv(rows, path)
             assert read_trace_csv(path) == rows
+
+
+# ---------- run configurations ----------
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_COUNT = st.integers(1, 10**6)
+_NAME = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+# every field but p and r, which are drawn together (1 <= r < p); a field
+# missing here fails the configuration tests with a KeyError
+_VALID = {
+    "n": _COUNT, "density": _UNIT | st.just(1.0), "snr": _POSITIVE, "seed": st.integers(0, 2**32),
+    "C": _POSITIVE, "mu": _POSITIVE, "gamma": _POSITIVE, "tau0": _POSITIVE, "theta": _UNIT,
+    "eps": _POSITIVE, "delta": _POSITIVE,
+    "sigma": st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+    "beta": _UNIT, "residual_tol": _POSITIVE, "max_inner_iters": _COUNT, "max_backtracks": _COUNT,
+    "eta_rank": _POSITIVE, "eta_supp": _POSITIVE, "bcd_max_iters": _COUNT,
+    "bcd_step_ell": _POSITIVE, "folds": st.integers(2, 1000),
+    "c_grid": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    "mu_grid": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    "run_dir": _NAME, "samples_file": _NAME, "covariance_file": st.none() | _NAME,
+    "trace_out": _NAME,
+}
+_NUMERIC = sorted(name for name, kind in FIELD_TYPES.items() if kind in (int, float, tuple[float, ...]))
+
+
+@st.composite
+def valid_configs(draw):
+    p = draw(st.integers(2, 500))
+    values = {name: draw(_VALID[name]) for name in FIELD_TYPES if name not in ("p", "r")}
+    return {"p": p, "r": draw(st.integers(1, p - 1)), **values}
+
+
+def _config_file(tmp: str, data: dict) -> str:
+    path = str(Path(tmp) / "config.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return path
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(valid_configs())
+def test_config_file_round_trips_through_the_command_line(values):
+    expected = RunConfig(**values).validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        args = build_parser().parse_args(["solve", "--config", _config_file(tmp, values)])
+        assert config_from_args(args) == expected
+
+
+@st.composite
+def bad_fields(draw):
+    """A numeric field and a value it rejects: nan, 0, a negative number or a string."""
+    name = draw(st.sampled_from(_NUMERIC))
+    bad = [math.nan, -draw(st.integers(1, 10**6)), "1"] + ([0] if name != "seed" else [])
+    value = draw(st.sampled_from(bad))
+    return name, [value] if FIELD_TYPES[name] == tuple[float, ...] else value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(valid_configs(), bad_fields())
+def test_a_bad_config_value_exits_2_naming_its_field(values, bad):
+    name, value = bad
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = _config_file(tmp, {**values, "run_dir": tmp, name: value})
+        assert main(["solve", "--config", path]) == 2
+    assert re.search(rf"\b{name}\b", err.getvalue()), err.getvalue()
