@@ -16,13 +16,17 @@ class InfeasiblePointError(ValueError):
 
 
 class NumericalBreakdownError(RuntimeError):
-    """A factorization that is guaranteed to exist by the problem structure failed.
+    """A solve that is guaranteed to succeed by the problem structure failed.
 
     Raised when the Newton step's generalized eigendecomposition of (L, Sigma)
     fails, or when the Schur complement on s_T of the reduced Newton system
     (positive definite, since the reduced system is a principal submatrix of
-    the positive-definite Hessian) cannot be Cholesky-factorized; this signals
-    an assembly bug or catastrophic conditioning rather than a user error.
+    the positive-definite Hessian) cannot be Cholesky-factorized, or, where
+    it is solved by conjugate gradients, meets nonpositive curvature or does
+    not converge within twice its size in iterations; the message then gives
+    the size, the iterations taken and the relative residual reached.  This
+    signals an assembly bug or catastrophic conditioning rather than a user
+    error.
     """
 
 

@@ -8,8 +8,8 @@ solves the reduced symmetric positive-definite system
 
 (the back-substitution of the full Newton system, using d_{s_~T} = -s_{~T}),
 moves out of T the off-diagonal coordinates whose Newton value falls below
-the keep floor sqrt(2 gamma C) and re-solves on the smaller set through a
-pinned view of the same factorization, guards the direction with a descent
+the keep floor sqrt(2 gamma C) and re-solves on the smaller set with the
+same solver restricted to it, guards the direction with a descent
 test on its joint slope and falls back to a scaled-gradient direction when
 the test fails, then runs a backtracking line search.  The update is
 modified so that the coordinates off the set the direction was solved on
@@ -31,20 +31,22 @@ outside the positive-definite cone evaluate to +inf and fail both tests.
 
 The reduced matrix of size m + |T| is never formed.  The ell block is
 eliminated exactly: in the generalized eigenbasis of (L, Sigma) its inverse
-and its Schur complement apply in O(p^3), so only the |T| x |T| Schur
-complement on s_T is assembled, from the rows T of a congruence matrix or
-from an m x m pair Gram, whichever costs less at that |T|, and
-Cholesky-factorized (see _SchurComplement); its gathered blocks are formed
-only in the upper triangle that the factorization reads.  Every direction
-comes from one refinement pass, d += K^-1 (r - H d) with the matrix-free
-Hessian-vector product (_refine): two from zero on T reach the accuracy of
-a dense solve, and a drop takes one more through a pinned view of the same
-factor (_Pinned).  The dense Hessian (objective.hessian_blocks) remains as
-the test oracle.
+and its Schur complement apply in O(p^3), which leaves the |T| x |T|
+Schur complement K on s_T (see _SchurComplement).  While assembling K costs
+at most _ASSEMBLE_FLOPS it is formed and Cholesky-factorized; above that it
+is never formed, and conjugate gradients solve with its O(p^3) product.
+Every direction comes from refinement passes, d += K^-1 (r - H d) with the
+matrix-free Hessian-vector product (_refine): two from zero on T reach the
+accuracy of a dense solve on the factored side, and one suffices with
+conjugate gradients, which solve to a relative residual of 1e-12.  A drop
+takes one more pass, on T \\ D, through the same solver restricted to that
+set.  The dense Hessian (objective.hessian_blocks) remains as the test
+oracle.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -99,13 +101,31 @@ class Direction:
     T: np.ndarray
 
 
+# Above this many flops for the product F F^T that assembles the Schur
+# complement (|T|^2 m), its systems are solved by conjugate gradients instead.
+# Measured, ms per direction, 1 BLAS thread, median over four iterates of a
+# dense-start solve, T the diagonal plus random off-diagonal coordinates:
+#
+#     p   |T|   |T|^2 m   assembled   CG
+#     20  100   2.1e6        1.0      1.9
+#     20  210   9.3e6        3.3      5.6
+#     40  120   1.2e7        3.5      2.5
+#     40  200   3.3e7        5.6      3.4
+#     60  300   1.7e8       17.2      8.2
+#
+# At p = 20 assembly wins at every |T|.  At p = 40 the bound (|T| ~ 140) is
+# past the crossover above, but on sparse-start iterates, where CG takes more
+# iterations, the sides were within 12% for |T| from 80 to 400.
+_ASSEMBLE_FLOPS = 1.6e7
+
+
 class _SchurComplement:
     """The reduced Newton system, block-eliminated onto s_T.
 
     Write G(X) for the matrix of Z -> X Z X (SymmetricBasis.sym_kron) and
     A = mu G(Sigma^-1), B = tau G(L^-1), C = tau G(S^-1).  The reduced
     matrix is [[A + B, A[:, T]], [A[T, :], A_TT + C_TT]].  Eliminating d_ell
-    leaves the |T| x |T| Schur complement E_TT + C_TT, with
+    leaves the |T| x |T| Schur complement K = E_TT + C_TT, with
 
         E = A - A (A + B)^-1 A = ((1/mu) G(Sigma) + (1/tau) G(L))^-1.
 
@@ -115,36 +135,25 @@ class _SchurComplement:
         E = Phi diag(delta) Phi^T,   delta_kl = mu tau / (tau + mu lam_k lam_l),
         (A + B)^-1 X = V [(V^T X V) * r] V^T,   r_kl = lam_k lam_l / (mu lam_k lam_l + tau),
 
-    and every operator but E_TT applies in O(p^3).  E_TT takes the cheaper
-    of two products:
+    so every operator but K^-1 applies in O(p^3).  K is solved one of two
+    ways, chosen by the cost |T|^2 m of assembling it:
 
-    - F F^T with F = Phi_T sqrt(delta), the rows T of sym_kron(W): |T|^2 m
-      flops, O(p^6) for a dense working set;
-    - a gather (SymmetricBasis.pair_gram_block) from the pair Gram
+    - up to _ASSEMBLE_FLOPS, K = F F^T + C_TT is formed, with F = Phi_T
+      sqrt(delta) the rows T of sym_kron(W) and C_TT a block of sym_kron,
+      and Cholesky-factorized;
+    - above it, K is never formed: conjugate gradients run on the product
 
-          M = P delta P^T,   P[q, k] = W[x_q, k] W[y_q, k],
+          K x = [W (delta o (W^T X W)) W^T + tau S^-1 X S^-1]_T,   X = vec^-1(x),
 
-      an m x m matrix over the pairs q = {x_q, y_q}: 2 m^2 p flops, O(p^5).
-
-    The first is used while |T|^2 < m p, where it does under half the pair
-    Gram's flops; its gather of Phi_T is memory-bound, and at p = 40 and 60
-    the two took equal time at |T|^2 between 0.3 and 0.5 times 2 m p.  The
-    sparse working sets of a sparse start (|T| about 2p) stay on the first,
-    the dense ones of a dense start (|T| near m) on the second.
-    C_TT = tau G(S^-1)[T, T] is a block of sym_kron.
-
-    The Cholesky factorization reads only the upper triangle of K = E_TT +
-    C_TT, so both gathers (the pair-Gram block and C_TT) form only that
-    triangle, with zeros below it; the Phi_T product forms both.  Each entry
-    comes from the same arithmetic as in the full block, so the factor is
-    the same bit for bit.
+      O(p^3) each (o the entrywise product), preconditioned by K's
+      diagonal, which costs O(|T| p^2) (_diagonal).
     """
 
     def __init__(self, iterate: Iterate, T: np.ndarray, barrier: BarrierObjective):
         self.basis = basis = iterate.basis
         self.T = T
         self.mu = mu = barrier.problem.mu
-        tau = barrier.tau
+        self.tau = tau = barrier.tau
         try:
             lam, W = scipy.linalg.eigh(iterate.L, iterate.sigma)
         except np.linalg.LinAlgError as exc:
@@ -152,49 +161,126 @@ class _SchurComplement:
                 f"generalized eigendecomposition of (L, Sigma) failed: {exc}"
             ) from exc
         self.W, self.V = W, iterate.sigma @ W
+        self.inv_S = iterate.inv_S
         lam2 = np.multiply.outer(lam, lam)
         self.r = lam2 / (mu * lam2 + tau)
-        self.cho = None
-        if len(T) == 0:
-            return
-        delta = (mu * tau) / (tau + mu * lam2)
-        if len(T) ** 2 < basis.m * basis.p:
-            F = basis.sym_kron(W, rows=T)
-            F *= np.sqrt(delta[basis.rows, basis.cols])
-            K = F @ F.T
+        self.delta = (mu * tau) / (tau + mu * lam2)
+        self.iterative = len(T) ** 2 * basis.m > _ASSEMBLE_FLOPS
+        if self.iterative:
+            self.diag = self._diagonal()
         else:
-            P = W[basis.rows] * W[basis.cols]
-            K = basis.pair_gram_block((P @ delta) @ P.T, rows=T, cols=T, upper=True)
-        C_TT = basis.sym_kron(iterate.inv_S, rows=T, cols=T, upper=True)
-        C_TT *= tau
-        K += C_TT
+            F = basis.sym_kron(W, rows=T)
+            F *= np.sqrt(self.delta[basis.rows, basis.cols])
+            self.K = F @ F.T
+            C_TT = basis.sym_kron(self.inv_S, rows=T, cols=T)
+            C_TT *= tau
+            self.K += C_TT
+            self.cho = self._factor()
+
+    def restrict(self, keep: np.ndarray) -> _SchurComplement:
+        """The same system on T[keep]: K[keep, keep] factored, or conjugate gradients on it."""
+        sub = copy.copy(self)
+        sub.T = self.T[keep]
+        if self.iterative:
+            sub.diag = self.diag[keep]
+        else:
+            sub.K = self.K[np.ix_(keep, keep)]
+            sub.cho = sub._factor()
+        return sub
+
+    def _factor(self):
         try:
-            # K's upper triangle holds the Schur complement; K.T is the
-            # Fortran-ordered array whose lower triangle LAPACK factors in
-            # place.  It is finite because W, delta and S^-1 are.
-            self.cho = scipy.linalg.cho_factor(
-                K.T, lower=True, overwrite_a=True, check_finite=False
-            )
+            # K is exactly symmetric (F F^T and sym_kron of a symmetric matrix
+            # both are), and finite because W, delta and S^-1 are
+            return scipy.linalg.cho_factor(self.K, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError(
-                f"Schur complement of the reduced Newton matrix, of size {len(T)}, "
+                f"Schur complement of the reduced Newton matrix, of size {len(self.T)}, "
                 f"is not positive definite: {exc}"
             ) from exc
+
+    def _diagonal(self) -> np.ndarray:
+        """K's diagonal on T in O(|T| p^2).
+
+        For a coordinate a = {i, j}, E_a = c_a (e_i e_j^T + e_j e_i^T) and
+        the rows w_i of W give W^T E_a W = c_a (w_i w_j^T + w_j w_i^T), so
+
+            E_aa = 2 c_a^2 ((w_i^2)^T delta (w_j^2) + (w_i o w_j)^T delta (w_i o w_j)),
+            C_aa = 2 c_a^2 tau (Sinv_ii Sinv_jj + Sinv_ij^2),
+
+        with 2 c_a^2 = 1 off the diagonal and 1/2 on it, where both terms agree.
+        """
+        basis, W, Sinv = self.basis, self.W, self.inv_S
+        i, j = basis.rows[self.T], basis.cols[self.T]
+        W2 = W * W
+        P = W[i] * W[j]
+        diag = (W2 @ self.delta @ W2.T)[i, j] + ((P @ self.delta) * P).sum(axis=1)
+        diag += self.tau * (Sinv[i, i] * Sinv[j, j] + Sinv[i, j] ** 2)
+        diag *= np.where(basis.off_diag[self.T], 1.0, 0.5)
+        return diag
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """K x on T, in O(p^3)."""
+        basis, W = self.basis, self.W
+        x_full = np.zeros(basis.m)
+        x_full[self.T] = x
+        X = basis.vec_to_mat(x_full)
+        Y = W.T @ X @ W
+        Y *= self.delta
+        Z = W @ Y @ W.T
+        Z += self.tau * (self.inv_S @ X @ self.inv_S)
+        return self._vec(Z)[self.T]
+
+    def _cg(self, b: np.ndarray) -> np.ndarray:
+        """K^-1 b by conjugate gradients from zero, preconditioned by K's diagonal.
+
+        Stops at ||K x - b|| <= 1e-12 ||b||.  Nonpositive curvature, or no
+        convergence within 2 |T| iterations, raises NumericalBreakdownError.
+        """
+        x, res = np.zeros_like(b), b.copy()
+        d = z = res / self.diag
+        rz = res @ z
+        tol = 1e-12 * np.linalg.norm(b)
+        for k in range(2 * len(b) + 1):
+            if np.linalg.norm(res) <= tol:
+                return x
+            if k == 2 * len(b):
+                reason = "no convergence"
+                break
+            q = self._product(d)
+            curvature = d @ q
+            if not curvature > 0:
+                reason = f"nonpositive curvature {curvature:.3e}"
+                break
+            alpha = rz / curvature
+            x += alpha * d
+            res -= alpha * q
+            z = res / self.diag
+            rz, rz_old = res @ z, rz
+            d = z + (rz / rz_old) * d
+        raise NumericalBreakdownError(
+            f"conjugate gradients on the Schur complement of size {len(b)} stopped after "
+            f"{k} iterations at relative residual "
+            f"{np.linalg.norm(res) / np.linalg.norm(b):.3e}: {reason}"
+        )
 
     def _vec(self, M: np.ndarray) -> np.ndarray:
         return self.basis.mat_to_vec(0.5 * (M + M.T))
 
     def solve(self, r_ell: np.ndarray, r_T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d_ell, d_T) with K [d_ell; d_T] = [r_ell; r_T] for the reduced matrix K."""
+        """(d_ell, d_T) with K [d_ell; d_T] = [r_ell; r_T] for the reduced matrix K on T."""
         W, V, T, basis = self.W, self.V, self.T, self.basis
         # Y: (A + B)^-1 r_ell = V Y V^T
         Y = V.T @ basis.vec_to_mat(r_ell) @ V
         Y *= self.r
         d_T = np.zeros(0)
-        if self.cho is not None:
+        if len(T):
             # [A (A + B)^-1 r_ell]_T, with A V Y V^T = mu W Y W^T
             b_T = r_T - self.mu * self._vec(W @ Y @ W.T)[T]
-            d_T = scipy.linalg.cho_solve(self.cho, b_T, check_finite=False)
+            if self.iterative:
+                d_T = self._cg(b_T)
+            else:
+                d_T = scipy.linalg.cho_solve(self.cho, b_T, check_finite=False)
             # d_ell = (A + B)^-1 (r_ell - A d_s), d_s = d_T on T and 0 off it,
             # where V^T A X V = mu W^T X W
             d_s = np.zeros(basis.m)
@@ -203,40 +289,7 @@ class _SchurComplement:
         return self._vec(V @ Y @ V.T), d_T
 
 
-class _Pinned:
-    """A pinned view of the solver for T: the reduced system on T \\ D, D = T[pos].
-
-    With K the reduced matrix on T and E_D its columns D, the system on
-    T \\ D with x_D = 0 is the one on T with free multipliers lam in the rows D:
-
-        K x = r + E_D lam,   x_D = 0,
-
-    so x = K^-1 (r + E_D lam) = K^-1 r + Z lam with Z = K^-1 E_D, and x_D = 0
-    gives Z_DD lam = -(K^-1 r)_D.  Z_DD is the block D of the inverse Schur
-    complement: |D| cho_solve columns with the factor held for T.  The view
-    keeps T and ignores the rows D of r, so a refinement pass through it from
-    any d with d_D = -s_D lands, in exact arithmetic, on the direction solved
-    on T \\ D: its correction is the solution of this system.
-    """
-
-    def __init__(self, schur: _SchurComplement, pos: np.ndarray):
-        self.schur, self.pos, self.T = schur, pos, schur.T
-        unit = np.zeros((len(self.T), len(pos)))
-        unit[pos, np.arange(len(pos))] = 1.0
-        self.Z_DD = scipy.linalg.cho_solve(schur.cho, unit, check_finite=False)[pos]
-
-    def solve(self, r_ell: np.ndarray, r_T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x_ell, x_T) = K^-1 (r + E_D lam) with x_D = 0."""
-        x_ell, x_T = self.schur.solve(r_ell, r_T)
-        lam = np.zeros(len(self.T))
-        lam[self.pos] = np.linalg.solve(self.Z_DD, -x_T[self.pos])
-        c_ell, c_T = self.schur.solve(np.zeros_like(r_ell), lam)
-        x_T += c_T
-        x_T[self.pos] = 0.0
-        return x_ell + c_ell, x_T
-
-
-def _refine(solver: _SchurComplement | _Pinned, iterate: Iterate, barrier: BarrierObjective,
+def _refine(solver: _SchurComplement, iterate: Iterate, barrier: BarrierObjective,
             r: tuple[np.ndarray, np.ndarray], d_ell: np.ndarray, d_s: np.ndarray) -> None:
     """One refinement pass, in place: d += solver.solve(r - H d) on the rows (ell, solver.T).
 
@@ -261,19 +314,22 @@ def newton_direction(
     """Solve the reduced Newton system of size m + |T| by its Schur complement on s_T.
 
     The right-hand side r's off-T terms vanish unless a coordinate leaves
-    the support (s_{~T} != 0).  The direction is two refinement passes
-    (_refine) from zero: a solve, then one step of iterative refinement that
-    brings it to the accuracy of a dense solve.  The Schur complement is
+    the support (s_{~T} != 0).  With K assembled, the direction is two
+    refinement passes (_refine) from zero: a solve, then one step of
+    iterative refinement that brings it to the accuracy of a dense solve;
+    with conjugate gradients it is one pass.  The Schur complement is
     positive definite because the reduced matrix is a principal submatrix
     of the positive definite Hessian; a failed eigendecomposition or
-    factorization raises NumericalBreakdownError.
+    factorization, and nonpositive curvature or no convergence in
+    conjugate gradients, raise NumericalBreakdownError.
 
     With a keep_floor (the prox's sqrt(2 gamma C)), the off-diagonal
     coordinates D of T whose predicted value |s_i + d_i| falls below it
     leave the working set in the same step: with d_D = -s_D, one pass
-    warm-started from the direction on T re-solves on T \\ D through the
-    pinned view of the factor held for T (_Pinned).  The returned Direction
-    names the set it was solved on.
+    warm-started from the direction on T re-solves on T \\ D with the
+    solver restricted to that set, which factors the principal block of the
+    K held for T or runs conjugate gradients on T \\ D.  The returned
+    Direction names the set it was solved on.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     m = iterate.basis.m
@@ -290,14 +346,15 @@ def newton_direction(
 
     schur = _SchurComplement(iterate, T, barrier)
     d_ell, d_s = np.zeros(m), np.zeros(m)
-    for _ in range(2):
+    for _ in range(1 if schur.iterative else 2):
         _refine(schur, iterate, barrier, (r_ell, r_T), d_ell, d_s)
     if keep_floor is not None:
-        pos = np.flatnonzero(iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor))
-        if len(pos):
-            d_s[T[pos]] = -iterate.s[T[pos]]
-            _refine(_Pinned(schur, pos), iterate, barrier, (r_ell, r_T), d_ell, d_s)
-            T = np.delete(T, pos)
+        drop = iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor)
+        if drop.any():
+            d_s[T[drop]] = -iterate.s[T[drop]]
+            schur = schur.restrict(~drop)
+            _refine(schur, iterate, barrier, (r_ell, r_T[~drop]), d_ell, d_s)
+            T = schur.T
     d_s[Tbar] = -s_Tbar
     return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=T)
 

@@ -8,6 +8,7 @@ from lsfa import (
     BarrierObjective,
     Direction,
     InfeasiblePointError,
+    NumericalBreakdownError,
     IpmParams,
     Iterate,
     NewtonParams,
@@ -139,10 +140,16 @@ def test_direction_matches_dense_oracle_when_ill_conditioned(p):
         assert_allclose(d.d_s[Tbar], -point.s[Tbar], atol=0)
 
 
+def _dense_schur_complement(it, barrier, T):
+    """Oracle: the Schur complement on s_T of the reduced matrix, from the dense Hessian."""
+    H_ll, H_ls, H_ss = hessian_blocks(it, barrier)
+    return H_ss[np.ix_(T, T)] - H_ls[:, T].T @ np.linalg.solve(H_ll, H_ls[:, T])
+
+
 @pytest.mark.parametrize("n_off", [10, 26])
-def test_schur_complement_matches_dense_reduced_matrix(n_off, monkeypatch):
-    # p = 9, m = 45, T holds the whole diagonal: |T| = 19 (|T|^2 < m p) forms
-    # E_TT from Phi_T, |T| = 35 from the pair Gram, in more than one 32-row pass
+def test_schur_complement_matches_dense_reduced_matrix(n_off):
+    # p = 9, m = 45, T holds the whole diagonal: |T| = 19 and 35, the second
+    # formed by sym_kron in two 32-row passes
     rng = np.random.default_rng(91)
     p = 9
     problem = ProblemData(random_spd(rng, p), C=1.0, mu=2.0)
@@ -150,22 +157,38 @@ def test_schur_complement_matches_dense_reduced_matrix(n_off, monkeypatch):
     it, basis = random_interior_point(rng, p)
     T = np.union1d(np.flatnonzero(~basis.off_diag),
                    rng.choice(np.flatnonzero(basis.off_diag), n_off, replace=False))
-    assert (len(T) ** 2 < basis.m * p) == (n_off == 10)
-    H_ll, H_ls, H_ss = hessian_blocks(it, barrier)
-    dense = H_ss[np.ix_(T, T)] - H_ls[:, T].T @ np.linalg.solve(H_ll, H_ls[:, T])
-    packed = _SchurComplement(it, T, barrier).cho[0]
-    factor = np.tril(packed)
-    assert_allclose(factor @ factor.T, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
-    # the Cholesky reads only the upper triangle of the assembled blocks: the
-    # factor equals, bit for bit, that of the blocks assembled in full
-    for name in ("sym_kron", "pair_gram_block"):
-        whole = getattr(SymmetricBasis, name)
-        monkeypatch.setattr(SymmetricBasis, name,
-                            lambda self, X, rows=None, cols=None, upper=False, _whole=whole:
-                            _whole(self, X, rows, cols))
-    packed_full = _SchurComplement(it, T, barrier).cho[0]
-    np.testing.assert_array_equal(factor, np.tril(packed_full))
-    assert not np.array_equal(np.triu(packed, 1), np.triu(packed_full, 1))
+    dense = _dense_schur_complement(it, barrier, T)
+    schur = _SchurComplement(it, T, barrier)
+    assert not schur.iterative
+    assert_allclose(schur.K, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+
+def test_conjugate_gradient_side_applies_the_dense_schur_complement(monkeypatch):
+    # never assembled, K acts through its O(p^3) product and its closed-form
+    # diagonal; both are those of the dense Schur complement
+    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
+    rng = np.random.default_rng(92)
+    p = 7
+    problem = ProblemData(random_spd(rng, p), C=1.0, mu=5.0)
+    barrier = BarrierObjective(problem, tau=0.2)
+    it, basis = random_interior_point(rng, p)
+    T = np.union1d(np.flatnonzero(~basis.off_diag),
+                   rng.choice(np.flatnonzero(basis.off_diag), 12, replace=False))
+    dense = _dense_schur_complement(it, barrier, T)
+    schur = _SchurComplement(it, T, barrier)
+    assert schur.iterative
+    scale = np.abs(dense).max()
+    assert_allclose(schur.diag, np.diag(dense), rtol=0, atol=1e-12 * scale)
+    for _ in range(3):
+        x = rng.standard_normal(len(T))
+        assert_allclose(schur._product(x), dense @ x, rtol=0,
+                        atol=1e-12 * scale * np.abs(x).sum())
+    keep = rng.random(len(T)) < 0.6
+    sub = schur.restrict(keep)
+    np.testing.assert_array_equal(sub.T, T[keep])
+    x = rng.standard_normal(int(keep.sum()))
+    assert_allclose(sub._product(x), dense[np.ix_(keep, keep)] @ x, rtol=0,
+                    atol=1e-12 * scale * np.abs(x).sum())
 
 
 def _interior_point_with_working_set(seed, p, n_off=None):
@@ -212,12 +235,12 @@ def test_direction_without_keep_floor_is_the_refined_schur_solve():
 
 
 @pytest.mark.parametrize("seed,p,n_off,drop_all", [
-    # half the off-diagonal in T: |T|^2 >= m p, E_TT from the pair Gram
+    # half the off-diagonal in T
     pytest.param(50, 4, None, False, id="50-4"),
     pytest.param(51, 6, None, False, id="51-6"),
     pytest.param(52, 8, None, False, id="52-8"),
     pytest.param(53, 9, None, False, id="53-9"),
-    # a sparse working set: |T|^2 < m p, E_TT from Phi_T as on every sparse start
+    # a sparse working set, as on every sparse start
     pytest.param(54, 9, 4, False, id="54-9-sparse"),
     pytest.param(55, 10, 6, False, id="55-10-sparse"),
     # a floor above every prediction: T \ D is the diagonal alone
@@ -243,6 +266,48 @@ def test_predicted_drop_matches_a_fresh_solve_on_the_smaller_set(seed, p, n_off,
     A, rhs, Tbar = _full_newton_system(it, barrier, d.T)
     stacked = np.concatenate([d.d_ell, d.d_s[d.T], d.d_s[Tbar]])
     assert np.linalg.norm(A @ stacked - rhs) < 1e-10
+
+
+def test_conjugate_gradient_direction_solves_the_dense_reduced_system():
+    # p = 24 with every coordinate in T: |T|^2 m = 300^3 is above the
+    # assembly bound, so the one pass is a conjugate-gradient solve
+    rng = np.random.default_rng(24)
+    p = 24
+    problem = ProblemData(random_spd(rng, p), C=1.0, mu=rng.uniform(0.5, 2.0))
+    barrier = BarrierObjective(problem, tau=rng.uniform(0.1, 0.6))
+    it, basis = random_interior_point(rng, p)
+    T = np.arange(basis.m)
+    assert len(T) ** 2 * basis.m > lsfa.newton._ASSEMBLE_FLOPS
+    d = newton_direction(it, T, barrier)
+    A, rhs, _ = _full_newton_system(it, barrier, T)
+    stacked = np.concatenate([d.d_ell, d.d_s])
+    assert np.linalg.norm(A @ stacked - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_factored_and_conjugate_gradient_sides_agree(monkeypatch):
+    it, basis, barrier, T = _interior_point_with_working_set(57, 8)
+    plain = newton_direction(it, T, barrier)
+    off_T = T[basis.off_diag[T]]
+    floor = float(np.median(np.abs(it.s[off_T] + plain.d_s[off_T])))
+    directions = {}
+    for bound in (np.inf, 0):
+        monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", bound)
+        directions[bound] = [newton_direction(it, T, barrier, keep_floor=k) for k in (None, floor)]
+    assert len(T) - len(directions[np.inf][1].T) >= 2
+    for factored, cg in zip(directions[np.inf], directions[0]):
+        np.testing.assert_array_equal(factored.T, cg.T)
+        x = np.concatenate([factored.d_ell, factored.d_s])
+        x_cg = np.concatenate([cg.d_ell, cg.d_s])
+        assert np.linalg.norm(x_cg - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_nonpositive_curvature_in_conjugate_gradients_is_a_breakdown(monkeypatch):
+    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
+    monkeypatch.setattr(_SchurComplement, "_product", lambda self, x: -x)
+    rng = np.random.default_rng(12)
+    problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
+    with pytest.raises(NumericalBreakdownError, match="nonpositive curvature"):
+        ipm_solve(problem, default_init(problem), IpmParams(gamma=0.1))
 
 
 def test_reduced_matrix_positive_definite():

@@ -4,9 +4,11 @@ Each trace example draws a factor-model instance with p from 3 to 6 and
 solves it on a short barrier schedule (eps = 1e-2, six levels) from both
 starts, default_init and sparse_init.  Monotone h_tau within a solve is not
 a property of this solver: a step accepted on the penalized merit can raise
-it.  Each configuration example draws RunConfig field values and passes them
-through a JSON config file to the command line; none runs a solve.  The
-draws are derandomized, so every run checks the same examples.
+it.  Each summary example solves a drawn instance through the solve
+pipeline, on that schedule and on an empty one.  Each configuration example
+draws RunConfig field values and passes them through a JSON config file to
+the command line; none runs a solve.  The draws are derandomized, so every
+run checks the same examples.
 """
 
 import contextlib
@@ -35,7 +37,7 @@ from lsfa import (
     write_trace_csv,
 )
 from lsfa.cli import build_parser, config_from_args, main
-from lsfa.harness import FIELD_TYPES, RunConfig
+from lsfa.harness import FIELD_TYPES, RunConfig, run_solve, write_matrix_csv
 
 PARAMS = IpmParams(gamma=0.1, epsilon=1e-2)
 SCHEDULE = [PARAMS.tau0 * PARAMS.theta**k for k in range(6)]  # 0.5 down to 0.5**6 > 1e-2
@@ -81,6 +83,36 @@ def test_trace_properties(problem):
             path = Path(tmp) / "trace.csv"
             write_trace_csv(rows, path)
             assert read_trace_csv(path) == rows
+
+
+def _no_constant(name):
+    raise ValueError(f"the summary holds {name}, which JSON does not")
+
+
+def _json_value(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(problems())
+def test_solve_summary_is_json_and_reports_the_solution(problem):
+    # tau0 = eps is an empty schedule: no level runs and the residual is NaN
+    for tau0 in (PARAMS.tau0, PARAMS.epsilon):
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            write_matrix_csv(Path(tmp) / "cov.csv", problem.sigma_check)
+            config = RunConfig(p=problem.p, r=1, C=problem.C, mu=problem.mu, gamma=PARAMS.gamma,
+                               tau0=tau0, eps=PARAMS.epsilon, run_dir=tmp, covariance_file="cov.csv")
+            solution = run_solve(config)
+        [line] = [ln for ln in out.getvalue().splitlines() if ln.startswith("solve summary:")]
+        summary = json.loads(line.removeprefix("solve summary:"), parse_constant=_no_constant)
+        assert summary["status"] == solution.status
+        assert (tau0 > PARAMS.epsilon) == (solution.status != "empty-schedule")
+        assert summary["outer_solves"] == solution.n_outer
+        assert summary["inner_iterations"] == solution.n_inner_total
+        assert summary["rank_estimate"] == solution.rank_estimate
+        assert summary["final_tau"] == _json_value(solution.final_tau)
+        assert summary["final_residual_normalized"] == _json_value(solution.final_residual_normalized)
 
 
 # ---------- run configurations ----------
