@@ -166,11 +166,17 @@ def write_matrix_csv(path, M: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """The matrix in a CSV file; DataError when the file is not a numeric matrix."""
+    """The matrix in a CSV file; DataError when the file is not a numeric matrix or is empty."""
     try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+        with warnings.catch_warnings():
+            # an empty file is reported below, as a DataError, not as a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            M = np.loadtxt(path, delimiter=",", dtype=float)
     except ValueError as exc:
         raise DataError(f"{path} is not a numeric CSV matrix: {exc}") from exc
+    if M.size == 0:
+        raise DataError(f"{path} holds no numbers")
+    return np.atleast_2d(M)
 
 
 def _l0_counts(S: np.ndarray, basis: SymmetricBasis) -> dict:

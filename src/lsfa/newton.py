@@ -1,17 +1,18 @@
 """Safeguarded Newton solver for the fixed-barrier subproblem.
 
 Each iteration computes the working index set T from the current point,
-solves the reduced symmetric positive-definite system
+holds the coordinates off T at d_{s_~T} = -s_{~T}, where the stationary
+equation F(ell, s; T) = 0 fixes them, and takes a Newton step on the rest:
+from d = (0, -s) with d_{s_T} = 0, refinement passes solve
 
-    H[(ell, s_T), (ell, s_T)] d = [ H[ell, s_~T] s_~T - g_ell ;
-                                    H[s_T, s_~T] s_~T - g_{s_T} ]
+    H[(ell, s_T), (ell, s_T)] e = [-g - H d]_(ell, s_T),   d_(ell, s_T) += e,
 
-(the back-substitution of the full Newton system, using d_{s_~T} = -s_{~T}),
-moves out of T the off-diagonal coordinates whose Newton value falls below
-the keep floor sqrt(2 gamma C) and re-solves on the smaller set with the
-same solver restricted to it, guards the direction with a descent
-test on its joint slope and falls back to a scaled-gradient direction when
-the test fails, then runs a backtracking line search.  The update is
+the reduced symmetric positive-definite system.  It then moves out of T
+the off-diagonal coordinates whose Newton value falls below the keep floor
+sqrt(2 gamma C), holds them at -s as well, and re-solves on the smaller
+set with the same solver restricted to it.  It guards the direction with a
+descent test on its joint slope, falls back to a scaled-gradient direction
+when the test fails, then runs a backtracking line search.  The update is
 modified so that the coordinates off the set the direction was solved on
 take a unit step regardless of the accepted alpha, which zeroes them
 exactly:
@@ -35,9 +36,9 @@ and its Schur complement apply in O(p^3), which leaves the |T| x |T|
 Schur complement K on s_T (see _SchurComplement).  While assembling K costs
 at most _ASSEMBLE_FLOPS it is formed and Cholesky-factorized; above that it
 is never formed, and conjugate gradients solve with its O(p^3) product.
-Every direction comes from refinement passes, d += K^-1 (r - H d) with the
-matrix-free Hessian-vector product (_refine): two from zero on T reach the
-accuracy of a dense solve on the factored side, and one suffices with
+Every direction comes from refinement passes, d += K^-1 (-g - H d) with the
+matrix-free Hessian-vector product (_refine): two from d_{s_T} = 0 reach
+the accuracy of a dense solve on the factored side, and one suffices with
 conjugate gradients, which solve to a relative residual of 1e-12.  A drop
 takes one more pass, on T \\ D, through the same solver restricted to that
 set.  The dense Hessian (objective.hessian_blocks) remains as the test
@@ -115,7 +116,12 @@ class Direction:
 #
 # At p = 20 assembly wins at every |T|.  At p = 40 the bound (|T| ~ 140) is
 # past the crossover above, but on sparse-start iterates, where CG takes more
-# iterations, the sides were within 12% for |T| from 80 to 400.
+# iterations, the sides were within 12% for |T| from 80 to 400.  The bound
+# counts only the flops of F F^T, not CG's iterations times its O(p^3)
+# product: a p = 100 sparse start (|T| 100-193, up to 1.9e8) sends sparse_init
+# to CG at a median of 52 iterations, and sparse_init there ran 0.92-1.01 s
+# against 0.65-0.84 s with every set assembled, while ipm_solve after it
+# fell from ~1.05 to ~0.5 s (1 BLAS thread).
 _ASSEMBLE_FLOPS = 1.6e7
 
 
@@ -290,16 +296,18 @@ class _SchurComplement:
 
 
 def _refine(solver: _SchurComplement, iterate: Iterate, barrier: BarrierObjective,
-            r: tuple[np.ndarray, np.ndarray], d_ell: np.ndarray, d_s: np.ndarray) -> None:
-    """One refinement pass, in place: d += solver.solve(r - H d) on the rows (ell, solver.T).
+            grad: tuple[np.ndarray, np.ndarray], d_ell: np.ndarray, d_s: np.ndarray) -> None:
+    """One refinement pass, in place: d += solver.solve(-g - H d) on the rows (ell, solver.T).
 
-    The product H d is skipped while d = 0: a pass from zero is a plain solve.
+    The coordinates off solver.T are held where d has them.  The product
+    H d is skipped while d = 0: a pass from zero is a plain solve.
     """
-    r_ell, r_T = r
+    g_ell, g_s = grad
+    r_ell, r_s = -g_ell, -g_s
     if d_ell.any() or d_s.any():
         h_ell, h_s = hessian_vector_product(iterate, barrier, d_ell, d_s)
-        r_ell, r_T = r_ell - h_ell, r_T - h_s[solver.T]
-    e_ell, e_T = solver.solve(r_ell, r_T)
+        r_ell, r_s = r_ell - h_ell, r_s - h_s
+    e_ell, e_T = solver.solve(r_ell, r_s[solver.T])
     d_ell += e_ell
     d_s[solver.T] += e_T
 
@@ -313,50 +321,38 @@ def newton_direction(
 ) -> Direction:
     """Solve the reduced Newton system of size m + |T| by its Schur complement on s_T.
 
-    The right-hand side r's off-T terms vanish unless a coordinate leaves
-    the support (s_{~T} != 0).  With K assembled, the direction is two
-    refinement passes (_refine) from zero: a solve, then one step of
-    iterative refinement that brings it to the accuracy of a dense solve;
-    with conjugate gradients it is one pass.  The Schur complement is
-    positive definite because the reduced matrix is a principal submatrix
-    of the positive definite Hessian; a failed eigendecomposition or
+    The direction starts from its held set: d_ell = 0 and d_s = -s, with
+    d_s = 0 on T.  Refinement passes (_refine) then solve for the rest.
+    With K assembled there are two: a solve, then one step of iterative
+    refinement that brings it to the accuracy of a dense solve; with
+    conjugate gradients one pass suffices.  A pass from d = 0, where
+    s_{~T} = 0, is a plain solve of -g.  The Schur complement is positive
+    definite because the reduced matrix is a principal submatrix of the
+    positive definite Hessian; a failed eigendecomposition or
     factorization, and nonpositive curvature or no convergence in
     conjugate gradients, raise NumericalBreakdownError.
 
     With a keep_floor (the prox's sqrt(2 gamma C)), the off-diagonal
     coordinates D of T whose predicted value |s_i + d_i| falls below it
-    leave the working set in the same step: with d_D = -s_D, one pass
-    warm-started from the direction on T re-solves on T \\ D with the
-    solver restricted to that set, which factors the principal block of the
-    K held for T or runs conjugate gradients on T \\ D.  The returned
+    leave the working set in the same step: they join the held set with
+    d_D = -s_D, and one more pass re-solves on T \\ D with the solver
+    restricted to that set, which factors the principal block of the K
+    held for T or runs conjugate gradients on T \\ D.  The returned
     Direction names the set it was solved on.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
-    m = iterate.basis.m
-    Tbar = complement(T, m)
-    s_Tbar = iterate.s[Tbar]
-
-    r_ell, r_T = -g_ell, -g_s[T]
-    if s_Tbar.any():
-        s_off = np.zeros(m)
-        s_off[Tbar] = s_Tbar
-        h_ell, h_s = hessian_vector_product(iterate, barrier, np.zeros(m), s_off)
-        r_ell = r_ell + h_ell
-        r_T = r_T + h_s[T]
-
     schur = _SchurComplement(iterate, T, barrier)
-    d_ell, d_s = np.zeros(m), np.zeros(m)
+    d_ell, d_s = np.zeros(iterate.basis.m), -iterate.s
+    d_s[T] = 0.0
     for _ in range(1 if schur.iterative else 2):
-        _refine(schur, iterate, barrier, (r_ell, r_T), d_ell, d_s)
+        _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s)
     if keep_floor is not None:
         drop = iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor)
         if drop.any():
             d_s[T[drop]] = -iterate.s[T[drop]]
             schur = schur.restrict(~drop)
-            _refine(schur, iterate, barrier, (r_ell, r_T[~drop]), d_ell, d_s)
-            T = schur.T
-    d_s[Tbar] = -s_Tbar
-    return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=T)
+            _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s)
+    return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=schur.T)
 
 
 def descent_safeguard(
@@ -393,10 +389,9 @@ def descent_safeguard(
 
 
 def fallback_direction(iterate: Iterate, g_ell: np.ndarray, g_s: np.ndarray, T: np.ndarray) -> Direction:
-    """Scaled-gradient direction: -g on (ell, s_T) and -s off T."""
-    d_s = -g_s.copy()
-    Tbar = complement(T, iterate.basis.m)
-    d_s[Tbar] = -iterate.s[Tbar]
+    """Scaled-gradient direction: -s held off T, as in newton_direction, and -g on (ell, s_T)."""
+    d_s = -iterate.s
+    d_s[T] = -g_s[T]
     return Direction(d_ell=-g_ell, d_s=d_s, kind="gradient-fallback", T=T)
 
 

@@ -205,25 +205,20 @@ def _interior_point_with_working_set(seed, p, n_off=None):
 
 
 def test_direction_without_keep_floor_is_the_refined_schur_solve():
-    # keep_floor=None is the plain direction on T: one Schur solve and one
-    # refinement step, here written out, equal bit for bit
+    # keep_floor=None is the plain direction on T: the coordinates off T held
+    # at -s, then two passes of the Schur solve on -g - H d, here written out,
+    # equal bit for bit
     for seed, p in [(40, 5), (41, 8)]:
         it, basis, barrier, T = _interior_point_with_working_set(seed, p)
         g_ell, g_s = grad_h_tau(it, barrier)
-        Tbar = complement(T, basis.m)
-        s_off = np.zeros(basis.m)
-        s_off[Tbar] = it.s[Tbar]
-        h_ell, h_s = hessian_vector_product(it, barrier, np.zeros(basis.m), s_off)
-        r_ell, r_T = -g_ell + h_ell, -g_s[T] + h_s[T]
         schur = _SchurComplement(it, T, barrier)
-        d_ell, d_T = schur.solve(r_ell, r_T)
-        d_s = np.zeros(basis.m)
-        d_s[T] = d_T
-        h_ell, h_s = hessian_vector_product(it, barrier, d_ell, d_s)
-        e_ell, e_T = schur.solve(r_ell - h_ell, r_T - h_s[T])
-        d_ell += e_ell
-        d_s[T] += e_T
-        d_s[Tbar] = -it.s[Tbar]
+        d_ell, d_s = np.zeros(basis.m), -it.s
+        d_s[T] = 0.0
+        for _ in range(2):
+            h_ell, h_s = hessian_vector_product(it, barrier, d_ell, d_s)
+            e_ell, e_T = schur.solve(-g_ell - h_ell, (-g_s - h_s)[T])
+            d_ell += e_ell
+            d_s[T] += e_T
         d = newton_direction(it, T, barrier)
         np.testing.assert_array_equal(d.d_ell, d_ell)
         np.testing.assert_array_equal(d.d_s, d_s)

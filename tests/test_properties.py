@@ -7,8 +7,11 @@ a property of this solver: a step accepted on the penalized merit can raise
 it.  Each summary example solves a drawn instance through the solve
 pipeline, on that schedule and on an empty one.  Each configuration example
 draws RunConfig field values and passes them through a JSON config file to
-the command line; none runs a solve.  The draws are derandomized, so every
-run checks the same examples.
+the command line; none runs a solve.  Each input-file example draws the
+bytes of a small matrix file, well formed or broken in one way, and runs
+the solve command on it as a covariance and as a samples file; each path
+example runs a command with a missing input or an unusable run directory.
+The draws are derandomized, so every run checks the same examples.
 """
 
 import contextlib
@@ -17,10 +20,12 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from typing import get_type_hints
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lsfa import (
@@ -180,3 +185,87 @@ def test_a_bad_config_value_exits_2_naming_its_field(values, bad):
         path = _config_file(tmp, {**values, "run_dir": tmp, name: value})
         assert main(["solve", "--config", path]) == 2
     assert re.search(rf"\b{name}\b", err.getvalue()), err.getvalue()
+
+
+# ---------- bad input files and paths ----------
+
+_FAULTS = ["none", "word", "non-finite", "ragged", "empty", "asymmetric", "indefinite", "bom",
+           "semicolons", "bytes"]
+# a small solve, for the files that parse to a usable covariance
+_SMALL_SOLVE = ["--max-inner-iters", "10", "--eps", "0.1"]
+
+
+@st.composite
+def matrix_files(draw):
+    """The bytes of a CSV file: a positive-definite p x p matrix (p <= 3), or one broken in one way."""
+    p = draw(st.integers(1, 3))
+    A = np.array(draw(st.lists(st.integers(-3, 3), min_size=p * p, max_size=p * p))).reshape(p, p)
+    cells = [[repr(float(x)) for x in row] for row in A @ A.T + p * np.eye(p)]
+    i, j = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "empty":
+        return draw(st.sampled_from([b"", b"\n", b" \n\n"]))
+    if fault == "bytes":
+        return draw(st.binary(max_size=32))
+    if fault == "word":
+        cells[i][j] = draw(st.sampled_from(["abc", "", "1..2", "0x10", "1,5", '"1"']))
+    elif fault == "non-finite":
+        cells[i][j] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "-1e400"]))
+    elif fault == "ragged":
+        del cells[i][j]
+    elif fault == "asymmetric":
+        cells[i][(i + 1) % p] = repr(float(cells[i][(i + 1) % p]) + 0.5)
+    elif fault == "indefinite":
+        cells[i][i] = repr(-float(cells[i][i]))
+    text = "\n".join((";" if fault == "semicolons" else ",").join(row) for row in cells)
+    text += draw(st.sampled_from(["", "\n"]))
+    return (b"\xef\xbb\xbf" if fault == "bom" else b"") + text.encode()
+
+
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr; a warning it emits fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(matrix_files())
+def test_a_drawn_matrix_file_exits_0_or_4_with_one_error_line(content):
+    for flag in ("--covariance", "--samples"):
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "m.csv").write_bytes(content)
+            code, out, err = _run_main(["solve", "--run-dir", tmp, flag, "m.csv", *_SMALL_SOLVE])
+        assert code in (0, 4)
+        if "solve summary:" in out:
+            # the solve ran: 4 is a solve that did not converge
+            assert err == ""
+        else:
+            assert code == 4
+            [line] = err.splitlines()
+            assert line.startswith("numerical failure:")
+
+
+_PATH_FAULTS = ["missing samples", "run dir is a file", "missing config"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["generate", "solve", "compare", "cv"]), st.sampled_from(_PATH_FAULTS))
+def test_a_missing_or_unusable_path_exits_3(command, fault):
+    # generate writes the samples file rather than reading it
+    assume(not (command == "generate" and fault == "missing samples"))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--p", "3", "--r", "1", "--n", "30", "--run-dir", tmp]
+        if fault == "run dir is a file":
+            argv[-1] = str(Path(tmp, "file"))
+            Path(argv[-1]).write_text("")
+        elif fault == "missing config":
+            argv += ["--config", str(Path(tmp, "absent.json"))]
+        code, _, err = _run_main(argv)
+    assert code == 3
+    [line] = err.splitlines()
+    assert line.startswith("I/O error:")
