@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/converged, 2 invalid configuration, 3 I/O failure,
 4 numerical failure (including non-converged solves, unusable input data,
-and a cv grid in which every point has a fold whose fit did not converge).
+a floating-point overflow or invalid operation, and a cv grid in which every
+point has a fold whose fit did not converge).
 Every RunConfig field has one flag, of the field's type; a JSON config file
 may supply any subset, with explicit flags taking precedence.  The run
 directory defaults to $LSFA_RUN_DIR.
@@ -15,6 +16,8 @@ import json
 import math
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from .errors import ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError
 from .harness import (FIELD_TYPES, RunConfig, config_from_dict, run_compare, run_cv,
@@ -82,28 +85,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        if args.command == "generate":
-            run_generate(config)
-            return 0
-        if args.command == "solve":
-            solution = run_solve(config)
-            return 0 if solution.status == "converged" else 4
-        if args.command == "compare":
-            summary = run_compare(config)
-            return 0 if summary["ipm"]["status"] == "converged" else 4
-        if args.command == "cv":
-            result = run_cv(config)
-            # every grid point scored inf: each has a fold whose fit did not converge
-            return 0 if math.isfinite(result["best_score"]) else 4
-        raise ConfigError(f"unknown command {args.command!r}")
+        # an overflow or a non-finite result in floating point (an input of
+        # extreme magnitude) stops the run as a numerical failure instead of
+        # going on with non-finite numbers
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            config = config_from_args(args)
+            if args.command == "generate":
+                run_generate(config)
+                return 0
+            if args.command == "solve":
+                solution = run_solve(config)
+                return 0 if solution.status == "converged" else 4
+            if args.command == "compare":
+                summary = run_compare(config)
+                return 0 if summary["ipm"]["status"] == "converged" else 4
+            if args.command == "cv":
+                result = run_cv(config)
+                # every grid point scored inf: each has a fold whose fit did not converge
+                return 0 if math.isfinite(result["best_score"]) else 4
+            raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, InfeasiblePointError, NumericalBreakdownError) as exc:
+    except (DataError, InfeasiblePointError, NumericalBreakdownError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -13,7 +13,7 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -28,6 +28,10 @@ from .symbasis import SymmetricBasis
 from .trace import write_trace_csv
 
 RUN_DIR_ENV = "LSFA_RUN_DIR"
+# solver-parameter field -> the RunConfig field that sets it, where the names
+# differ; every other IpmParams and BaselineParams field has a RunConfig field
+# of its own name
+_RENAMED = {"epsilon": "eps", "max_iters": "bcd_max_iters", "step_ell": "bcd_step_ell"}
 
 
 @dataclass
@@ -80,12 +84,11 @@ class RunConfig:
         datagen.check_instance, the weights by ProblemData.check_weights, the
         solver parameters by the classes ipm_params() and baseline_params()
         build.  Checked here are the fields nothing else reads, and the three
-        those classes know by other names (epsilon, max_iters, step_ell), so
-        that the error names the field that was set.
+        those classes know by other names (_RENAMED), so that the error names
+        the field that was set.
         """
         require_positive(p=self.p, n=self.n, eta_rank=self.eta_rank, eta_supp=self.eta_supp,
-                         eps=self.eps, bcd_max_iters=self.bcd_max_iters,
-                         bcd_step_ell=self.bcd_step_ell)
+                         **{name: getattr(self, name) for name in _RENAMED.values()})
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
@@ -100,28 +103,15 @@ class RunConfig:
         self.baseline_params()
         return self
 
+    def _params(self, cls):
+        """An instance of the parameter class cls with every field read from this config."""
+        return cls(**{f.name: getattr(self, _RENAMED.get(f.name, f.name)) for f in fields(cls)})
+
     def ipm_params(self) -> IpmParams:
-        return IpmParams(
-            gamma=self.gamma,
-            delta=self.delta,
-            sigma=self.sigma,
-            beta=self.beta,
-            residual_tol=self.residual_tol,
-            max_inner_iters=self.max_inner_iters,
-            max_backtracks=self.max_backtracks,
-            tau0=self.tau0,
-            theta=self.theta,
-            epsilon=self.eps,
-        )
+        return self._params(IpmParams)
 
     def baseline_params(self) -> BaselineParams:
-        return BaselineParams(
-            gamma=self.gamma,
-            step_ell=self.bcd_step_ell,
-            residual_tol=self.residual_tol,
-            max_iters=self.bcd_max_iters,
-            max_backtracks=self.max_backtracks,
-        )
+        return self._params(BaselineParams)
 
     def path(self, name: str) -> str:
         return os.path.join(self.run_dir, name)
@@ -177,15 +167,6 @@ def read_matrix_csv(path) -> np.ndarray:
     if M.size == 0:
         raise DataError(f"{path} holds no numbers")
     return np.atleast_2d(M)
-
-
-def _l0_counts(S: np.ndarray, basis: SymmetricBasis) -> dict:
-    """Both sparsity counts: matrix entries (off-diagonal counted twice) and coordinates."""
-    coords = basis.mat_to_vec(S)
-    return {
-        "l0_matrix_entries": int(np.count_nonzero(S)),
-        "l0_coordinates": int(np.count_nonzero(coords)),
-    }
 
 
 def run_generate(config: RunConfig) -> dict:
@@ -251,7 +232,6 @@ def run_solve(config: RunConfig) -> Solution:
     write_matrix_csv(config.path("L_star.csv"), solution.L_star)
     write_matrix_csv(config.path("S_star.csv"), solution.S_star)
     write_trace_csv(solution.traces, config.path(config.trace_out))
-    basis = SymmetricBasis(problem.p)
     summary = {
         "status": solution.status,
         "outer_solves": solution.n_outer,
@@ -259,7 +239,9 @@ def run_solve(config: RunConfig) -> Solution:
         "final_tau": _json_number(solution.final_tau),
         "final_residual_normalized": _json_number(solution.final_residual_normalized),
         "rank_estimate": solution.rank_estimate,
-        **_l0_counts(solution.S_star, basis),
+        # sparsity: matrix entries (off-diagonal counted twice) and coordinates
+        "l0_matrix_entries": int(np.count_nonzero(solution.S_star)),
+        "l0_coordinates": int(np.count_nonzero(solution.s_star)),
     }
     print("solve summary:", json.dumps(summary))
     return solution
@@ -362,7 +344,7 @@ def run_cv(config: RunConfig) -> dict:
                     else:
                         fitted_cov = solution.L_star + solution.S_star
                         scores.append(gaussian_nll(samples[val_idx], fitted_cov))
-                except (DataError, np.linalg.LinAlgError):
+                except (DataError, np.linalg.LinAlgError, FloatingPointError):
                     scores.append(float("inf"))
             table.append({"C": C, "mu": mu, "score": float(np.mean(scores))})
 

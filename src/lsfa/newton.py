@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -317,7 +317,7 @@ def newton_direction(
     T: np.ndarray,
     barrier: BarrierObjective,
     grad: tuple[np.ndarray, np.ndarray] | None = None,
-    keep_floor: float | None = None,
+    keep_floor: float = 0.0,
 ) -> Direction:
     """Solve the reduced Newton system of size m + |T| by its Schur complement on s_T.
 
@@ -332,12 +332,12 @@ def newton_direction(
     factorization, and nonpositive curvature or no convergence in
     conjugate gradients, raise NumericalBreakdownError.
 
-    With a keep_floor (the prox's sqrt(2 gamma C)), the off-diagonal
-    coordinates D of T whose predicted value |s_i + d_i| falls below it
-    leave the working set in the same step: they join the held set with
-    d_D = -s_D, and one more pass re-solves on T \\ D with the solver
-    restricted to that set, which factors the principal block of the K
-    held for T or runs conjugate gradients on T \\ D.  The returned
+    The off-diagonal coordinates D of T whose predicted value |s_i + d_i|
+    falls below keep_floor (the prox's sqrt(2 gamma C); the default 0.0
+    drops nothing) leave the working set in the same step: they join the
+    held set with d_D = -s_D, and one more pass re-solves on T \\ D with
+    the solver restricted to that set, which factors the principal block of
+    the K held for T or runs conjugate gradients on T \\ D.  The returned
     Direction names the set it was solved on.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
@@ -346,20 +346,17 @@ def newton_direction(
     d_s[T] = 0.0
     for _ in range(1 if schur.iterative else 2):
         _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s)
-    if keep_floor is not None:
-        drop = iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor)
-        if drop.any():
-            d_s[T[drop]] = -iterate.s[T[drop]]
-            schur = schur.restrict(~drop)
-            _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s)
+    drop = iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor)
+    if drop.any():
+        d_s[T[drop]] = -iterate.s[T[drop]]
+        schur = schur.restrict(~drop)
+        _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s)
     return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=schur.T)
 
 
 def descent_safeguard(
     direction: Direction,
     g_s: np.ndarray,
-    s: np.ndarray,
-    T: np.ndarray,
     delta: float,
     gamma: float,
     *,
@@ -367,9 +364,10 @@ def descent_safeguard(
 ) -> bool:
     """True when <g_{s_T}, d_{s_T}> <= -delta ||d_s||^2 + ||s_{~T}||^2 / (4 gamma).
 
-    ||d_s|| is the norm of the full s-block of the direction, including the
-    off-T part.  That is the published test.  With g_ell it is the joint
-    test on the whole direction,
+    T is direction.T, and s_{~T} is read off the direction, which holds
+    d_{s_~T} = -s_{~T}.  ||d_s|| is the norm of the full s-block of the
+    direction, including the off-T part.  That is the published test.  With
+    g_ell it is the joint test on the whole direction,
 
         <g_ell, d_ell> + <g_{s_T}, d_{s_T}> <= -delta (||d_ell||^2 + ||d_s||^2)
                                                + ||s_{~T}||^2 / (4 gamma).
@@ -378,13 +376,14 @@ def descent_safeguard(
     compensates; with s_{~T} = 0 the joint slope of a Newton direction is
     -r^T K^-1 r < 0, so the joint test accepts them.
     """
-    Tbar = complement(T, len(s))
-    lhs = float(g_s[T] @ direction.d_s[T])
-    norm2 = float(direction.d_s @ direction.d_s)
+    T, d_s = direction.T, direction.d_s
+    held = d_s[complement(T, len(d_s))]
+    lhs = float(g_s[T] @ d_s[T])
+    norm2 = float(d_s @ d_s)
     if g_ell is not None:
         lhs += float(g_ell @ direction.d_ell)
         norm2 += float(direction.d_ell @ direction.d_ell)
-    rhs = -delta * norm2 + float(s[Tbar] @ s[Tbar]) / (4.0 * gamma)
+    rhs = -delta * norm2 + float(held @ held) / (4.0 * gamma)
     return lhs <= rhs
 
 
@@ -406,18 +405,18 @@ class LineSearchResult:
 def line_search(
     iterate: Iterate,
     direction: Direction,
-    T: np.ndarray,
     barrier: BarrierObjective,
     params: NewtonParams,
     grad: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LineSearchResult:
-    """Backtracking search over alpha = beta^v with the modified update.
+    """Backtracking search over alpha = beta^v with the modified update on T = direction.T.
 
-    A trial is accepted when h_tau(trial) <= h_tau + sigma alpha slope, or
-    when the same holds with C nnz(.) added to both sides.  The slope uses
-    the full concatenated gradient and direction, including the off-T block
-    that takes a unit step regardless of alpha.  Infeasible trial points
-    evaluate to +inf and fail both tests.
+    Each trial point moves s on T by alpha d_s and zeroes it off T.  It is
+    accepted when h_tau(trial) <= h_tau + sigma alpha slope, or when the
+    same holds with C nnz(.) added to both sides.  The slope uses the full
+    concatenated gradient and direction, including the off-T block that
+    takes a unit step regardless of alpha.  Infeasible trial points evaluate
+    to +inf and fail both tests.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     h0 = eval_h_tau(iterate, barrier)
@@ -425,7 +424,7 @@ def line_search(
     merit0 = h0 + C * np.count_nonzero(iterate.s)
     slope = float(g_ell @ direction.d_ell + g_s @ direction.d_s)
     in_T = np.zeros(iterate.basis.m, dtype=bool)
-    in_T[T] = True
+    in_T[direction.T] = True
 
     for v in range(params.max_backtracks + 1):
         alpha = params.beta**v
@@ -520,9 +519,10 @@ def solve_tau_min(
     the joint descent test rejects it; and line-searches along the result
     on the set the direction was solved on, zeroing the dropped coordinates
     at every alpha.  When no alpha passes, it searches the same direction
-    again with the dropped coordinates moving with alpha, toward zero at
-    alpha = 1: far from the solution a full-step prediction can name
-    coordinates whose removal no step size pays for.
+    again with its set widened back to the working set, so that the dropped
+    coordinates move with alpha, toward zero at alpha = 1: far from the
+    solution a full-step prediction can name coordinates whose removal no
+    step size pays for.
 
     Both the drop and the joint test deviate from the published rules,
     which drop nothing and test the s block alone: the s-block test rejects
@@ -535,21 +535,19 @@ def solve_tau_min(
 
     def newton_step(it, g, res):
         direction = newton_direction(it, res.T, barrier, grad=g, keep_floor=keep_floor)
-        if not descent_safeguard(direction, g[1], it.s, direction.T, params.delta, params.gamma,
-                                 g_ell=g[0]):
+        if not descent_safeguard(direction, g[1], params.delta, params.gamma, g_ell=g[0]):
             direction = fallback_direction(it, g[0], g[1], res.T)
-        moved = direction.T
-        ls = line_search(it, direction, moved, barrier, params, grad=g)
+        ls = line_search(it, direction, barrier, params, grad=g)
         rejected = ls.n_backtracks
-        if not ls.success and len(moved) < len(res.T):
+        if not ls.success and len(direction.T) < len(res.T):
             # zeroing the predicted drops at every alpha failed; let them
             # shrink with alpha instead, and the prox drop them later
-            moved = res.T
-            ls = line_search(it, direction, moved, barrier, params, grad=g)
+            direction = replace(direction, T=res.T)
+            ls = line_search(it, direction, barrier, params, grad=g)
             rejected = params.max_backtracks + 1 + ls.n_backtracks
         if not ls.success:
             return None
-        return ls.iterate, ls.alpha, direction.kind, len(moved), rejected
+        return ls.iterate, ls.alpha, direction.kind, len(direction.T), rejected
 
     return fixed_barrier_loop(init, barrier, newton_step, gamma=params.gamma,
                               residual_tol=params.residual_tol,

@@ -27,6 +27,7 @@ cross-check all formulas against central finite differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +170,6 @@ class Iterate:
         self.chol_L = _try_cholesky(self.L)
         self.chol_S = _try_cholesky(self.S)
         self.chol_sigma = _try_cholesky(self.sigma)
-        self._inv_L = None
-        self._inv_S = None
-        self._inv_sigma = None
         self._f: dict[ProblemData, float] = {}
         self._h: dict[tuple[ProblemData, float], float] = {}
 
@@ -203,26 +201,20 @@ class Iterate:
         self._require_feasible()
         return _logdet_from_chol(self.chol_sigma)
 
-    @property
+    @functools.cached_property
     def inv_L(self) -> np.ndarray:
         self._require_feasible()
-        if self._inv_L is None:
-            self._inv_L = _inv_from_chol(self.chol_L)
-        return self._inv_L
+        return _inv_from_chol(self.chol_L)
 
-    @property
+    @functools.cached_property
     def inv_S(self) -> np.ndarray:
         self._require_feasible()
-        if self._inv_S is None:
-            self._inv_S = _inv_from_chol(self.chol_S)
-        return self._inv_S
+        return _inv_from_chol(self.chol_S)
 
-    @property
+    @functools.cached_property
     def inv_sigma(self) -> np.ndarray:
         self._require_feasible()
-        if self._inv_sigma is None:
-            self._inv_sigma = _inv_from_chol(self.chol_sigma)
-        return self._inv_sigma
+        return _inv_from_chol(self.chol_sigma)
 
 
 def _smooth_f(L: np.ndarray, sigma: np.ndarray, chol_sigma: np.ndarray, problem: ProblemData) -> float:

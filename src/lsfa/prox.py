@@ -32,8 +32,7 @@ from .objective import BarrierObjective, Iterate, grad_h_tau
 
 def prox_l0_scalar(x: float, gamma: float, C: float) -> float:
     """Hard threshold a scalar at sqrt(2 gamma C); ties map to 0."""
-    require_positive(gamma=gamma, C=C)
-    return float(x) if abs(x) > np.sqrt(2.0 * gamma * C) else 0.0
+    return float(prox_l0_vec(x, gamma, C))
 
 
 def prox_l0_vec(x: np.ndarray, gamma: float, C: float) -> np.ndarray:

@@ -274,9 +274,9 @@ def test_criterion_8_structural_invariants(run_theta_05, run_theta_08, bcd_at_fi
         if res.norm_normalized <= params.residual_tol:
             break
         d = newton_direction(it, res.T, barrier, grad=g)
-        if not descent_safeguard(d, g[1], it.s, res.T, params.delta, params.gamma):
+        if not descent_safeguard(d, g[1], params.delta, params.gamma):
             d = fallback_direction(it, g[0], g[1], res.T)
-        ls = line_search(it, d, res.T, barrier, params, grad=g)
+        ls = line_search(it, d, barrier, params, grad=g)
         if not ls.success:
             problems.append("instrumented run: line search failed")
             break

@@ -87,6 +87,28 @@ def test_config_defaults_are_the_solver_defaults():
         assert defaults["eta_supp"].default == config.eta_supp
 
 
+def test_config_hands_each_setting_to_its_own_solver_field():
+    # distinct non-default values: delta and residual_tol share the default
+    # 1e-4, so only these tell a swap of the two from the right mapping
+    settings = dict(gamma=0.11, delta=2e-4, sigma=3e-4, beta=0.4, residual_tol=5e-4,
+                    max_inner_iters=61, max_backtracks=71, tau0=0.81, theta=0.91, eps=6e-6,
+                    bcd_step_ell=0.7, bcd_max_iters=81)
+    assert len(set(settings.values())) == len(settings)
+    config = RunConfig(**settings).validate()
+    ipm = config.ipm_params()
+    assert ipm == IpmParams(gamma=0.11, delta=2e-4, sigma=3e-4, beta=0.4, residual_tol=5e-4,
+                            max_inner_iters=61, max_backtracks=71, tau0=0.81, theta=0.91,
+                            epsilon=6e-6)
+    baseline = config.baseline_params()
+    assert baseline == BaselineParams(gamma=0.11, step_ell=0.7, residual_tol=5e-4, max_iters=81,
+                                      max_backtracks=71)
+    # and no setting is a default, so each value reached its field from the config
+    for params in (ipm, baseline):
+        defaults = type(params)(gamma=RunConfig.gamma)
+        for f in fields(params):
+            assert getattr(params, f.name) != getattr(defaults, f.name), f.name
+
+
 @pytest.mark.parametrize("name", ["C", "mu"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_config_validation_rejects_non_finite_weights(name, bad):
@@ -244,7 +266,6 @@ def test_cli_solve_non_finite_covariance_is_data_error(tmp_path, capsys):
     ("--samples", "1,2,3\n4,5\n"),
     ("--samples", ""),
 ], ids=["not-square", "not-symmetric", "ragged-rows", "empty"])
-@pytest.mark.filterwarnings("ignore:loadtxt")  # the empty file: "input contained no data"
 def test_cli_malformed_matrix_file_is_data_error(tmp_path, capsys, flag, text):
     (tmp_path / "m.csv").write_text(text)
     assert main(["solve", "--run-dir", str(tmp_path), flag, "m.csv"]) == 4

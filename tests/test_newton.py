@@ -205,9 +205,9 @@ def _interior_point_with_working_set(seed, p, n_off=None):
 
 
 def test_direction_without_keep_floor_is_the_refined_schur_solve():
-    # keep_floor=None is the plain direction on T: the coordinates off T held
-    # at -s, then two passes of the Schur solve on -g - H d, here written out,
-    # equal bit for bit
+    # the default keep_floor=0.0 drops nothing, so this is the plain direction
+    # on T: the coordinates off T held at -s, then two passes of the Schur
+    # solve on -g - H d, here written out, equal bit for bit
     for seed, p in [(40, 5), (41, 8)]:
         it, basis, barrier, T = _interior_point_with_working_set(seed, p)
         g_ell, g_s = grad_h_tau(it, barrier)
@@ -223,7 +223,7 @@ def test_direction_without_keep_floor_is_the_refined_schur_solve():
         np.testing.assert_array_equal(d.d_ell, d_ell)
         np.testing.assert_array_equal(d.d_s, d_s)
         np.testing.assert_array_equal(d.T, T)
-        # a floor nothing falls below changes nothing either
+        # passed explicitly, that floor changes nothing either
         d0 = newton_direction(it, T, barrier, keep_floor=0.0)
         np.testing.assert_array_equal(d0.d_ell, d_ell)
         np.testing.assert_array_equal(d0.d_s, d_s)
@@ -287,7 +287,7 @@ def test_factored_and_conjugate_gradient_sides_agree(monkeypatch):
     directions = {}
     for bound in (np.inf, 0):
         monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", bound)
-        directions[bound] = [newton_direction(it, T, barrier, keep_floor=k) for k in (None, floor)]
+        directions[bound] = [newton_direction(it, T, barrier, keep_floor=k) for k in (0.0, floor)]
     assert len(T) - len(directions[np.inf][1].T) >= 2
     for factored, cg in zip(directions[np.inf], directions[0]):
         np.testing.assert_array_equal(factored.T, cg.T)
@@ -324,24 +324,21 @@ def test_reduced_matrix_positive_definite():
 def test_safeguard_trivial_zero_direction():
     T = np.array([0, 1])
     d = Direction(d_ell=np.zeros(2), d_s=np.zeros(3), kind="newton", T=T)
-    assert descent_safeguard(d, g_s=np.ones(3), s=np.array([1.0, 2.0, 0.0]),
-                             T=T, delta=1e-4, gamma=0.5)
+    assert descent_safeguard(d, g_s=np.ones(3), delta=1e-4, gamma=0.5)
 
 
 def test_safeguard_steepest_descent_passes():
     g_s = np.array([1.0, -2.0, 0.0])
     T = np.array([0, 1])
     d = Direction(d_ell=np.zeros(1), d_s=-g_s, kind="newton", T=T)
-    s = np.array([1.0, 1.0, 0.0])
-    assert descent_safeguard(d, g_s, s, T=T, delta=1e-4, gamma=0.5)
+    assert descent_safeguard(d, g_s, delta=1e-4, gamma=0.5)
 
 
 def test_safeguard_rejects_ascent():
     g_s = np.array([1.0, -2.0, 0.0])
     T = np.array([0, 1])
     d = Direction(d_ell=np.zeros(1), d_s=g_s.copy(), kind="newton", T=T)
-    s = np.array([1.0, 1.0, 0.0])  # s off T is zero
-    assert not descent_safeguard(d, g_s, s, T=T, delta=1e-4, gamma=0.5)
+    assert not descent_safeguard(d, g_s, delta=1e-4, gamma=0.5)  # d_s off T, -s there, is zero
 
 
 def test_fallback_always_passes_safeguard_when_off_block_empty():
@@ -354,7 +351,7 @@ def test_fallback_always_passes_safeguard_when_off_block_empty():
         T = np.arange(basis.m)  # everything supported: s off T is empty
         d = fallback_direction(it, g_ell, g_s, T)
         for delta in (1e-4, 0.5, 1.0):
-            assert descent_safeguard(d, g_s, it.s, T, delta, gamma=0.5)
+            assert descent_safeguard(d, g_s, delta, gamma=0.5)
 
 
 def test_joint_safeguard_is_the_written_out_inequality():
@@ -366,10 +363,11 @@ def test_joint_safeguard_is_the_written_out_inequality():
         s = rng.standard_normal(m) * rng.uniform(0.0, 2.0)
         T = np.flatnonzero(rng.random(m) < 0.7)
         Tbar = complement(T, m)
+        d_s[Tbar] = -s[Tbar]  # a direction holds -s off its set
         d = Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=T)
         joint = (g_ell @ d_ell + g_s[T] @ d_s[T]
                  <= -delta * (d_ell @ d_ell + d_s @ d_s) + s[Tbar] @ s[Tbar] / (4 * gamma))
-        assert descent_safeguard(d, g_s, s, T, delta, gamma, g_ell=g_ell) == joint
+        assert descent_safeguard(d, g_s, delta, gamma, g_ell=g_ell) == joint
         outcomes.add(bool(joint))
     assert outcomes == {True, False}
 
@@ -383,8 +381,8 @@ def test_joint_safeguard_accepts_a_newton_direction_the_s_block_test_rejects():
         it = Iterate(it.ell, s_on_T, basis)
         g = grad_h_tau(it, barrier)
         d = newton_direction(it, T, barrier, grad=g)
-        assert descent_safeguard(d, g[1], it.s, T, 1e-4, 0.1, g_ell=g[0])
-        if not descent_safeguard(d, g[1], it.s, T, 1e-4, 0.1):
+        assert descent_safeguard(d, g[1], 1e-4, 0.1, g_ell=g[0])
+        if not descent_safeguard(d, g[1], 1e-4, 0.1):
             return
     pytest.fail("no seed where the s-block test rejects a Newton direction")
 
@@ -425,7 +423,7 @@ def test_line_search_zero_direction_accepts_immediately(small_instance):
     basis = small_instance["basis"]
     T = np.flatnonzero(root.s)
     d = Direction(d_ell=np.zeros(basis.m), d_s=np.zeros(basis.m), kind="newton", T=T)
-    ls = line_search(root, d, T, barrier, small_instance["params"])
+    ls = line_search(root, d, barrier, small_instance["params"])
     assert ls.success
     assert ls.alpha == 1.0
     assert ls.n_backtracks == 0
@@ -442,7 +440,7 @@ def test_line_search_rejects_cone_exit():
     T = np.array([0])
     d = fallback_direction(it, g_ell, g_s, T)
     params = NewtonParams(gamma=0.5)
-    ls = line_search(it, d, T, barrier, params)
+    ls = line_search(it, d, barrier, params)
     assert ls.success
     # the full step exits the cone (0.05 - g < 0), so backtracking happened
     assert ls.n_backtracks >= 1
@@ -466,7 +464,7 @@ def test_line_search_failure_reported():
     T = np.arange(basis.m)
     d = Direction(d_ell=g_ell.copy(), d_s=g_s.copy(), kind="newton", T=T)  # ascent
     params = NewtonParams(gamma=0.5, max_backtracks=20)
-    ls = line_search(it, d, T, barrier, params)
+    ls = line_search(it, d, barrier, params)
     assert not ls.success
     assert ls.iterate is None
 
@@ -492,8 +490,8 @@ def test_line_search_accepts_zeroing_paid_by_the_penalty():
     T = stationarity_residual(root, barrier, gamma, grad=g).T
     assert i not in T
     d = newton_direction(root, T, barrier, grad=g)
-    assert descent_safeguard(d, g[1], root.s, T, params.delta, gamma)
-    ls = line_search(root, d, T, barrier, params, grad=g)
+    assert descent_safeguard(d, g[1], params.delta, gamma)
+    ls = line_search(root, d, barrier, params, grad=g)
     assert ls.success and ls.iterate.s[i] == 0.0
     h0 = eval_h_tau(root, barrier)
     h1 = eval_h_tau(ls.iterate, barrier)
@@ -548,26 +546,25 @@ def test_solver_lets_predicted_drops_shrink_when_zeroing_them_fails(monkeypatch)
     init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check, basis)
     barrier = BarrierObjective(problem, tau=0.05)
     params = NewtonParams(gamma=0.1, residual_tol=1e-8)
-    searches = []  # (|set the direction was solved on|, |set searched|, success, backtracks)
+    searches = []  # (|set searched|, success, backtracks)
 
-    def spy(it, direction, T, *args, **kwargs):
-        result = line_search(it, direction, T, *args, **kwargs)
-        searches.append((len(direction.T), len(T), result.success, result.n_backtracks))
+    def spy(it, direction, *args, **kwargs):
+        result = line_search(it, direction, *args, **kwargs)
+        searches.append((len(direction.T), result.success, result.n_backtracks))
         return result
 
     monkeypatch.setattr(lsfa.newton, "line_search", spy)
     result = solve_tau_min(init, barrier, params)
     assert result.status == "converged"
     assert check_gamma_stationary(result.iterate, barrier, params.gamma, tol=1e-6).is_stationary
-    retried = [k for k in range(1, len(searches)) if not searches[k - 1][2]]
+    retried = [k for k in range(1, len(searches)) if not searches[k - 1][1]]
     assert retried
     for k in retried:
-        solved_on, first_set, _, _ = searches[k - 1]
-        assert first_set == solved_on < searches[k][1] and searches[k][2]
+        assert searches[k - 1][0] < searches[k][0] and searches[k][1]
     assert len(searches) == result.n_iters + len(retried)
     # the trace counts every trial rejected before the accepted one, in both passes
     rejected = [n + (params.max_backtracks + 1 if k in retried else 0)
-                for k, (_, _, success, n) in enumerate(searches) if success]
+                for k, (_, success, n) in enumerate(searches) if success]
     assert [row.n_backtracks for row in result.rows] == rejected
     assert any(n > params.max_backtracks for n in rejected)
 
@@ -603,7 +600,7 @@ def test_solver_keeps_diagonal_in_working_set():
     g = grad_h_tau(init, barrier)
     dropped = index_set_T(init.s, g[1], params.gamma, problem.C)
     d = fallback_direction(init, g[0], g[1], dropped)
-    assert not line_search(init, d, dropped, barrier, params, grad=g).success
+    assert not line_search(init, d, barrier, params, grad=g).success
     result = solve_tau_min(init, barrier, params)
     assert result.status == "converged"
     assert result.n_iters >= 1
@@ -664,9 +661,9 @@ def test_support_contained_in_working_set_each_step():
         if res.norm_normalized <= params.residual_tol:
             break
         d = newton_direction(it, res.T, barrier, grad=g)
-        if not descent_safeguard(d, g[1], it.s, res.T, params.delta, params.gamma):
+        if not descent_safeguard(d, g[1], params.delta, params.gamma):
             d = fallback_direction(it, g[0], g[1], res.T)
-        ls = line_search(it, d, res.T, barrier, params, grad=g)
+        ls = line_search(it, d, barrier, params, grad=g)
         assert ls.success
         assert set(np.flatnonzero(ls.iterate.s)) <= set(res.T)
         it = ls.iterate

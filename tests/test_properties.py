@@ -190,14 +190,17 @@ def test_a_bad_config_value_exits_2_naming_its_field(values, bad):
 # ---------- bad input files and paths ----------
 
 _FAULTS = ["none", "word", "non-finite", "ragged", "empty", "asymmetric", "indefinite", "bom",
-           "semicolons", "bytes"]
+           "semicolons", "bytes", "magnitude"]
 # a small solve, for the files that parse to a usable covariance
 _SMALL_SOLVE = ["--max-inner-iters", "10", "--eps", "0.1"]
 
 
 @st.composite
 def matrix_files(draw):
-    """The bytes of a CSV file: a positive-definite p x p matrix (p <= 3), or one broken in one way."""
+    """The bytes of a CSV file: a positive-definite p x p matrix (p <= 3), or one broken in one way.
+
+    A broken file may also be positive definite but of extreme magnitude.
+    """
     p = draw(st.integers(1, 3))
     A = np.array(draw(st.lists(st.integers(-3, 3), min_size=p * p, max_size=p * p))).reshape(p, p)
     cells = [[repr(float(x)) for x in row] for row in A @ A.T + p * np.eye(p)]
@@ -217,6 +220,10 @@ def matrix_files(draw):
         cells[i][(i + 1) % p] = repr(float(cells[i][(i + 1) % p]) + 0.5)
     elif fault == "indefinite":
         cells[i][i] = repr(-float(cells[i][i]))
+    elif fault == "magnitude":
+        # finite entries whose squares, inverses or differences overflow
+        scale = draw(st.sampled_from([1e-320, 1e-200, 1e100, 1e150, 1e300]))
+        cells = [[repr(float(x) * scale) for x in row] for row in cells]
     text = "\n".join((";" if fault == "semicolons" else ",").join(row) for row in cells)
     text += draw(st.sampled_from(["", "\n"]))
     return (b"\xef\xbb\xbf" if fault == "bom" else b"") + text.encode()
