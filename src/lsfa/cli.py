@@ -1,9 +1,12 @@
 """Command-line interface: generate, solve, compare, cv.
 
 Exit codes: 0 success/converged, 2 invalid configuration, 3 I/O failure,
-4 numerical failure (including non-converged solves, unusable input data,
-a floating-point overflow or invalid operation, and a cv grid in which every
-point has a fold whose fit did not converge).
+4 numerical failure: a non-converged solve, a cv grid in which every point
+has a fold whose fit did not converge, or an error in harness.FIT_FAILURES
+(unusable input data, a breakdown, a floating-point overflow or invalid
+operation).  The pipelines set the floating-point policy, so Python callers
+of run_* get FloatingPointError too; cv scores a fold that fails inf, and
+summaries print null for NaN and infinities.
 Every RunConfig field has one flag, of the field's type; a JSON config file
 may supply any subset, with explicit flags taking precedence.  The run
 directory defaults to $LSFA_RUN_DIR.
@@ -17,11 +20,9 @@ import math
 import sys
 from dataclasses import fields
 
-import numpy as np
-
-from .errors import ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError
-from .harness import (FIELD_TYPES, RunConfig, config_from_dict, run_compare, run_cv,
-                      run_generate, run_solve)
+from .errors import ConfigError
+from .harness import (FIELD_TYPES, FIT_FAILURES, RunConfig, config_from_dict, run_compare,
+                      run_cv, run_generate, run_solve)
 
 # fields whose flag is not the field name with '-' for '_'
 _FLAG_NAMES = {"samples_file": "samples", "covariance_file": "covariance"}
@@ -42,6 +43,18 @@ def _grid(text: str) -> tuple[float, ...]:
 
 # field type -> argparse converter; str fields keep the text as given
 _PARSERS = {int: int, float: float, tuple[float, ...]: _grid}
+# command -> (help, pipeline, whether the pipeline's result is a success)
+_COMMANDS = {
+    "generate": ("draw a synthetic instance and write samples plus ground truth",
+                 run_generate, lambda summary: True),
+    "solve": ("run the interior-point solver on a samples or covariance file",
+              run_solve, lambda solution: solution.status == "converged"),
+    "compare": ("run the interior-point solver and the first-order baseline",
+                run_compare, lambda summary: summary["ipm"]["status"] == "converged"),
+    # a finite best score: some grid point has every fold's fit converged
+    "cv": ("grid-search (C, mu) by k-fold held-out likelihood",
+           run_cv, lambda result: math.isfinite(result["best_score"])),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,13 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Low-rank plus sparse covariance estimation benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "generate": "draw a synthetic instance and write samples plus ground truth",
-        "solve": "run the interior-point solver on a samples or covariance file",
-        "compare": "run the interior-point solver and the first-order baseline",
-        "cv": "grid-search (C, mu) by k-fold held-out likelihood",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON file with RunConfig fields")
         for f in fields(RunConfig):
@@ -82,35 +89,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, pipeline, succeeded = _COMMANDS[args.command]
     try:
-        # an overflow or a non-finite result in floating point (an input of
-        # extreme magnitude) stops the run as a numerical failure instead of
-        # going on with non-finite numbers
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            config = config_from_args(args)
-            if args.command == "generate":
-                run_generate(config)
-                return 0
-            if args.command == "solve":
-                solution = run_solve(config)
-                return 0 if solution.status == "converged" else 4
-            if args.command == "compare":
-                summary = run_compare(config)
-                return 0 if summary["ipm"]["status"] == "converged" else 4
-            if args.command == "cv":
-                result = run_cv(config)
-                # every grid point scored inf: each has a fold whose fit did not converge
-                return 0 if math.isfinite(result["best_score"]) else 4
-            raise ConfigError(f"unknown command {args.command!r}")
+        return 0 if succeeded(pipeline(config_from_args(args))) else 4
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, InfeasiblePointError, NumericalBreakdownError, FloatingPointError) as exc:
+    except FIT_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, NumericalBreakdownError, require_positive
+from .objective import _logdet_from_chol
 
 
 @dataclass
@@ -114,9 +115,7 @@ def gaussian_kl(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
     chol_q = np.linalg.cholesky(cov_q)
     chol_p = np.linalg.cholesky(cov_p)
     trace_term = float(np.sum(scipy.linalg.cho_solve((chol_q, True), cov_p).diagonal()))
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
-    logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol_p))))
-    return 0.5 * (trace_term - p + logdet_q - logdet_p)
+    return 0.5 * (trace_term - p + _logdet_from_chol(chol_q) - _logdet_from_chol(chol_p))
 
 
 def recovery_metrics(solution, truth: GroundTruth) -> dict:

@@ -2,12 +2,14 @@
 
 File conventions: matrices are dense CSV, row-major, no header, 17
 significant digits (lossless for float64); traces carry a header row (see
-trace.py); summaries are JSON.  All outputs land in the run directory, taken
-from the LSFA_RUN_DIR environment variable unless overridden.
+trace.py); summaries are JSON, with null for NaN and infinities.  All outputs
+land in the run directory, taken from the LSFA_RUN_DIR environment variable
+unless overridden.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -17,13 +19,16 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
+import scipy.linalg
 
 from .baseline import BaselineParams, bcd_solve
 from .datagen import check_instance, generate_ground_truth, sample_observations
-from .errors import ConfigError, DataError, require_positive
+from .errors import (ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError,
+                     require_positive)
 from .ipm import ETA_RANK, ETA_SUPP, IpmParams, Solution, ipm_solve, sparse_init
 from .newton import NewtonParams
-from .objective import BarrierObjective, Iterate, ProblemData, sample_covariance
+from .objective import (BarrierObjective, Iterate, ProblemData, _logdet_from_chol,
+                        sample_covariance)
 from .symbasis import SymmetricBasis
 from .trace import write_trace_csv
 
@@ -32,6 +37,14 @@ RUN_DIR_ENV = "LSFA_RUN_DIR"
 # differ; every other IpmParams and BaselineParams field has a RunConfig field
 # of its own name
 _RENAMED = {"epsilon": "eps", "max_iters": "bcd_max_iters", "step_ell": "bcd_step_ell"}
+# every run_* raises FloatingPointError on an overflow or invalid operation (an
+# input of extreme magnitude) instead of going on with non-finite numbers;
+# ipm_solve and bcd_solve called directly follow the caller's numpy errstate
+_RAISE_ON_FP_ERROR = np.errstate(over="raise", invalid="raise", divide="raise")
+# the failures that leave no usable fit: the CLI exits 4 on them, run_cv
+# scores the fold inf
+FIT_FAILURES = (DataError, InfeasiblePointError, NumericalBreakdownError, FloatingPointError,
+                np.linalg.LinAlgError)
 
 
 @dataclass
@@ -169,6 +182,19 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.atleast_2d(M)
 
 
+def _emit_summary(label: str, summary: dict, path: str | None = None) -> None:
+    """Print `label: <summary>` as one line of JSON, and write it indented to path if given.
+
+    JSON holds no NaN or infinity: each, at any depth, is written as null.
+    """
+    summary = json.loads(json.dumps(summary), parse_constant=lambda _: None)
+    if path is not None:
+        with open(path, "w") as fh:
+            json.dump(summary, fh, indent=2, allow_nan=False)
+    print(f"{label}:", json.dumps(summary, allow_nan=False))
+
+
+@_RAISE_ON_FP_ERROR
 def run_generate(config: RunConfig) -> dict:
     """Draw an instance and write samples plus ground-truth matrices."""
     config.validate()
@@ -189,7 +215,7 @@ def run_generate(config: RunConfig) -> dict:
         "seed": config.seed,
         "samples_file": config.path(config.samples_file),
     }
-    print("generated instance:", json.dumps(summary))
+    _emit_summary("generated instance", summary)
     return summary
 
 
@@ -206,11 +232,6 @@ def load_problem(config: RunConfig) -> ProblemData:
         raise DataError(f"cannot use the covariance from {source!r}: {exc}") from exc
 
 
-def _json_number(x: float) -> float | None:
-    """x, or None (JSON null) for NaN and infinities, which JSON cannot hold."""
-    return x if math.isfinite(x) else None
-
-
 def _fit(config: RunConfig, problem: ProblemData) -> tuple[tuple[np.ndarray, np.ndarray], Solution]:
     """The pipelines' fit: the sparse start and the interior-point solve from it.
 
@@ -223,6 +244,7 @@ def _fit(config: RunConfig, problem: ProblemData) -> tuple[tuple[np.ndarray, np.
                             eta_supp=config.eta_supp)
 
 
+@_RAISE_ON_FP_ERROR
 def run_solve(config: RunConfig) -> Solution:
     """Full interior-point solve; writes solution matrices and the trace."""
     config.validate()
@@ -236,17 +258,18 @@ def run_solve(config: RunConfig) -> Solution:
         "status": solution.status,
         "outer_solves": solution.n_outer,
         "inner_iterations": solution.n_inner_total,
-        "final_tau": _json_number(solution.final_tau),
-        "final_residual_normalized": _json_number(solution.final_residual_normalized),
+        "final_tau": solution.final_tau,
+        "final_residual_normalized": solution.final_residual_normalized,
         "rank_estimate": solution.rank_estimate,
         # sparsity: matrix entries (off-diagonal counted twice) and coordinates
         "l0_matrix_entries": int(np.count_nonzero(solution.S_star)),
         "l0_coordinates": int(np.count_nonzero(solution.s_star)),
     }
-    print("solve summary:", json.dumps(summary))
+    _emit_summary("solve summary", summary)
     return solution
 
 
+@_RAISE_ON_FP_ERROR
 def run_compare(config: RunConfig) -> dict:
     """IPM vs the first-order baseline on the identical instance.
 
@@ -291,9 +314,7 @@ def run_compare(config: RunConfig) -> dict:
             "final_residual_normalized": bcd_result.residual.norm_normalized,
         },
     }
-    with open(config.path("summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-    print("compare summary:", json.dumps(summary))
+    _emit_summary("compare summary", summary, config.path("summary.json"))
     return summary
 
 
@@ -301,13 +322,13 @@ def gaussian_nll(samples: np.ndarray, cov: np.ndarray) -> float:
     """Mean negative log-likelihood of zero-mean Gaussian samples under cov."""
     p = cov.shape[0]
     chol = np.linalg.cholesky(cov)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     # y' cov^{-1} y via triangular solve, averaged over rows
-    z = np.linalg.solve(chol, samples.T)
+    z = scipy.linalg.solve_triangular(chol, samples.T, lower=True)
     quad = float(np.mean(np.sum(z * z, axis=0)))
-    return 0.5 * (quad + logdet + p * math.log(2.0 * math.pi))
+    return 0.5 * (quad + _logdet_from_chol(chol) + p * math.log(2.0 * math.pi))
 
 
+@_RAISE_ON_FP_ERROR
 def run_cv(config: RunConfig) -> dict:
     """K-fold grid search over (C, mu) scored by held-out Gaussian NLL."""
     config.validate()
@@ -333,19 +354,16 @@ def run_cv(config: RunConfig) -> dict:
             for k in range(config.folds):
                 val_idx = fold_ids[k]
                 train_idx = np.concatenate([fold_ids[j] for j in range(config.folds) if j != k])
-                try:
+                # a grid point whose fit fails, aborts or stalls is not a usable
+                # configuration; rank it behind every fit that completed its
+                # barrier schedule
+                score = math.inf
+                with contextlib.suppress(*FIT_FAILURES):
                     problem = ProblemData(sample_covariance(samples[train_idx]), C=C, mu=mu)
                     _, solution = _fit(config, problem)
-                    if solution.status != "converged":
-                        # a grid point whose fit aborts or stalls is not a
-                        # usable configuration; rank it behind every fit that
-                        # completed its barrier schedule
-                        scores.append(float("inf"))
-                    else:
-                        fitted_cov = solution.L_star + solution.S_star
-                        scores.append(gaussian_nll(samples[val_idx], fitted_cov))
-                except (DataError, np.linalg.LinAlgError, FloatingPointError):
-                    scores.append(float("inf"))
+                    if solution.status == "converged":
+                        score = gaussian_nll(samples[val_idx], solution.L_star + solution.S_star)
+                scores.append(score)
             table.append({"C": C, "mu": mu, "score": float(np.mean(scores))})
 
     best = min(table, key=lambda row: row["score"])
@@ -354,8 +372,6 @@ def run_cv(config: RunConfig) -> dict:
         fh.write("C,mu,score\n")
         for row in table:
             fh.write(f"{row['C']:.17g},{row['mu']:.17g},{row['score']:.17g}\n")
-    result = {"best_C": best["C"], "best_mu": best["mu"], "best_score": best["score"],
-              "table": table}
-    print("cv result:", json.dumps({"best_C": best["C"], "best_mu": best["mu"],
-                                    "best_score": _json_number(best["score"])}))
-    return result
+    result = {"best_C": best["C"], "best_mu": best["mu"], "best_score": best["score"]}
+    _emit_summary("cv result", result)
+    return {**result, "table": table}

@@ -117,7 +117,6 @@ class ProblemData:
                 "variables, or degenerate data); it must be invertible"
             )
         self.sigma_check = S
-        self.sigma_check_chol = chol
         self.sigma_check_inv = _inv_from_chol(chol)
         self.C = float(C)
         self.mu = float(mu)
@@ -195,11 +194,6 @@ class Iterate:
     def logdet_S(self) -> float:
         self._require_feasible()
         return _logdet_from_chol(self.chol_S)
-
-    @property
-    def logdet_sigma(self) -> float:
-        self._require_feasible()
-        return _logdet_from_chol(self.chol_sigma)
 
     @functools.cached_property
     def inv_L(self) -> np.ndarray:

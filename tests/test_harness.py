@@ -2,12 +2,14 @@ import argparse
 import inspect
 import json
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lsfa.newton
 from lsfa import (BaselineParams, ConfigError, IpmParams, TraceRow, ipm_solve, read_trace_csv,
                   recover_solution, write_trace_csv)
 from lsfa.cli import build_parser, main
@@ -19,6 +21,7 @@ from lsfa.harness import (
     read_matrix_csv,
     run_cv,
     run_generate,
+    run_solve,
     write_matrix_csv,
 )
 
@@ -240,6 +243,17 @@ def test_cli_cv_without_a_converged_fit_exits_numerical(small_run_dir, capsys):
                  "--c-grid", "0.5", "--mu-grid", "10", "--folds", "2"]) == 0
 
 
+def test_run_solve_raises_on_overflow_when_called_from_python(tmp_path):
+    # the pipeline, not only the CLI, stops at the first overflow instead of
+    # running to the iteration cap on non-finite numbers
+    write_matrix_csv(tmp_path / "big.csv", np.array([[1e100]]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError):
+            run_solve(RunConfig(run_dir=str(tmp_path), covariance_file="big.csv"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_cli_solve_missing_input_is_io_error(tmp_path):
     assert main(["solve", "--run-dir", str(tmp_path)]) == 3
 
@@ -354,6 +368,18 @@ def test_cli_compare_outputs(small_run_dir):
     assert summary["baseline_tau"] == ipm_rows[-1].tau
 
 
+def test_cli_compare_empty_schedule_writes_strict_json(small_run_dir, capsys):
+    # the empty schedule's residual is NaN: null on stdout and in summary.json
+    code = main(["compare", *SMALL, "--run-dir", str(small_run_dir), "--tau0", "1e-7",
+                 "--eps", "1e-6", "--bcd-max-iters", "20"])
+    assert code == 4
+    printed = _strict_json(capsys.readouterr().out.split("compare summary:")[1].splitlines()[0])
+    written = _strict_json((small_run_dir / "summary.json").read_text())
+    assert printed == written
+    assert written["ipm"]["status"] == "empty-schedule"
+    assert written["ipm"]["final_residual_normalized"] is None
+
+
 # ---------- cv ----------
 
 def test_cv_single_point_grid(small_run_dir):
@@ -386,6 +412,20 @@ def test_cv_does_not_stall_at_the_seed_11_mu_300_point(tmp_path):
     run_generate(cfg)
     result = run_cv(cfg)
     assert np.isfinite(result["best_score"])
+
+
+def test_cli_cv_scores_a_fold_that_breaks_down_inf(small_run_dir, capsys, monkeypatch):
+    # conjugate gradients on a Schur complement with negative curvature raise
+    # NumericalBreakdownError in every fit; each fold is scored, not the run aborted
+    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
+    monkeypatch.setattr(lsfa.newton._SchurComplement, "_product", lambda self, x: -x)
+    code = main(["cv", *SMALL, "--run-dir", str(small_run_dir), "--c-grid", "0.25,0.5",
+                 "--mu-grid", "10", "--folds", "2"])
+    assert code == 4
+    result = _strict_json(capsys.readouterr().out.split("cv result:")[1].splitlines()[0])
+    assert result["best_score"] is None
+    lines = (small_run_dir / "cv_scores.csv").read_text().strip().splitlines()
+    assert lines[1:] == ["0.25,10,inf", "0.5,10,inf"]
 
 
 def test_cv_warns_on_small_folds(small_run_dir):
