@@ -4,9 +4,10 @@ Exit codes: 0 success/converged, 2 invalid configuration, 3 I/O failure,
 4 numerical failure: a non-converged solve, a cv grid in which every point
 has a fold whose fit did not converge, or an error in harness.FIT_FAILURES
 (unusable input data, a breakdown, a floating-point overflow or invalid
-operation).  The pipelines set the floating-point policy, so Python callers
-of run_* get FloatingPointError too; cv scores a fold that fails inf, and
-summaries print null for NaN and infinities.
+operation), reported on one line naming the command and its input.  The
+pipelines set the floating-point policy, so Python callers of run_* get
+FloatingPointError too; cv scores a fold that fails inf, and summaries print
+null for NaN and infinities.
 Every RunConfig field has one flag, of the field's type; a JSON config file
 may supply any subset, with explicit flags taking precedence.  The run
 directory defaults to $LSFA_RUN_DIR.
@@ -43,17 +44,21 @@ def _grid(text: str) -> tuple[float, ...]:
 
 # field type -> argparse converter; str fields keep the text as given
 _PARSERS = {int: int, float: float, tuple[float, ...]: _grid}
-# command -> (help, pipeline, whether the pipeline's result is a success)
+# command -> (help, pipeline, whether the pipeline's result is a success,
+#             the input it reads, which the exit-4 line names)
 _COMMANDS = {
     "generate": ("draw a synthetic instance and write samples plus ground truth",
-                 run_generate, lambda summary: True),
+                 run_generate, lambda summary: True,
+                 lambda config: f"the instance drawn from seed {config.seed}"),
     "solve": ("run the interior-point solver on a samples or covariance file",
-              run_solve, lambda solution: solution.status == "converged"),
+              run_solve, lambda solution: solution.status == "converged", RunConfig.problem_file),
     "compare": ("run the interior-point solver and the first-order baseline",
-                run_compare, lambda summary: summary["ipm"]["status"] == "converged"),
+                run_compare, lambda summary: summary["ipm"]["status"] == "converged",
+                RunConfig.problem_file),
     # a finite best score: some grid point has every fold's fit converged
     "cv": ("grid-search (C, mu) by k-fold held-out likelihood",
-           run_cv, lambda result: math.isfinite(result["best_score"])),
+           run_cv, lambda result: math.isfinite(result["best_score"]),
+           lambda config: config.path(config.samples_file)),
 }
 
 
@@ -63,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Low-rank plus sparse covariance estimation benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
+    for name, (help_text, *_) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON file with RunConfig fields")
         for f in fields(RunConfig):
@@ -90,9 +95,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _, pipeline, succeeded = _COMMANDS[args.command]
+    _, pipeline, succeeded, reads = _COMMANDS[args.command]
     try:
-        return 0 if succeeded(pipeline(config_from_args(args))) else 4
+        config = config_from_args(args)
+        return 0 if succeeded(pipeline(config)) else 4
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -100,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     except FIT_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: lsfa {args.command} on {reads(config)}: {exc}", file=sys.stderr)
         return 4
 
 

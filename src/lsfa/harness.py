@@ -129,6 +129,10 @@ class RunConfig:
     def path(self, name: str) -> str:
         return os.path.join(self.run_dir, name)
 
+    def problem_file(self) -> str:
+        """The file load_problem reads: the covariance file if one is set, else the samples."""
+        return self.path(self.covariance_file or self.samples_file)
+
 
 # field name -> declared type: int, float, str, str | None or tuple[float, ...]
 FIELD_TYPES = get_type_hints(RunConfig)
@@ -221,12 +225,10 @@ def run_generate(config: RunConfig) -> dict:
 
 def load_problem(config: RunConfig) -> ProblemData:
     """Build ProblemData from the configured covariance or samples file."""
-    source = config.covariance_file or config.samples_file
+    source = config.problem_file()
     try:
-        if config.covariance_file is not None:
-            sigma = read_matrix_csv(config.path(config.covariance_file))
-        else:
-            sigma = sample_covariance(read_matrix_csv(config.path(config.samples_file)))
+        matrix = read_matrix_csv(source)
+        sigma = matrix if config.covariance_file is not None else sample_covariance(matrix)
         return ProblemData(sigma, C=config.C, mu=config.mu)
     except DataError as exc:
         raise DataError(f"cannot use the covariance from {source!r}: {exc}") from exc

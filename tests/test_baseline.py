@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,10 +14,14 @@ from lsfa import (
     SymmetricBasis,
     TraceRow,
     bcd_solve,
+    default_init,
+    eval_h_tau,
     grad_h_tau,
     prox_l0_vec,
     stationarity_residual,
 )
+from lsfa.baseline import outside_cone, pencil_top
+from lsfa.newton import fixed_barrier_loop
 from conftest import random_spd
 
 
@@ -105,21 +111,109 @@ def test_bcd_trace_schema_matches_newton(bcd_run):
     assert result.rows[-1].inner_iter == len(result.rows)
 
 
-def test_bcd_n_backtracks_counts_rejected_trials(monkeypatch):
-    # a step builds its rejected trials plus one accepted trial per block
-    rng = np.random.default_rng(52)
-    problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
-    basis = SymmetricBasis(4)
-    init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check, basis)
-    trials = []
-    monkeypatch.setattr(lsfa.baseline, "Iterate", lambda *args: trials.append(args) or Iterate(*args))
-    result = bcd_solve(init, BarrierObjective(problem, 0.1), BaselineParams(gamma=0.1, max_iters=30))
-    assert all(row.step_alpha > 0 for row in result.rows)
+def _every_trial_bcd_solve(init, barrier, params):
+    """bcd_solve with every ell trial built and evaluated, none skipped (the oracle)."""
+    basis, C = init.basis, barrier.problem.C
+
+    def step(it, g, res):
+        h_here = eval_h_tau(it, barrier)
+        g_ell = g[0]
+        slope = float(g_ell @ g_ell)
+        it_mid, h_mid, accepted_t, rejected = it, h_here, 0.0, 0
+        if slope > 0:
+            t = params.step_ell
+            for _ in range(params.max_backtracks + 1):
+                trial = Iterate(it.ell - t * g_ell, it.s, basis)
+                h_trial = eval_h_tau(trial, barrier)
+                if h_trial <= h_here - lsfa.baseline._ARMIJO_SLOPE * t * slope:
+                    it_mid, h_mid, accepted_t = trial, h_trial, t
+                    break
+                t *= 0.5
+                rejected += 1
+        g_s_mid = grad_h_tau(it_mid, barrier)[1]
+        gp = params.gamma
+        for _ in range(params.max_backtracks + 1):
+            trial = Iterate(it_mid.ell, prox_l0_vec(it_mid.s - gp * g_s_mid, gp, C), basis)
+            if eval_h_tau(trial, barrier) <= h_mid:
+                return trial, accepted_t, "bcd", len(res.T), rejected
+            gp *= 0.5
+            rejected += 1
+        return it_mid, accepted_t, "bcd", len(res.T), rejected
+
+    return fixed_barrier_loop(init, barrier, step, gamma=params.gamma,
+                              residual_tol=params.residual_tol, max_iters=params.max_iters)
+
+
+def _trace_values(rows):
+    return [{k: v for k, v in dataclasses.asdict(row).items() if k != "wall_time_ns"} for row in rows]
+
+
+def _assert_matches_every_trial_oracle(monkeypatch, problem, tau, L0, S0):
+    """bcd_solve against the oracle on 30 iterations; returns the number of trials it skipped."""
+    barrier = BarrierObjective(problem, tau)
+    init = Iterate.from_matrices(L0, S0, SymmetricBasis(problem.p))
+    params = BaselineParams(gamma=0.1, max_iters=30)
+    expected = _every_trial_bcd_solve(init, barrier, params)
+    built = []
+    monkeypatch.setattr(lsfa.baseline, "Iterate", lambda *args: built.append(args) or Iterate(*args))
+    result = bcd_solve(init, barrier, params)
+    # the same iterates, trace values and rejection counts as building every trial
+    assert _trace_values(result.rows) == _trace_values(expected.rows)
+    assert np.array_equal(result.iterate.ell, expected.iterate.ell)
+    assert np.array_equal(result.iterate.s, expected.iterate.s)
+    assert result.status == expected.status
     backtracks = [row.n_backtracks for row in result.rows]
-    assert len(trials) == sum(backtracks) + 2 * result.n_iters
     assert max(backtracks) > 0
     # the ell step's halvings alone give alpha = step_ell / 2^halvings
+    assert all(row.step_alpha > 0 for row in result.rows)
     assert all(row.step_alpha >= 0.5**row.n_backtracks for row in result.rows)
+    # a step builds its rejected trials plus one accepted trial per block,
+    # less the trials it skipped outside the cone
+    n_skipped = sum(backtracks) + 2 * result.n_iters - len(built)
+    assert n_skipped > 0
+    return n_skipped
+
+
+def test_bcd_n_backtracks_counts_rejected_trials(monkeypatch):
+    rng = np.random.default_rng(52)
+    problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
+    _assert_matches_every_trial_oracle(monkeypatch, problem, 0.1,
+                                       0.5 * problem.sigma_check, 0.5 * problem.sigma_check)
+
+
+def test_bcd_skips_most_trials_at_a_small_barrier_level(monkeypatch):
+    # from default_init at tau ~ 2e-6, nearly every ell halving leaves the cone
+    rng = np.random.default_rng(54)
+    problem = ProblemData(random_spd(rng, 10, shift=2.0), C=0.5, mu=10.0)
+    n_skipped = _assert_matches_every_trial_oracle(monkeypatch, problem, 0.5 * 0.5**18,
+                                                   *default_init(problem))
+    assert n_skipped > 200
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "negative-definite"])
+def test_trials_outside_the_cone_fail_cholesky(kind):
+    rng = np.random.default_rng(55)
+    p = 8
+    L = random_spd(rng, p, shift=1.0)
+    B = rng.standard_normal((p, p))
+    G = 20.0 * (B + B.T) if kind == "indefinite" else -random_spd(rng, p, shift=1.0)
+    top = pencil_top(L, G)
+    # the step's halvings from step_ell = 1, and two points just past the bound
+    ts = [0.5**k for k in range(51)]
+    if top > 0:
+        ts += [(1 + 1e-7) / top, (1 + 1e-3) / top]
+    skipped = [t for t in ts if outside_cone(t, top)]
+    for t in skipped:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(L - t * G)
+    if kind == "negative-definite":
+        # L - t G is PD for every t >= 0: nothing is skipped
+        assert top <= 0 and not skipped
+    else:
+        assert len(skipped) > 2
+        # just inside the bound the trial is built, and its L is PD
+        np.linalg.cholesky(L - (1 - 1e-8) / top * G)
+        assert not outside_cone((1 - 1e-8) / top, top)
 
 
 def test_bcd_rejects_infeasible_init():

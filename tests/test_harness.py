@@ -254,6 +254,14 @@ def test_run_solve_raises_on_overflow_when_called_from_python(tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_cli_numerical_failure_names_the_command_and_the_file(tmp_path, capsys):
+    # an overflow deep in the solve still says which run and which input failed
+    write_matrix_csv(tmp_path / "big.csv", np.array([[1e300]]))
+    assert main(["solve", "--run-dir", str(tmp_path), "--covariance", "big.csv"]) == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"numerical failure: lsfa solve on {tmp_path / 'big.csv'}: ")
+
+
 def test_cli_solve_missing_input_is_io_error(tmp_path):
     assert main(["solve", "--run-dir", str(tmp_path)]) == 3
 
