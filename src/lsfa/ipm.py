@@ -53,7 +53,8 @@ class Solution:
     rank_estimate: int
     support: np.ndarray  # boolean p x p mask of the nonzero entries of S_star
     traces: list[TraceRow] = field(default_factory=list)
-    status: str = "converged"  # or "iteration-cap", "line-search-failure", "empty-schedule"
+    # or "iteration-cap" (a level capped or stalled), "line-search-failure", "empty-schedule"
+    status: str = "converged"
     n_outer: int = 0
     n_inner_total: int = 0
     final_tau: float = np.nan
@@ -96,8 +97,10 @@ def sparse_init(problem: ProblemData, params: IpmParams) -> tuple[np.ndarray, np
     The solve's last iterate is returned whatever its status, since every
     iterate is strictly feasible.  When gamma_start exceeds the inverse
     curvature of the fit (mu = 300 on the default instance), coordinates
-    enter below the keep floor and leave again, and the solve ends in a
-    line-search failure or at the iteration cap instead of converging.
+    enter below the keep floor and leave again, so the solve cannot
+    converge: it ends "stalled" once its iterates repeat (a cycle, returned
+    at its lowest-merit point, or steps that no longer move), or in a
+    line-search failure.
     """
     sigma = problem.sigma_check
     scale = np.sqrt(np.diag(sigma))
@@ -243,8 +246,10 @@ def ipm_solve(
     the previous solution, and only that solve's trace rows are kept.
 
     A line-search failure in an inner solve aborts the loop and propagates
-    in the status together with the partial trace; an inner iteration cap
-    is recorded but the outer loop continues.  When tau0 <= epsilon the
+    in the status together with the partial trace.  An inner iteration cap,
+    or an inner solve that stalled (its iterates settled into a cycle or
+    stopped moving short of the residual rule), is recorded as
+    "iteration-cap" and the outer loop continues.  When tau0 <= epsilon the
     schedule is empty: no solve runs, the initial matrices come back with
     status "empty-schedule", final_tau is tau0 and the residual is NaN.
     """
@@ -282,7 +287,7 @@ def ipm_solve(
 
     if "line-search-failure" in statuses:
         status = "line-search-failure"
-    elif "iteration-cap" in statuses:
+    elif "iteration-cap" in statuses or "stalled" in statuses:
         status = "iteration-cap"
     else:
         status = "converged"

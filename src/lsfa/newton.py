@@ -48,6 +48,7 @@ oracle.
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -442,10 +443,46 @@ class InnerSolveResult:
     """Outcome of one fixed-barrier solve."""
 
     iterate: Iterate
-    status: str  # "converged" | "iteration-cap" | "line-search-failure"
+    status: str  # "converged" | "iteration-cap" | "line-search-failure" | "stalled"
     rows: list[TraceRow] = field(default_factory=list)
     n_iters: int = 0
     residual: StationarityResidual | None = None
+
+
+# A solve has settled when an accepted iterate repeats one of the last
+# SETTLE_WINDOW accepted iterates: the same support, and h_tau and the
+# normalized residual equal to SETTLE_RTOL relative.  F = 0 is then out of
+# reach at this gamma, since the prox brings in coordinates that the keep
+# floor pins at zero or drops again, and further steps cycle or stand still.
+# Measured on cv_p20's C=1 sparse starts (seed 7): fold 0 settles into a
+# period-3 orbit (supports 30/29/29) by step ~30 and repeats h_tau bit for
+# bit until the 200-step cap; fold 1 stops moving at step 13, and then takes
+# steps at alpha 1e-11 to 4e-15 with h_tau and the residual unchanged.  A
+# looser rule, the same support with h_tau no lower, fires while Newton still
+# converges: near a root, where h_tau stops falling at rounding level while
+# the residual still falls, and on a 45 -> 44 -> 45 support transient that
+# raises h_tau at level 5 of the p=10 fit of generator seed 4 (mu=300),
+# which then converges in 14 steps.
+SETTLE_WINDOW = 3
+SETTLE_RTOL = 1e-8
+
+
+def _settled(recent: list[tuple[np.ndarray, TraceRow]], support: np.ndarray, row: TraceRow,
+             C: float) -> bool:
+    """Whether the step to `row` repeats one of `recent` and ends at their lowest merit.
+
+    `recent` holds the support mask and trace row of the previous accepted
+    steps.  Stopping only where the penalized merit h_tau + C nnz(s) is no
+    higher than at any of them returns an orbit's lowest-merit point,
+    whichever phase the repeat was first seen at.
+    """
+    repeats = any(np.array_equal(support, mask)
+                  and math.isclose(row.objective_h_tau, prev.objective_h_tau, rel_tol=SETTLE_RTOL)
+                  and math.isclose(row.residual_normalized, prev.residual_normalized,
+                                   rel_tol=SETTLE_RTOL)
+                  for mask, prev in recent)
+    merit = row.objective_h_tau + C * row.support_size
+    return repeats and all(merit <= prev.objective_h_tau + C * prev.support_size for _, prev in recent)
 
 
 def fixed_barrier_loop(
@@ -458,6 +495,7 @@ def fixed_barrier_loop(
     residual_tol: float,
     max_iters: int,
     outer_index: int = 0,
+    stop_when_settled: bool = False,
 ) -> InnerSolveResult:
     """Take `step` from a strictly feasible `init` until the residual rule fires.
 
@@ -471,10 +509,15 @@ def fixed_barrier_loop(
     residual rule, ||F|| / sqrt(2m) <= residual_tol at the prox stepsize
     gamma ("converged"), is tested after each step, so every solve takes at
     least one: a warm start that already meets the rule is still corrected
-    once, and every barrier level leaves a trace row.  The loop also stops
-    after max_iters steps ("iteration-cap"), or when the step returns None
-    ("line-search-failure").  Each accepted step appends one trace row
-    stamped with `outer_index` and the barrier level.
+    once, and every barrier level leaves a trace row.  With
+    `stop_when_settled`, the loop stops ("stalled") at the first step that
+    repeats one of the last SETTLE_WINDOW accepted iterates (same support,
+    h_tau and residual) at a penalized merit no higher than theirs: a cycle
+    ends on its lowest-merit point, and steps that no longer move end at
+    once.  The loop also stops after max_iters steps ("iteration-cap"), or
+    when the step returns None ("line-search-failure").  Each accepted step
+    appends one trace row stamped with `outer_index` and the barrier level,
+    and the returned iterate is always the last row's.
     """
     if not init.is_strictly_feasible:
         raise InfeasiblePointError("fixed-barrier solve requires a strictly feasible starting point")
@@ -483,6 +526,7 @@ def fixed_barrier_loop(
     g = grad_h_tau(it, barrier)
     res = stationarity_residual(it, barrier, gamma, grad=g)
     rows: list[TraceRow] = []
+    recent: list[tuple[np.ndarray, TraceRow]] = []  # the last SETTLE_WINDOW (support, row)
     while True:
         taken = step(it, g, res)
         if taken is None:
@@ -491,13 +535,20 @@ def fixed_barrier_loop(
         it, alpha, kind, working_set_size, n_backtracks = taken
         g = grad_h_tau(it, barrier)
         res = stationarity_residual(it, barrier, gamma, grad=g)
-        rows.append(TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=len(rows) + 1,
-                                      residual_normalized=res.norm_normalized,
-                                      working_set_size=working_set_size, step_alpha=alpha,
-                                      n_backtracks=n_backtracks, direction_kind=kind))
+        row = TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=len(rows) + 1,
+                                residual_normalized=res.norm_normalized,
+                                working_set_size=working_set_size, step_alpha=alpha,
+                                n_backtracks=n_backtracks, direction_kind=kind)
+        rows.append(row)
         if res.norm_normalized <= residual_tol:
             status = "converged"
             break
+        if stop_when_settled:
+            support = it.s != 0
+            if _settled(recent, support, row, barrier.problem.C):
+                status = "stalled"
+                break
+            recent = [*recent[1 - SETTLE_WINDOW:], (support, row)]
         if len(rows) >= max_iters:
             status = "iteration-cap"
             break
@@ -530,6 +581,12 @@ def solve_tau_min(
     without the drop a step overshoots to below the optimum on the smaller
     support, so that h_tau must rise when the prox later drops the
     coordinate.
+
+    The solve ends "stalled" once its iterates have settled into a cycle or
+    stopped moving (see fixed_barrier_loop): where the prox at gamma and the
+    keep floor disagree, no step reaches F = 0, and the solve would
+    otherwise run to max_inner_iters or to a line-search failure.  It then
+    returns the cycle's lowest-merit point.
     """
     keep_floor = np.sqrt(2.0 * params.gamma * barrier.problem.C)
 
@@ -551,4 +608,5 @@ def solve_tau_min(
 
     return fixed_barrier_loop(init, barrier, newton_step, gamma=params.gamma,
                               residual_tol=params.residual_tol,
-                              max_iters=params.max_inner_iters, outer_index=outer_index)
+                              max_iters=params.max_inner_iters, outer_index=outer_index,
+                              stop_when_settled=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lsfa.harness
 import lsfa.newton
 from lsfa import (BaselineParams, ConfigError, IpmParams, TraceRow, ipm_solve, read_trace_csv,
                   recover_solution, write_trace_csv)
@@ -443,6 +444,31 @@ def test_cv_warns_on_small_folds(small_run_dir):
                      np.random.default_rng(0).standard_normal((10, 6)))
     with pytest.warns(UserWarning, match="fold size"):
         run_cv(cfg)
+
+
+def test_cli_cv_on_two_variables_scores_inf_without_burning_the_step_cap(tmp_path, capsys,
+                                                                        monkeypatch):
+    # every fold's fit has levels that cannot reach the residual rule; they
+    # ran to the 200-step cap (631-1027 steps a fit) and now end once their
+    # iterates repeat, while the fit still reports the iteration cap
+    write_matrix_csv(tmp_path / "samples.csv", np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    fits = []
+    solve = lsfa.harness.ipm_solve
+
+    def spy(*args, **kwargs):
+        fits.append(solve(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(lsfa.harness, "ipm_solve", spy)
+    with pytest.warns(UserWarning, match="fold size"):
+        code = main(["cv", "--run-dir", str(tmp_path), "--p", "2", "--r", "1",
+                     "--c-grid", "0.5", "--mu-grid", "100"])
+    assert code == 4
+    result = _strict_json(capsys.readouterr().out.split("cv result:")[1].splitlines()[0])
+    assert result["best_score"] is None
+    assert len(fits) == 3
+    assert {fit.status for fit in fits} == {"iteration-cap"}
+    assert all(fit.n_outer == 19 and fit.n_inner_total < 150 for fit in fits)
 
 
 def test_gaussian_nll_matches_direct_formula():

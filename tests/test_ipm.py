@@ -164,6 +164,30 @@ def test_iteration_cap_propagates():
     assert solution.status == "iteration-cap"
 
 
+@pytest.mark.parametrize("start", [default_init, sparse_init])
+def test_stalled_levels_end_early_and_report_the_iteration_cap(monkeypatch, start):
+    # at levels 0-2 of this p=4 draw the prox brings in coordinates that the
+    # keep floor pins at zero, and every step leaves h_tau and the residual
+    # where they were: each level ran to the 200-step cap, 612 steps in all
+    truth = generate_ground_truth(4, 1, 0.5, 2.0, 0)
+    problem = ProblemData(sample_covariance(sample_observations(truth, 200, seed=1)), C=0.5, mu=10.0)
+    params = IpmParams(gamma=0.1, epsilon=1e-2)
+    init = start(problem) if start is default_init else start(problem, params)
+    statuses = {}
+    solve = lsfa.ipm.solve_tau_min
+
+    def spy(init, barrier, params, outer_index):
+        result = solve(init, barrier, params, outer_index)
+        statuses[outer_index] = result.status
+        return result
+
+    monkeypatch.setattr(lsfa.ipm, "solve_tau_min", spy)
+    solution = ipm_solve(problem, init, params)
+    assert [statuses[k] for k in range(3)] == ["stalled"] * 3
+    assert solution.status == "iteration-cap" and solution.n_outer == 6
+    assert solution.n_inner_total < 100
+
+
 def test_infeasible_init_rejected():
     problem = ProblemData(np.eye(3), C=1.0, mu=1.0)
     params = IpmParams(gamma=0.5)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -636,6 +638,66 @@ def test_fixed_barrier_loop_stops_when_the_step_fails():
     assert result.residual.norm_normalized == last.norm_normalized
     assert result.rows[-1].residual_normalized == last.norm_normalized
     assert len({row.residual_normalized for row in result.rows}) == k
+
+
+def _merit(it, barrier):
+    return eval_h_tau(it, barrier) + barrier.problem.C * np.count_nonzero(it.s)
+
+
+def test_fixed_barrier_loop_ends_a_cycle_on_its_lowest_merit_iterate():
+    # a stub step that cycles among three feasible iterates, the second of
+    # which has the lowest penalized merit: the repeat is first seen at step
+    # 4, on the first iterate, and the loop stops one step later, on the second
+    rng = np.random.default_rng(33)
+    problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
+    barrier = BarrierObjective(problem, tau=0.1)
+    init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check, SymmetricBasis(4))
+    thinned = init.s.copy()
+    thinned[np.flatnonzero(init.basis.off_diag)[0]] = 0.0
+    members = sorted([Iterate(1.01 * init.ell, init.s, init.basis), Iterate(init.ell, thinned, init.basis),
+                      Iterate(0.99 * init.ell, init.s, init.basis)],
+                     key=lambda it: _merit(it, barrier))
+    assert len({_merit(it, barrier) for it in members}) == 3
+
+    def run(**kwargs):
+        orbit = itertools.cycle([members[1], members[0], members[2]])
+        return fixed_barrier_loop(init, barrier, lambda it, g, res: (next(orbit), 1.0, "stub", 10, 0),
+                                  gamma=0.1, residual_tol=1e-12, max_iters=200, **kwargs)
+
+    result = run(stop_when_settled=True)
+    assert (result.status, result.n_iters) == ("stalled", 5)
+    assert result.iterate is members[0]
+    assert result.rows[-1].objective_h_tau == eval_h_tau(members[0], barrier)
+    # the loop bcd_solve runs does not look for cycles
+    plain = run()
+    assert (plain.status, plain.n_iters) == ("iteration-cap", 200)
+
+
+def test_fixed_barrier_loop_never_stops_steps_that_lower_h_or_the_residual(small_instance):
+    # on one support: gradient steps in ell that keep lowering h_tau, and
+    # steps toward a root that keep lowering the residual while h_tau is flat
+    # to below the settle tolerance
+    barrier = small_instance["barrier"]
+    root = small_instance["result"].iterate
+    basis = root.basis
+    v = np.random.default_rng(0).standard_normal(basis.m)
+    v /= np.linalg.norm(v)
+    offsets = iter(1e-5 * 0.5 ** np.arange(1, 9))
+    steps = [(small_instance["init"], lambda it, g, res: Iterate(it.ell - 1e-3 * g[0], it.s, basis)),
+             (root, lambda it, g, res: Iterate(root.ell + next(offsets) * v, root.s, basis))]
+    descent, toward_root = [
+        fixed_barrier_loop(init, barrier, lambda it, g, res: (move(it, g, res), 1.0, "stub", 1, 0),
+                           gamma=0.1, residual_tol=1e-12, max_iters=8, stop_when_settled=True)
+        for init, move in steps]
+    for result in (descent, toward_root):
+        assert (result.status, result.n_iters) == ("iteration-cap", 8)
+        assert len({row.support_size for row in result.rows}) == 1
+    hs = [row.objective_h_tau for row in descent.rows]
+    assert all(b < a for a, b in zip(hs, hs[1:]))
+    hs = [row.objective_h_tau for row in toward_root.rows]
+    assert max(hs) - min(hs) < lsfa.newton.SETTLE_RTOL * abs(hs[0])
+    residuals = [row.residual_normalized for row in toward_root.rows]
+    assert all(b < 0.6 * a for a, b in zip(residuals, residuals[1:]))
 
 
 def test_solver_rejects_infeasible_init():
