@@ -78,7 +78,7 @@ class BaselineParams:
 
 
 def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) -> InnerSolveResult:
-    """Run the alternating first-order iteration in the fixed-barrier loop."""
+    """Run the alternating first-order iteration in the fixed-barrier loop, without settle_guard."""
     problem = barrier.problem
     basis = init.basis
 
@@ -107,15 +107,17 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         # barrier objective is nonincreasing (a no-move trial satisfies this
         # with equality, so exact fixed points are accepted immediately).
         g_s_mid = grad_h_tau(it_mid, barrier)[1]
-        gp = params.gamma
+        gp, it_next = params.gamma, it_mid
         for _ in range(params.max_backtracks + 1):
             s_plus = prox_l0_vec(it_mid.s - gp * g_s_mid, gp, problem.C)
             trial = Iterate(it_mid.ell, s_plus, basis)
             if eval_h_tau(trial, barrier) <= h_mid:
-                return trial, accepted_t, "bcd", len(res.T), rejected
+                it_next = trial
+                break
             gp *= 0.5
             rejected += 1
-        return it_mid, accepted_t, "bcd", len(res.T), rejected
+        return it_next, dict(step_alpha=accepted_t, direction_kind="bcd",
+                             working_set_size=len(res.T), n_backtracks=rejected)
 
     return fixed_barrier_loop(init, barrier, bcd_step, gamma=params.gamma,
                               residual_tol=params.residual_tol, max_iters=params.max_iters)

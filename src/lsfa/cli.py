@@ -81,8 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config} must hold a JSON object of RunConfig fields")
         data.update(loaded)

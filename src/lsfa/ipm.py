@@ -56,9 +56,12 @@ class Solution:
     # or "iteration-cap" (a level capped or stalled), "line-search-failure", "empty-schedule"
     status: str = "converged"
     n_outer: int = 0
-    n_inner_total: int = 0
     final_tau: float = np.nan
     final_residual_normalized: float = np.nan
+
+    @property
+    def n_inner_total(self) -> int:
+        return len(self.traces)
 
 
 def default_init(problem: ProblemData) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +101,9 @@ def sparse_init(problem: ProblemData, params: IpmParams) -> tuple[np.ndarray, np
     iterate is strictly feasible.  When gamma_start exceeds the inverse
     curvature of the fit (mu = 300 on the default instance), coordinates
     enter below the keep floor and leave again, so the solve cannot
-    converge: it ends "stalled" once its iterates repeat (a cycle, returned
-    at its lowest-merit point, or steps that no longer move), or in a
-    line-search failure.
+    converge: the Newton step's settle_guard ends it "stalled" once its
+    iterates repeat (a cycle, returned at its lowest-merit point, or steps
+    that no longer move), or it ends in a line-search failure.
     """
     sigma = problem.sigma_check
     scale = np.sqrt(np.diag(sigma))
@@ -196,7 +199,6 @@ def recover_solution(
         traces=traces,
         status=status,
         n_outer=n_outer,
-        n_inner_total=len(traces),
         final_tau=final_tau,
         final_residual_normalized=final_residual_normalized,
     )
@@ -266,8 +268,6 @@ def ipm_solve(
     rows: list[TraceRow] = []
     statuses: list[str] = []
     centres: list[Iterate] = []  # the solutions of the last levels, while they converge
-    final_tau = np.nan
-    final_res = np.nan
     k = 0
     while (tau := params.tau0 * params.theta**k) > params.epsilon:
         barrier = BarrierObjective(problem, tau)
@@ -279,8 +279,6 @@ def ipm_solve(
         centres = [*centres[-1:], it] if result.status == "converged" else []
         rows.extend(result.rows)
         statuses.append(result.status)
-        final_tau = tau
-        final_res = result.residual.norm_normalized
         k += 1
         if result.status == "line-search-failure":
             break
@@ -299,6 +297,6 @@ def ipm_solve(
         traces=rows,
         status=status,
         n_outer=len(statuses),
-        final_tau=final_tau,
-        final_residual_normalized=final_res,
+        final_tau=barrier.tau,
+        final_residual_normalized=result.residual.norm_normalized,
     )

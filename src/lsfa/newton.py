@@ -398,9 +398,12 @@ def fallback_direction(iterate: Iterate, g_ell: np.ndarray, g_s: np.ndarray, T: 
 @dataclass
 class LineSearchResult:
     alpha: float
-    iterate: Iterate | None
+    iterate: Iterate | None  # None when no trial point passed
     n_backtracks: int
-    success: bool
+
+    @property
+    def success(self) -> bool:
+        return self.iterate is not None
 
 
 def line_search(
@@ -434,8 +437,8 @@ def line_search(
         h_trial = eval_h_tau(trial, barrier)
         decrease = params.sigma * alpha * slope
         if h_trial <= h0 + decrease or h_trial + C * np.count_nonzero(trial_s) <= merit0 + decrease:
-            return LineSearchResult(alpha=alpha, iterate=trial, n_backtracks=v, success=True)
-    return LineSearchResult(alpha=0.0, iterate=None, n_backtracks=params.max_backtracks, success=False)
+            return LineSearchResult(alpha=alpha, iterate=trial, n_backtracks=v)
+    return LineSearchResult(alpha=0.0, iterate=None, n_backtracks=params.max_backtracks)
 
 
 @dataclass
@@ -445,15 +448,20 @@ class InnerSolveResult:
     iterate: Iterate
     status: str  # "converged" | "iteration-cap" | "line-search-failure" | "stalled"
     rows: list[TraceRow] = field(default_factory=list)
-    n_iters: int = 0
     residual: StationarityResidual | None = None
 
+    @property
+    def n_iters(self) -> int:
+        return len(self.rows)
 
-# A solve has settled when an accepted iterate repeats one of the last
-# SETTLE_WINDOW accepted iterates: the same support, and h_tau and the
-# normalized residual equal to SETTLE_RTOL relative.  F = 0 is then out of
-# reach at this gamma, since the prox brings in coordinates that the keep
-# floor pins at zero or drops again, and further steps cycle or stand still.
+
+# A fixed-barrier step: (iterate, its gradient (g_ell, g_s), its residual) -> the
+# accepted iterate with its trace-row fields by name (the keywords of
+# TraceRow.accepted past residual_normalized), or the status that ends the solve.
+Step = Callable[[Iterate, tuple[np.ndarray, np.ndarray], StationarityResidual],
+                tuple[Iterate, dict] | str]
+
+
 # Measured on cv_p20's C=1 sparse starts (seed 7): fold 0 settles into a
 # period-3 orbit (supports 30/29/29) by step ~30 and repeats h_tau bit for
 # bit until the 200-step cap; fold 1 stops moving at step 13, and then takes
@@ -467,57 +475,58 @@ SETTLE_WINDOW = 3
 SETTLE_RTOL = 1e-8
 
 
-def _settled(recent: list[tuple[np.ndarray, TraceRow]], support: np.ndarray, row: TraceRow,
-             C: float) -> bool:
-    """Whether the step to `row` repeats one of `recent` and ends at their lowest merit.
+def settle_guard(step: Step, barrier: BarrierObjective) -> Step:
+    """`step`, returning "stalled" instead of stepping once the solve has settled.
 
-    `recent` holds the support mask and trace row of the previous accepted
-    steps.  Stopping only where the penalized merit h_tau + C nnz(s) is no
-    higher than at any of them returns an orbit's lowest-merit point,
-    whichever phase the repeat was first seen at.
+    Before each step but the first, the last accepted iterate is compared
+    with the SETTLE_WINDOW accepted before it.  It has settled when it
+    repeats one of them (the same support, and h_tau and the normalized
+    residual equal to SETTLE_RTOL relative) at a penalized merit
+    h_tau + C nnz(s) no higher than theirs: F = 0 is out of reach at this
+    gamma, where the prox brings in coordinates that the keep floor pins at
+    zero or drops again.  A cycle thus ends on its lowest-merit point, and
+    steps that no longer move end at once.  The guard reads only the
+    memoized h_tau and the residual the loop passes in.
     """
-    repeats = any(np.array_equal(support, mask)
-                  and math.isclose(row.objective_h_tau, prev.objective_h_tau, rel_tol=SETTLE_RTOL)
-                  and math.isclose(row.residual_normalized, prev.residual_normalized,
-                                   rel_tol=SETTLE_RTOL)
-                  for mask, prev in recent)
-    merit = row.objective_h_tau + C * row.support_size
-    return repeats and all(merit <= prev.objective_h_tau + C * prev.support_size for _, prev in recent)
+    recent = None  # (support, h_tau, residual, merit) of accepted iterates; None at the start
+
+    def guarded(it, g, res):
+        nonlocal recent
+        if recent is not None:
+            support, h, residual = it.s != 0, eval_h_tau(it, barrier), res.norm_normalized
+            merit = h + barrier.problem.C * np.count_nonzero(support)
+            if (any(np.array_equal(support, mask) and math.isclose(h, h_prev, rel_tol=SETTLE_RTOL)
+                    and math.isclose(residual, residual_prev, rel_tol=SETTLE_RTOL)
+                    for mask, h_prev, residual_prev, _ in recent)
+                    and all(merit <= merit_prev for *_, merit_prev in recent)):
+                return "stalled"
+        recent = [] if recent is None else [*recent[1 - SETTLE_WINDOW:], (support, h, residual, merit)]
+        return step(it, g, res)
+
+    return guarded
 
 
 def fixed_barrier_loop(
     init: Iterate,
     barrier: BarrierObjective,
-    step: Callable[[Iterate, tuple[np.ndarray, np.ndarray], StationarityResidual],
-                   tuple[Iterate, float, str, int, int] | None],
+    step: Step,
     *,
     gamma: float,
     residual_tol: float,
     max_iters: int,
     outer_index: int = 0,
-    stop_when_settled: bool = False,
 ) -> InnerSolveResult:
-    """Take `step` from a strictly feasible `init` until the residual rule fires.
+    """Take `step` (see Step) from a strictly feasible `init` until the solve ends.
 
     The loop every fixed-barrier solver shares, so that their iteration
-    counts and traces compare directly.  `step(it, g, res)` gets the current
-    iterate, its gradient (g_ell, g_s) and its stationarity residual, and
-    returns, for the trace row, the accepted iterate, the step length, the
-    direction kind, the size of the index set the step updated (it zeroed
-    every coordinate off that set) and the number of trial points rejected
-    before the accepted one; or None when its line search failed.  The
-    residual rule, ||F|| / sqrt(2m) <= residual_tol at the prox stepsize
-    gamma ("converged"), is tested after each step, so every solve takes at
-    least one: a warm start that already meets the rule is still corrected
-    once, and every barrier level leaves a trace row.  With
-    `stop_when_settled`, the loop stops ("stalled") at the first step that
-    repeats one of the last SETTLE_WINDOW accepted iterates (same support,
-    h_tau and residual) at a penalized merit no higher than theirs: a cycle
-    ends on its lowest-merit point, and steps that no longer move end at
-    once.  The loop also stops after max_iters steps ("iteration-cap"), or
-    when the step returns None ("line-search-failure").  Each accepted step
-    appends one trace row stamped with `outer_index` and the barrier level,
-    and the returned iterate is always the last row's.
+    counts and traces compare directly.  It owns two rules, tested after
+    each step: the residual rule ||F|| / sqrt(2m) <= residual_tol at the
+    prox stepsize gamma ("converged"), and the step cap max_iters
+    ("iteration-cap").  So every solve takes at least one step: a warm start
+    that already meets the rule is still corrected once, and every barrier
+    level leaves a trace row.  A step that returns a status ends the solve
+    with it.  Each accepted step appends one trace row stamped with
+    `outer_index` and the barrier level; the returned iterate is the last row's.
     """
     if not init.is_strictly_feasible:
         raise InfeasiblePointError("fixed-barrier solve requires a strictly feasible starting point")
@@ -526,34 +535,22 @@ def fixed_barrier_loop(
     g = grad_h_tau(it, barrier)
     res = stationarity_residual(it, barrier, gamma, grad=g)
     rows: list[TraceRow] = []
-    recent: list[tuple[np.ndarray, TraceRow]] = []  # the last SETTLE_WINDOW (support, row)
-    while True:
+    status = "iteration-cap"
+    for inner_iter in range(1, max_iters + 1):
         taken = step(it, g, res)
-        if taken is None:
-            status = "line-search-failure"
+        if isinstance(taken, str):
+            status = taken
             break
-        it, alpha, kind, working_set_size, n_backtracks = taken
+        it, step_fields = taken
         g = grad_h_tau(it, barrier)
         res = stationarity_residual(it, barrier, gamma, grad=g)
-        row = TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=len(rows) + 1,
-                                residual_normalized=res.norm_normalized,
-                                working_set_size=working_set_size, step_alpha=alpha,
-                                n_backtracks=n_backtracks, direction_kind=kind)
-        rows.append(row)
+        rows.append(TraceRow.accepted(it, barrier, outer_iter=outer_index, inner_iter=inner_iter,
+                                      residual_normalized=res.norm_normalized, **step_fields))
         if res.norm_normalized <= residual_tol:
             status = "converged"
             break
-        if stop_when_settled:
-            support = it.s != 0
-            if _settled(recent, support, row, barrier.problem.C):
-                status = "stalled"
-                break
-            recent = [*recent[1 - SETTLE_WINDOW:], (support, row)]
-        if len(rows) >= max_iters:
-            status = "iteration-cap"
-            break
 
-    return InnerSolveResult(iterate=it, status=status, rows=rows, n_iters=len(rows), residual=res)
+    return InnerSolveResult(iterate=it, status=status, rows=rows, residual=res)
 
 
 def solve_tau_min(
@@ -573,7 +570,8 @@ def solve_tau_min(
     again with its set widened back to the working set, so that the dropped
     coordinates move with alpha, toward zero at alpha = 1: far from the
     solution a full-step prediction can name coordinates whose removal no
-    step size pays for.
+    step size pays for.  When that fails too, the step ends the solve
+    ("line-search-failure").
 
     Both the drop and the joint test deviate from the published rules,
     which drop nothing and test the s block alone: the s-block test rejects
@@ -582,11 +580,9 @@ def solve_tau_min(
     support, so that h_tau must rise when the prox later drops the
     coordinate.
 
-    The solve ends "stalled" once its iterates have settled into a cycle or
-    stopped moving (see fixed_barrier_loop): where the prox at gamma and the
-    keep floor disagree, no step reaches F = 0, and the solve would
-    otherwise run to max_inner_iters or to a line-search failure.  It then
-    returns the cycle's lowest-merit point.
+    The step runs under settle_guard: a solve that cannot reach F = 0 ends
+    "stalled" instead of at max_inner_iters or in a line-search failure
+    (it ends "iteration-cap" if it settles at that last step).
     """
     keep_floor = np.sqrt(2.0 * params.gamma * barrier.problem.C)
 
@@ -603,10 +599,10 @@ def solve_tau_min(
             ls = line_search(it, direction, barrier, params, grad=g)
             rejected = params.max_backtracks + 1 + ls.n_backtracks
         if not ls.success:
-            return None
-        return ls.iterate, ls.alpha, direction.kind, len(direction.T), rejected
+            return "line-search-failure"
+        return ls.iterate, dict(step_alpha=ls.alpha, direction_kind=direction.kind,
+                                working_set_size=len(direction.T), n_backtracks=rejected)
 
-    return fixed_barrier_loop(init, barrier, newton_step, gamma=params.gamma,
+    return fixed_barrier_loop(init, barrier, settle_guard(newton_step, barrier), gamma=params.gamma,
                               residual_tol=params.residual_tol,
-                              max_iters=params.max_inner_iters, outer_index=outer_index,
-                              stop_when_settled=True)
+                              max_iters=params.max_inner_iters, outer_index=outer_index)

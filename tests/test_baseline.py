@@ -131,14 +131,16 @@ def _every_trial_bcd_solve(init, barrier, params):
                 t *= 0.5
                 rejected += 1
         g_s_mid = grad_h_tau(it_mid, barrier)[1]
-        gp = params.gamma
+        gp, it_next = params.gamma, it_mid
         for _ in range(params.max_backtracks + 1):
             trial = Iterate(it_mid.ell, prox_l0_vec(it_mid.s - gp * g_s_mid, gp, C), basis)
             if eval_h_tau(trial, barrier) <= h_mid:
-                return trial, accepted_t, "bcd", len(res.T), rejected
+                it_next = trial
+                break
             gp *= 0.5
             rejected += 1
-        return it_mid, accepted_t, "bcd", len(res.T), rejected
+        return it_next, dict(step_alpha=accepted_t, direction_kind="bcd",
+                             working_set_size=len(res.T), n_backtracks=rejected)
 
     return fixed_barrier_loop(init, barrier, step, gamma=params.gamma,
                               residual_tol=params.residual_tol, max_iters=params.max_iters)

@@ -318,14 +318,16 @@ def test_cli_cv_more_folds_than_samples_is_config_error(tmp_path, capsys):
     ('{"p": 6.5, "r": 2}', []),
     ('{"p": 6, "r": 2', []),
     ('[["p", 6]]', []),
+    (b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xc0)), []),
     (None, ["--seed", "-1"]),
 ], ids=["str-for-int", "number-for-grid", "float-for-int", "malformed-json", "not-an-object",
-        "negative-seed"])
+        "not-utf-8", "negative-seed"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config, argv):
     args = ["generate", "--run-dir", str(tmp_path), *argv]
     if config is not None:
-        (tmp_path / "cfg.json").write_text(config)
-        args += ["--config", str(tmp_path / "cfg.json")]
+        path = tmp_path / "cfg.json"
+        path.write_bytes(config) if isinstance(config, bytes) else path.write_text(config)
+        args += ["--config", str(path)]
     assert main(args) == 2
     assert "invalid configuration" in capsys.readouterr().err
 

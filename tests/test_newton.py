@@ -35,7 +35,7 @@ from lsfa import (
     solve_tau_min,
     stationarity_residual,
 )
-from lsfa.newton import _SchurComplement, fixed_barrier_loop
+from lsfa.newton import _SchurComplement, fixed_barrier_loop, settle_guard
 from lsfa.objective import hessian_vector_product
 from conftest import random_interior_point, random_spd
 
@@ -621,9 +621,9 @@ def test_fixed_barrier_loop_stops_when_the_step_fails():
     def step(it, g, res):
         assert_allclose(np.concatenate(g), np.concatenate(grad_h_tau(it, barrier)))
         if len(taken) == k:
-            return None
+            return "line-search-failure"
         taken.append(Iterate(1.01 * it.ell, it.s, it.basis))
-        return taken[-1], 0.5, "stub", 4, 1
+        return taken[-1], dict(step_alpha=0.5, direction_kind="stub", working_set_size=4, n_backtracks=1)
 
     result = fixed_barrier_loop(init, barrier, step, gamma=gamma, residual_tol=1e-12,
                                 max_iters=10, outer_index=7)
@@ -640,14 +640,19 @@ def test_fixed_barrier_loop_stops_when_the_step_fails():
     assert len({row.residual_normalized for row in result.rows}) == k
 
 
+# the trace-row fields of the stub steps below
+_STUB_FIELDS = dict(step_alpha=1.0, direction_kind="stub", working_set_size=1, n_backtracks=0)
+
+
 def _merit(it, barrier):
     return eval_h_tau(it, barrier) + barrier.problem.C * np.count_nonzero(it.s)
 
 
 def test_fixed_barrier_loop_ends_a_cycle_on_its_lowest_merit_iterate():
     # a stub step that cycles among three feasible iterates, the second of
-    # which has the lowest penalized merit: the repeat is first seen at step
-    # 4, on the first iterate, and the loop stops one step later, on the second
+    # which has the lowest penalized merit: with settle_guard the repeat is
+    # first seen at step 4, on the first iterate, and the solve stops one step
+    # later, on the second
     rng = np.random.default_rng(33)
     problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
     barrier = BarrierObjective(problem, tau=0.1)
@@ -659,17 +664,25 @@ def test_fixed_barrier_loop_ends_a_cycle_on_its_lowest_merit_iterate():
                      key=lambda it: _merit(it, barrier))
     assert len({_merit(it, barrier) for it in members}) == 3
 
-    def run(**kwargs):
+    def run(guarded, max_iters=200):
         orbit = itertools.cycle([members[1], members[0], members[2]])
-        return fixed_barrier_loop(init, barrier, lambda it, g, res: (next(orbit), 1.0, "stub", 10, 0),
-                                  gamma=0.1, residual_tol=1e-12, max_iters=200, **kwargs)
 
-    result = run(stop_when_settled=True)
+        def step(it, g, res):
+            return next(orbit), _STUB_FIELDS
+
+        return fixed_barrier_loop(init, barrier, settle_guard(step, barrier) if guarded else step,
+                                  gamma=0.1, residual_tol=1e-12, max_iters=max_iters)
+
+    result = run(guarded=True)
     assert (result.status, result.n_iters) == ("stalled", 5)
     assert result.iterate is members[0]
     assert result.rows[-1].objective_h_tau == eval_h_tau(members[0], barrier)
+    # the guard looks before the next step, so a settle at the last allowed
+    # step ends on the step cap
+    capped = run(guarded=True, max_iters=5)
+    assert (capped.status, capped.n_iters) == ("iteration-cap", 5)
     # the loop bcd_solve runs does not look for cycles
-    plain = run()
+    plain = run(guarded=False)
     assert (plain.status, plain.n_iters) == ("iteration-cap", 200)
 
 
@@ -686,8 +699,9 @@ def test_fixed_barrier_loop_never_stops_steps_that_lower_h_or_the_residual(small
     steps = [(small_instance["init"], lambda it, g, res: Iterate(it.ell - 1e-3 * g[0], it.s, basis)),
              (root, lambda it, g, res: Iterate(root.ell + next(offsets) * v, root.s, basis))]
     descent, toward_root = [
-        fixed_barrier_loop(init, barrier, lambda it, g, res: (move(it, g, res), 1.0, "stub", 1, 0),
-                           gamma=0.1, residual_tol=1e-12, max_iters=8, stop_when_settled=True)
+        fixed_barrier_loop(init, barrier,
+                           settle_guard(lambda it, g, res: (move(it, g, res), _STUB_FIELDS), barrier),
+                           gamma=0.1, residual_tol=1e-12, max_iters=8)
         for init, move in steps]
     for result in (descent, toward_root):
         assert (result.status, result.n_iters) == ("iteration-cap", 8)
