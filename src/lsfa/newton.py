@@ -39,10 +39,19 @@ is never formed, and conjugate gradients solve with its O(p^3) product.
 Every direction comes from refinement passes, d += K^-1 (-g - H d) with the
 matrix-free Hessian-vector product (_refine): two from d_{s_T} = 0 reach
 the accuracy of a dense solve on the factored side, and one suffices with
-conjugate gradients, which solve to a relative residual of 1e-12.  A drop
-takes one more pass, on T \\ D, through the same solver restricted to that
-set.  The dense Hessian (objective.hessian_blocks) remains as the test
-oracle.
+conjugate gradients.  A drop takes one more pass, on T \\ D, through the
+same solver restricted to that set.  The dense Hessian
+(objective.hessian_blocks) remains as the test oracle.
+
+Conjugate gradients solve only as tightly as the step needs: to the
+relative residual 1e-12 by default, and in solve_tau_min to the forcing term
+max(1e-12, min(1e-3, ||F||)) of the point the step starts from.  A solve
+accurate to O(||F||) keeps Newton's local quadratic rate (Dembo, Eisenstat
+and Steihaug, "Inexact Newton methods", SIAM J. Numer. Anal. 1982); the cap
+keeps the early steps, whose predicted drops decide the support, on the
+exact solve's path.  Stopped early from zero, preconditioned CG still gives
+b^T x > 0, so a Newton direction keeps a negative joint slope (see
+descent_safeguard).
 """
 
 from __future__ import annotations
@@ -95,34 +104,47 @@ class NewtonParams:
 
 @dataclass
 class Direction:
-    """Search direction on the working set T; the block off T equals -s there."""
+    """Search direction on the working set T; the block off T equals -s there.
+
+    cg_iterations counts the conjugate-gradient iterations spent on it,
+    summed over its refinement passes (0 when K was factored).
+    """
 
     d_ell: np.ndarray
     d_s: np.ndarray
     kind: str  # "newton" | "gradient-fallback"
     T: np.ndarray
+    cg_iterations: int = 0
+
+
+# The relative residual conjugate gradients solve the Schur system to by
+# default, and the largest forcing term solve_tau_min asks for (see the
+# module docstring).  Looser caps change the path: min(0.1, sqrt(||F||)) took
+# the p = 40 dense start from 36 steps to 45 and to another optimum.
+_EXACT_RTOL = 1e-12
+_FORCING_CAP = 1e-3
 
 
 # Above this many flops for the product F F^T that assembles the Schur
 # complement (|T|^2 m), its systems are solved by conjugate gradients instead.
 # Measured, ms per direction, 1 BLAS thread, median over four iterates of a
-# dense-start solve, T the diagonal plus random off-diagonal coordinates:
+# dense-start solve, T the diagonal plus random off-diagonal coordinates; CG
+# to 1e-12 and to the forcing term solve_tau_min passes at those iterates
+# (1e-3 at three of the four at p = 20, from 1e-3 to 8e-6 at p = 40, 60):
 #
-#     p   |T|   |T|^2 m   assembled   CG
-#     20  100   2.1e6        1.0      1.9
-#     20  210   9.3e6        3.3      5.6
-#     40  120   1.2e7        3.5      2.5
-#     40  200   3.3e7        5.6      3.4
-#     60  300   1.7e8       17.2      8.2
+#     p   |T|   |T|^2 m   assembled   CG 1e-12   CG forcing
+#     20  100   2.1e6        1.3        2.9         1.2
+#     20  210   9.3e6        3.1        8.0         3.9
+#     40  120   1.2e7        4.0        3.1         1.6
+#     40  200   3.3e7        6.4        4.2         1.8
+#     60  300   1.6e8       14.6        6.9         3.4
 #
-# At p = 20 assembly wins at every |T|.  At p = 40 the bound (|T| ~ 140) is
-# past the crossover above, but on sparse-start iterates, where CG takes more
-# iterations, the sides were within 12% for |T| from 80 to 400.  The bound
-# counts only the flops of F F^T, not CG's iterations times its O(p^3)
-# product: a p = 100 sparse start (|T| 100-193, up to 1.9e8) sends sparse_init
-# to CG at a median of 52 iterations, and sparse_init there ran 0.92-1.01 s
-# against 0.65-0.84 s with every set assembled, while ipm_solve after it
-# fell from ~1.05 to ~0.5 s (1 BLAS thread).
+# Under the forcing term CG wins at every |T| here from p = 40, and at p = 20
+# it ties assembly at |T| = 100 and loses at 210; at p = 40 the bound
+# (|T| ~ 140) sits above the crossover.  The bound counts only the flops of
+# F F^T, not CG's iterations times its O(p^3) product.  On a p = 100 sparse start (|T| 100-193, up to
+# 1.9e8) CG takes sparse_init 0.31-0.36 s and ipm_solve after it 0.25-0.27 s,
+# against 0.85 s and 1.04-1.08 s with every set assembled (1 BLAS thread).
 _ASSEMBLE_FLOPS = 1.6e7
 
 
@@ -153,7 +175,12 @@ class _SchurComplement:
           K x = [W (delta o (W^T X W)) W^T + tau S^-1 X S^-1]_T,   X = vec^-1(x),
 
       O(p^3) each (o the entrywise product), preconditioned by K's
-      diagonal, which costs O(|T| p^2) (_diagonal).
+      diagonal, which costs O(|T| p^2) (_diagonal), to the relative
+      residual rtol that solve is given: the exact 1e-12 by default, the
+      forcing term min(1e-3, ||F||) in solve_tau_min, since an inexact
+      Newton step needs a solve only as accurate as O(||F||) to keep its
+      quadratic rate (Dembo-Eisenstat-Steihaug).  The factored side
+      ignores rtol.  cg_iterations counts the iterations spent so far.
     """
 
     def __init__(self, iterate: Iterate, T: np.ndarray, barrier: BarrierObjective):
@@ -173,6 +200,7 @@ class _SchurComplement:
         self.r = lam2 / (mu * lam2 + tau)
         self.delta = (mu * tau) / (tau + mu * lam2)
         self.iterative = len(T) ** 2 * basis.m > _ASSEMBLE_FLOPS
+        self.cg_iterations = 0
         if self.iterative:
             self.diag = self._diagonal()
         else:
@@ -185,7 +213,10 @@ class _SchurComplement:
             self.cho = self._factor()
 
     def restrict(self, keep: np.ndarray) -> _SchurComplement:
-        """The same system on T[keep]: K[keep, keep] factored, or conjugate gradients on it."""
+        """The same system on T[keep]: K[keep, keep] factored, or conjugate gradients on it.
+
+        The copy carries cg_iterations on, so it counts the passes of both.
+        """
         sub = copy.copy(self)
         sub.T = self.T[keep]
         if self.iterative:
@@ -238,18 +269,23 @@ class _SchurComplement:
         Z += self.tau * (self.inv_S @ X @ self.inv_S)
         return self._vec(Z)[self.T]
 
-    def _cg(self, b: np.ndarray) -> np.ndarray:
+    def _cg(self, b: np.ndarray, rtol: float) -> np.ndarray:
         """K^-1 b by conjugate gradients from zero, preconditioned by K's diagonal.
 
-        Stops at ||K x - b|| <= 1e-12 ||b||.  Nonpositive curvature, or no
-        convergence within 2 |T| iterations, raises NumericalBreakdownError.
+        Stops at ||K x - b|| <= rtol ||b||: rtol is 1e-12 for an exact solve,
+        or the forcing term of an inexact Newton step, which needs the solve
+        only to O(||F||) (Dembo-Eisenstat-Steihaug).  Stopped early from
+        zero, PCG still gives b^T x = x^T K x > 0.  Adds its iterations to
+        cg_iterations.  Nonpositive curvature, or no convergence within
+        2 |T| iterations, raises NumericalBreakdownError.
         """
         x, res = np.zeros_like(b), b.copy()
         d = z = res / self.diag
         rz = res @ z
-        tol = 1e-12 * np.linalg.norm(b)
+        tol = rtol * np.linalg.norm(b)
         for k in range(2 * len(b) + 1):
             if np.linalg.norm(res) <= tol:
+                self.cg_iterations += k
                 return x
             if k == 2 * len(b):
                 reason = "no convergence"
@@ -268,14 +304,19 @@ class _SchurComplement:
         raise NumericalBreakdownError(
             f"conjugate gradients on the Schur complement of size {len(b)} stopped after "
             f"{k} iterations at relative residual "
-            f"{np.linalg.norm(res) / np.linalg.norm(b):.3e}: {reason}"
+            f"{np.linalg.norm(res) / np.linalg.norm(b):.3e}, asked for {rtol:.3e}: {reason}"
         )
 
     def _vec(self, M: np.ndarray) -> np.ndarray:
         return self.basis.mat_to_vec(0.5 * (M + M.T))
 
-    def solve(self, r_ell: np.ndarray, r_T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d_ell, d_T) with K [d_ell; d_T] = [r_ell; r_T] for the reduced matrix K on T."""
+    def solve(self, r_ell: np.ndarray, r_T: np.ndarray,
+              rtol: float = _EXACT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+        """(d_ell, d_T) with K [d_ell; d_T] = [r_ell; r_T] for the reduced matrix K on T.
+
+        d_ell is exact given d_T; on the CG side d_T solves the Schur system
+        to the relative residual rtol.
+        """
         W, V, T, basis = self.W, self.V, self.T, self.basis
         # Y: (A + B)^-1 r_ell = V Y V^T
         Y = V.T @ basis.vec_to_mat(r_ell) @ V
@@ -285,7 +326,7 @@ class _SchurComplement:
             # [A (A + B)^-1 r_ell]_T, with A V Y V^T = mu W Y W^T
             b_T = r_T - self.mu * self._vec(W @ Y @ W.T)[T]
             if self.iterative:
-                d_T = self._cg(b_T)
+                d_T = self._cg(b_T, rtol)
             else:
                 d_T = scipy.linalg.cho_solve(self.cho, b_T, check_finite=False)
             # d_ell = (A + B)^-1 (r_ell - A d_s), d_s = d_T on T and 0 off it,
@@ -297,8 +338,9 @@ class _SchurComplement:
 
 
 def _refine(solver: _SchurComplement, iterate: Iterate, barrier: BarrierObjective,
-            grad: tuple[np.ndarray, np.ndarray], d_ell: np.ndarray, d_s: np.ndarray) -> None:
-    """One refinement pass, in place: d += solver.solve(-g - H d) on the rows (ell, solver.T).
+            grad: tuple[np.ndarray, np.ndarray], d_ell: np.ndarray, d_s: np.ndarray,
+            rtol: float) -> None:
+    """One refinement pass, in place: d += solver.solve(-g - H d, rtol) on the rows (ell, solver.T).
 
     The coordinates off solver.T are held where d has them.  The product
     H d is skipped while d = 0: a pass from zero is a plain solve.
@@ -308,7 +350,7 @@ def _refine(solver: _SchurComplement, iterate: Iterate, barrier: BarrierObjectiv
     if d_ell.any() or d_s.any():
         h_ell, h_s = hessian_vector_product(iterate, barrier, d_ell, d_s)
         r_ell, r_s = r_ell - h_ell, r_s - h_s
-    e_ell, e_T = solver.solve(r_ell, r_s[solver.T])
+    e_ell, e_T = solver.solve(r_ell, r_s[solver.T], rtol)
     d_ell += e_ell
     d_s[solver.T] += e_T
 
@@ -319,6 +361,7 @@ def newton_direction(
     barrier: BarrierObjective,
     grad: tuple[np.ndarray, np.ndarray] | None = None,
     keep_floor: float = 0.0,
+    rtol: float = _EXACT_RTOL,
 ) -> Direction:
     """Solve the reduced Newton system of size m + |T| by its Schur complement on s_T.
 
@@ -340,19 +383,23 @@ def newton_direction(
     the solver restricted to that set, which factors the principal block of
     the K held for T or runs conjugate gradients on T \\ D.  The returned
     Direction names the set it was solved on.
+
+    Each conjugate-gradient pass solves the Schur system to the relative
+    residual rtol; the factored side ignores it.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     schur = _SchurComplement(iterate, T, barrier)
     d_ell, d_s = np.zeros(iterate.basis.m), -iterate.s
     d_s[T] = 0.0
     for _ in range(1 if schur.iterative else 2):
-        _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s)
+        _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s, rtol)
     drop = iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor)
     if drop.any():
         d_s[T[drop]] = -iterate.s[T[drop]]
         schur = schur.restrict(~drop)
-        _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s)
-    return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=schur.T)
+        _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s, rtol)
+    return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=schur.T,
+                     cg_iterations=schur.cg_iterations)
 
 
 def descent_safeguard(
@@ -375,7 +422,10 @@ def descent_safeguard(
 
     The s-block test rejects Newton directions that move s uphill while ell
     compensates; with s_{~T} = 0 the joint slope of a Newton direction is
-    -r^T K^-1 r < 0, so the joint test accepts them.
+    -r^T K^-1 r < 0, so the joint test accepts them.  Solved inexactly, with
+    d_ell eliminated exactly and conjugate gradients stopped early from zero
+    on the Schur system K_s x = b, the slope is -(r_ell^T P^-1 r_ell + b^T x)
+    with P the ell block and b^T x = x^T K_s x > 0, still negative.
     """
     T, d_s = direction.T, direction.d_s
     held = d_s[complement(T, len(d_s))]
@@ -583,11 +633,17 @@ def solve_tau_min(
     The step runs under settle_guard: a solve that cannot reach F = 0 ends
     "stalled" instead of at max_inner_iters or in a line-search failure
     (it ends "iteration-cap" if it settles at that last step).
+
+    Conjugate gradients solve each Newton system to the forcing term of the
+    point the step starts from (see the module docstring); the trace row
+    counts their iterations, also when the safeguard rejects the direction.
     """
     keep_floor = np.sqrt(2.0 * params.gamma * barrier.problem.C)
 
     def newton_step(it, g, res):
-        direction = newton_direction(it, res.T, barrier, grad=g, keep_floor=keep_floor)
+        rtol = max(_EXACT_RTOL, min(_FORCING_CAP, res.norm_normalized))
+        direction = newton_direction(it, res.T, barrier, grad=g, keep_floor=keep_floor, rtol=rtol)
+        cg_iterations = direction.cg_iterations
         if not descent_safeguard(direction, g[1], params.delta, params.gamma, g_ell=g[0]):
             direction = fallback_direction(it, g[0], g[1], res.T)
         ls = line_search(it, direction, barrier, params, grad=g)
@@ -601,7 +657,8 @@ def solve_tau_min(
         if not ls.success:
             return "line-search-failure"
         return ls.iterate, dict(step_alpha=ls.alpha, direction_kind=direction.kind,
-                                working_set_size=len(direction.T), n_backtracks=rejected)
+                                working_set_size=len(direction.T), n_backtracks=rejected,
+                                cg_iterations=cg_iterations)
 
     return fixed_barrier_loop(init, barrier, settle_guard(newton_step, barrier), gamma=params.gamma,
                               residual_tol=params.residual_tol,

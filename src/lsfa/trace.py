@@ -22,7 +22,10 @@ class TraceRow:
     it being zeroed (for a Newton step, the set it was solved on, after the
     coordinates it predicts to drop have left); `n_backtracks` is the number
     of trial points rejected before the accepted one; `wall_time_ns` is a
-    monotonic clock stamp taken when the step was accepted.
+    monotonic clock stamp taken when the step was accepted; `cg_iterations`
+    is the number of conjugate-gradient iterations spent on the step's
+    direction, summed over its passes (0 when its Schur complement was
+    factored, and for a baseline step).
     """
 
     outer_iter: int
@@ -37,11 +40,12 @@ class TraceRow:
     n_backtracks: int
     direction_kind: str
     wall_time_ns: int
+    cg_iterations: int
 
     @classmethod
     def accepted(cls, it: Iterate, barrier: BarrierObjective, *, outer_iter: int, inner_iter: int,
                  residual_normalized: float, working_set_size: int, step_alpha: float,
-                 n_backtracks: int, direction_kind: str) -> TraceRow:
+                 n_backtracks: int, direction_kind: str, cg_iterations: int = 0) -> TraceRow:
         """The row of an accepted step to `it`, with the objectives evaluated there."""
         return cls(
             outer_iter=outer_iter,
@@ -56,6 +60,7 @@ class TraceRow:
             n_backtracks=int(n_backtracks),
             direction_kind=direction_kind,
             wall_time_ns=time.perf_counter_ns(),
+            cg_iterations=int(cg_iterations),
         )
 
 

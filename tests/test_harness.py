@@ -57,6 +57,7 @@ def test_trace_csv_round_trip(tmp_path):
             n_backtracks=int(rng.integers(0, 102)),
             direction_kind=rng.choice(["newton", "gradient-fallback", "bcd"]),
             wall_time_ns=int(rng.integers(0, 2**60)),
+            cg_iterations=int(rng.integers(0, 5000)),
         )
         for k in range(25)
     ]

@@ -12,6 +12,7 @@ from lsfa import (
     ProblemData,
     SymmetricBasis,
     default_init,
+    eval_f,
     generate_ground_truth,
     ipm_solve,
     rank_read_out,
@@ -21,6 +22,7 @@ from lsfa import (
     sparse_init,
 )
 import lsfa.ipm
+import lsfa.newton
 from lsfa.harness import RunConfig
 from lsfa.ipm import extrapolated_start
 from conftest import random_spd
@@ -280,6 +282,29 @@ def test_extrapolated_starts_take_full_steps_on_the_default_instance(default_pro
         assert all(row.n_backtracks == 0 for row in solution.traces if row.outer_iter >= 2)
     # no second pass of the line search ran, so alpha = beta^n_backtracks
     assert all(row.step_alpha == params.beta**row.n_backtracks for row in solution.traces)
+
+
+def test_inexact_newton_cg_keeps_the_exact_solves_path(default_problem, monkeypatch):
+    # the default instance's sets (|T| ~ 600) are solved by conjugate
+    # gradients; solved to the forcing term instead of to 1e-12, the run
+    # takes the same steps to the same support and objective, for fewer
+    # iterations
+    params = RunConfig().ipm_params()
+    runs = []
+    for cap in (lsfa.newton._FORCING_CAP, lsfa.newton._EXACT_RTOL):
+        monkeypatch.setattr(lsfa.newton, "_FORCING_CAP", cap)
+        runs.append(ipm_solve(default_problem, default_init(default_problem), params))
+    inexact, exact = runs
+    assert all(row.cg_iterations > 0 for row in exact.traces)
+    assert (inexact.status, inexact.n_outer) == (exact.status, exact.n_outer) == ("converged", 19)
+    assert [row.outer_iter for row in inexact.traces] == [row.outer_iter for row in exact.traces]
+    np.testing.assert_array_equal(inexact.s_star != 0, exact.s_star != 0)
+
+    def objective(sol):
+        return eval_f(sol.L_star, sol.S_star, default_problem) + default_problem.C * np.count_nonzero(sol.s_star)
+
+    assert objective(inexact) == pytest.approx(objective(exact), rel=1e-8)
+    assert sum(row.cg_iterations for row in inexact.traces) < sum(row.cg_iterations for row in exact.traces)
 
 
 def test_extrapolated_start_moves_only_coordinates_nonzero_in_both_centres():

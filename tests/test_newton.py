@@ -298,6 +298,79 @@ def test_factored_and_conjugate_gradient_sides_agree(monkeypatch):
         assert np.linalg.norm(x_cg - x) <= 1e-10 * np.linalg.norm(x)
 
 
+def test_inexact_conjugate_gradient_direction_meets_its_tolerance_and_descends(monkeypatch):
+    # the p = 24 all-T point above, solved to the largest forcing term: the
+    # Schur system is solved to 1e-3 relative, in fewer iterations than the
+    # exact solve, and the direction passes the joint descent test
+    rng = np.random.default_rng(24)
+    p = 24
+    problem = ProblemData(random_spd(rng, p), C=1.0, mu=rng.uniform(0.5, 2.0))
+    barrier = BarrierObjective(problem, tau=rng.uniform(0.1, 0.6))
+    it, basis = random_interior_point(rng, p)
+    T = np.arange(basis.m)
+    solves = []  # (b, x, rtol) of every conjugate-gradient solve
+    cg = _SchurComplement._cg
+
+    def spy(self, b, rtol):
+        x = cg(self, b, rtol)
+        solves.append((b, x, rtol))
+        return x
+
+    monkeypatch.setattr(_SchurComplement, "_cg", spy)
+    exact = newton_direction(it, T, barrier)
+    d = newton_direction(it, T, barrier, rtol=1e-3)
+    assert [rtol for *_, rtol in solves] == [1e-12, 1e-3]
+    b, x, _ = solves[-1]
+    K = _dense_schur_complement(it, barrier, T)
+    assert np.linalg.norm(K @ x - b) <= 1e-3 * np.linalg.norm(b)
+    assert 0 < d.cg_iterations < exact.cg_iterations
+    g_ell, g_s = grad_h_tau(it, barrier)
+    assert descent_safeguard(d, g_s, NewtonParams.delta, 0.1, g_ell=g_ell)
+
+
+def test_solver_solves_each_step_to_its_forcing_term(monkeypatch):
+    # every conjugate-gradient solve of a step runs to max(1e-12, min(1e-3,
+    # ||F||)) of the point the step starts from, and the trace row counts
+    # the iterations, one product each
+    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
+    rng = np.random.default_rng(11)
+    p = 5
+    sigma_check = random_spd(rng, p, shift=2.0)
+    problem = ProblemData(sigma_check, C=0.5, mu=10.0)
+    barrier = BarrierObjective(problem, tau=0.1)
+    init = Iterate.from_matrices(0.5 * sigma_check, 0.5 * sigma_check, SymmetricBasis(p))
+    params = NewtonParams(gamma=0.1, residual_tol=1e-8)
+    steps = []  # per step: [rtol passed to newton_direction, cg rtols, products]
+    direction, cg, product = newton_direction, _SchurComplement._cg, _SchurComplement._product
+
+    def direction_spy(*args, rtol, **kwargs):
+        steps.append([rtol, [], 0])
+        return direction(*args, rtol=rtol, **kwargs)
+
+    def cg_spy(self, b, rtol):
+        steps[-1][1].append(rtol)
+        return cg(self, b, rtol)
+
+    def product_spy(self, x):
+        steps[-1][2] += 1
+        return product(self, x)
+
+    monkeypatch.setattr(lsfa.newton, "newton_direction", direction_spy)
+    monkeypatch.setattr(_SchurComplement, "_cg", cg_spy)
+    monkeypatch.setattr(_SchurComplement, "_product", product_spy)
+    result = solve_tau_min(init, barrier, params)
+    assert result.status == "converged"
+    assert len(steps) == result.n_iters
+    residuals = [stationarity_residual(init, barrier, params.gamma).norm_normalized]
+    residuals += [row.residual_normalized for row in result.rows[:-1]]
+    forcing = [max(1e-12, min(1e-3, r)) for r in residuals]
+    assert [rtol for rtol, *_ in steps] == forcing
+    for (_, cg_rtols, _), rtol in zip(steps, forcing):
+        assert cg_rtols and set(cg_rtols) == {rtol}
+    assert forcing[0] == 1e-3 and 1e-12 < min(forcing) < 1e-3
+    assert [row.cg_iterations for row in result.rows] == [n for *_, n in steps]
+
+
 def test_nonpositive_curvature_in_conjugate_gradients_is_a_breakdown(monkeypatch):
     monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
     monkeypatch.setattr(_SchurComplement, "_product", lambda self, x: -x)
