@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import require_positive
-from .newton import InnerSolveResult, NewtonParams, fixed_barrier_loop
+from .errors import require_count, require_positive
+from .newton import MAX_BACKTRACKS, InnerSolveResult, NewtonParams, fixed_barrier_loop
 from .objective import BarrierObjective, Iterate, eval_h_tau, grad_h_tau
 from .prox import prox_l0_vec
 
@@ -62,19 +62,17 @@ def outside_cone(t: float, top: float) -> bool:
 class BaselineParams:
     """First-order solver parameters; gamma doubles as the prox stepsize.
 
-    The stopping threshold and the backtracking cap default to the Newton
-    solver's, so the two solvers compare under the same rules.
+    The stopping threshold defaults to the Newton solver's and the halving
+    cap is its MAX_BACKTRACKS, so the two solvers compare under the same rules.
     """
 
     gamma: float
-    step_ell: float = 1.0
     residual_tol: float = NewtonParams.residual_tol
     max_iters: int = 20000
-    max_backtracks: int = NewtonParams.max_backtracks
 
     def __post_init__(self):
-        require_positive(gamma=self.gamma, step_ell=self.step_ell, residual_tol=self.residual_tol,
-                         max_iters=self.max_iters, max_backtracks=self.max_backtracks)
+        require_positive(gamma=self.gamma, residual_tol=self.residual_tol)
+        require_count(max_iters=self.max_iters)
 
 
 def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) -> InnerSolveResult:
@@ -92,15 +90,14 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         rejected = 0  # trial points rejected in both blocks, for the trace row
         if slope > 0:
             top = pencil_top(it.L, basis.vec_to_mat(g_ell))
-            t = params.step_ell
-            for _ in range(params.max_backtracks + 1):
+            for k in range(MAX_BACKTRACKS + 1):
+                t = 0.5**k
                 if not outside_cone(t, top):
                     trial = Iterate(it.ell - t * g_ell, it.s, basis)
                     h_trial = eval_h_tau(trial, barrier)
                     if h_trial <= h_here - _ARMIJO_SLOPE * t * slope:
                         it_mid, h_mid, accepted_t = trial, h_trial, t
                         break
-                t *= 0.5
                 rejected += 1
 
         # Sparse-block prox-gradient step; the stepsize halves until the
@@ -108,7 +105,7 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         # with equality, so exact fixed points are accepted immediately).
         g_s_mid = grad_h_tau(it_mid, barrier)[1]
         gp, it_next = params.gamma, it_mid
-        for _ in range(params.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             s_plus = prox_l0_vec(it_mid.s - gp * g_s_mid, gp, problem.C)
             trial = Iterate(it_mid.ell, s_plus, basis)
             if eval_h_tau(trial, barrier) <= h_mid:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, NumericalBreakdownError, require_positive
+from .errors import ConfigError, NumericalBreakdownError, require_count, require_positive
 from .objective import _logdet_from_chol
 
 
@@ -97,8 +97,7 @@ def generate_ground_truth(
 
 def sample_observations(truth: GroundTruth, N: int, seed: int = 0) -> np.ndarray:
     """Draw N observations y_i = Gamma u_i + w_i as an N x p array."""
-    if N < 1:
-        raise ConfigError(f"sample count must be >= 1, got {N}")
+    require_count(N=N)
     rng = np.random.default_rng(seed)
     p = truth.S_hat.shape[0]
     U = rng.standard_normal((N, truth.Gamma.shape[1]))

@@ -1,6 +1,7 @@
-"""Exception types shared across the solver stack, and the shared range check."""
+"""Exception types shared across the solver stack, and the shared range checks."""
 
 import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -35,3 +36,10 @@ def require_positive(**values: float) -> None:
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise ConfigError(f"{name} must be finite and > 0, got {value}")
+
+
+def require_count(**values: int) -> None:
+    """Raise ConfigError naming the first of `values` that is not an integer >= 1 (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")

@@ -24,7 +24,7 @@ import scipy.linalg
 from .baseline import BaselineParams, bcd_solve
 from .datagen import check_instance, generate_ground_truth, sample_observations
 from .errors import (ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError,
-                     require_positive)
+                     require_count, require_positive)
 from .ipm import ETA_RANK, ETA_SUPP, IpmParams, Solution, ipm_solve, sparse_init
 from .newton import NewtonParams
 from .objective import (BarrierObjective, Iterate, ProblemData, _logdet_from_chol,
@@ -36,7 +36,7 @@ RUN_DIR_ENV = "LSFA_RUN_DIR"
 # solver-parameter field -> the RunConfig field that sets it, where the names
 # differ; every other IpmParams and BaselineParams field has a RunConfig field
 # of its own name
-_RENAMED = {"epsilon": "eps", "max_iters": "bcd_max_iters", "step_ell": "bcd_step_ell"}
+_RENAMED = {"epsilon": "eps", "max_iters": "bcd_max_iters"}
 # every run_* raises FloatingPointError on an overflow or invalid operation (an
 # input of extreme magnitude) instead of going on with non-finite numbers;
 # ipm_solve and bcd_solve called directly follow the caller's numpy errstate
@@ -70,12 +70,10 @@ class RunConfig:
     beta: float = NewtonParams.beta
     residual_tol: float = NewtonParams.residual_tol
     max_inner_iters: int = NewtonParams.max_inner_iters
-    max_backtracks: int = NewtonParams.max_backtracks
     eta_rank: float = ETA_RANK
     eta_supp: float = ETA_SUPP
     # first-order baseline
     bcd_max_iters: int = BaselineParams.max_iters
-    bcd_step_ell: float = BaselineParams.step_ell
     # cross-validation
     folds: int = 3
     c_grid: tuple[float, ...] = (0.25, 0.5, 1.0)
@@ -96,12 +94,12 @@ class RunConfig:
         Each value is checked by the code that uses it: the instance sizes by
         datagen.check_instance, the weights by ProblemData.check_weights, the
         solver parameters by the classes ipm_params() and baseline_params()
-        build.  Checked here are the fields nothing else reads, and the three
+        build.  Checked here are the fields nothing else reads, and the two
         those classes know by other names (_RENAMED), so that the error names
         the field that was set.
         """
-        require_positive(p=self.p, n=self.n, eta_rank=self.eta_rank, eta_supp=self.eta_supp,
-                         **{name: getattr(self, name) for name in _RENAMED.values()})
+        require_positive(eta_rank=self.eta_rank, eta_supp=self.eta_supp, eps=self.eps)
+        require_count(p=self.p, n=self.n, bcd_max_iters=self.bcd_max_iters)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
@@ -335,13 +333,13 @@ def run_cv(config: RunConfig) -> dict:
     """K-fold grid search over (C, mu) scored by held-out Gaussian NLL."""
     config.validate()
     samples = read_matrix_csv(config.path(config.samples_file))
-    n = samples.shape[0]
+    n, p = samples.shape
     if config.folds > n:
         # a fold without samples has no held-out likelihood to score
         raise ConfigError(f"folds={config.folds} exceeds the {n} samples in {config.samples_file}")
-    if n // config.folds < config.p:
+    if n // config.folds < p:
         warnings.warn(
-            f"fold size {n // config.folds} is below p={config.p}; per-fold sample "
+            f"fold size {n // config.folds} is below p={p}; per-fold sample "
             "covariances may be singular (scoring uses the fitted model only, so "
             "the run proceeds)"
         )

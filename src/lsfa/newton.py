@@ -64,7 +64,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, InfeasiblePointError, NumericalBreakdownError, require_positive
+from .errors import (ConfigError, InfeasiblePointError, NumericalBreakdownError, require_count,
+                     require_positive)
 from .objective import (
     BarrierObjective,
     Iterate,
@@ -74,6 +75,10 @@ from .objective import (
 )
 from .prox import StationarityResidual, complement, stationarity_residual
 from .trace import TraceRow
+
+# The most halvings a backtracking search takes after its first trial, here and in the
+# baseline: at the default beta = 0.5, 0.5**50 ~ 9e-16 is at float64's relative spacing.
+MAX_BACKTRACKS = 50
 
 
 @dataclass
@@ -91,11 +96,10 @@ class NewtonParams:
     beta: float = 0.5
     residual_tol: float = 1e-4
     max_inner_iters: int = 200
-    max_backtracks: int = 50
 
     def __post_init__(self):
-        require_positive(gamma=self.gamma, delta=self.delta, residual_tol=self.residual_tol,
-                         max_inner_iters=self.max_inner_iters, max_backtracks=self.max_backtracks)
+        require_positive(gamma=self.gamma, delta=self.delta, residual_tol=self.residual_tol)
+        require_count(max_inner_iters=self.max_inner_iters)
         if not 0 < self.sigma < 0.5:
             raise ConfigError(f"sigma must be in (0, 1/2), got {self.sigma}")
         if not 0 < self.beta < 1:
@@ -449,7 +453,7 @@ def fallback_direction(iterate: Iterate, g_ell: np.ndarray, g_s: np.ndarray, T: 
 class LineSearchResult:
     alpha: float
     iterate: Iterate | None  # None when no trial point passed
-    n_backtracks: int
+    n_backtracks: int  # trials rejected: MAX_BACKTRACKS + 1, all of them, when it failed
 
     @property
     def success(self) -> bool:
@@ -480,7 +484,7 @@ def line_search(
     in_T = np.zeros(iterate.basis.m, dtype=bool)
     in_T[direction.T] = True
 
-    for v in range(params.max_backtracks + 1):
+    for v in range(MAX_BACKTRACKS + 1):
         alpha = params.beta**v
         trial_s = np.where(in_T, iterate.s + alpha * direction.d_s, 0.0)
         trial = Iterate(iterate.ell + alpha * direction.d_ell, trial_s, iterate.basis)
@@ -488,7 +492,7 @@ def line_search(
         decrease = params.sigma * alpha * slope
         if h_trial <= h0 + decrease or h_trial + C * np.count_nonzero(trial_s) <= merit0 + decrease:
             return LineSearchResult(alpha=alpha, iterate=trial, n_backtracks=v)
-    return LineSearchResult(alpha=0.0, iterate=None, n_backtracks=params.max_backtracks)
+    return LineSearchResult(alpha=0.0, iterate=None, n_backtracks=MAX_BACKTRACKS + 1)
 
 
 @dataclass
@@ -653,7 +657,7 @@ def solve_tau_min(
             # shrink with alpha instead, and the prox drop them later
             direction = replace(direction, T=res.T)
             ls = line_search(it, direction, barrier, params, grad=g)
-            rejected = params.max_backtracks + 1 + ls.n_backtracks
+            rejected += ls.n_backtracks
         if not ls.success:
             return "line-search-failure"
         return ls.iterate, dict(step_alpha=ls.alpha, direction_kind=direction.kind,

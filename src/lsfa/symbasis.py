@@ -21,6 +21,8 @@ import functools
 
 import numpy as np
 
+from .errors import require_count
+
 _SQRT2 = np.sqrt(2.0)
 # Rows of sym_kron formed per pass.  A pass copies whole rows of p x ncols
 # tables into temporaries of _ROW_BLOCK x ncols (~0.16 MB each at p = 40,
@@ -45,10 +47,7 @@ class SymmetricBasis:
     """
 
     def __init__(self, p: int):
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-            raise ValueError(f"matrix dimension must be an integer, got {p!r}")
-        if p < 1:
-            raise ValueError(f"matrix dimension must be >= 1, got {p}")
+        require_count(p=p)
         self.p = int(p)
         self.m = self.p * (self.p + 1) // 2
         rows, cols = np.triu_indices(self.p)
@@ -63,21 +62,21 @@ class SymmetricBasis:
         self.pair_index[cols, rows] = coords
         self._upper_flat = rows * self.p + cols
 
-    def mat_to_vec(self, S: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+    def mat_to_vec(self, S: np.ndarray) -> np.ndarray:
         """Coordinates of a symmetric matrix: s_a = <S, E_a>.
 
         Diagonal entries map unchanged; an off-diagonal entry S_ij maps to
-        sqrt(2) * S_ij.  Asymmetric input (beyond `rtol` relative to ||S||_F)
+        sqrt(2) * S_ij.  Asymmetric input (beyond 1e-12 relative to ||S||_F)
         is rejected rather than silently symmetrized.
         """
         S = np.asarray(S, dtype=float)
         if S.shape != (self.p, self.p):
             raise ValueError(f"expected a {self.p}x{self.p} matrix, got shape {S.shape}")
         asym = np.linalg.norm(S - S.T)
-        if asym > rtol * np.linalg.norm(S):
+        if asym > 1e-12 * np.linalg.norm(S):
             raise ValueError(
                 f"matrix is not symmetric: ||S - S.T||_F = {asym:.3e} exceeds "
-                f"the relative tolerance {rtol:g}"
+                "the relative tolerance 1e-12"
             )
         return S.take(self._upper_flat) * self._vec_scale
 

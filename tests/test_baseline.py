@@ -8,6 +8,7 @@ import lsfa.baseline
 from lsfa import (
     BarrierObjective,
     BaselineParams,
+    ConfigError,
     InfeasiblePointError,
     Iterate,
     ProblemData,
@@ -21,7 +22,7 @@ from lsfa import (
     stationarity_residual,
 )
 from lsfa.baseline import outside_cone, pencil_top
-from lsfa.newton import fixed_barrier_loop
+from lsfa.newton import MAX_BACKTRACKS, fixed_barrier_loop
 from conftest import random_spd
 
 
@@ -42,12 +43,14 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BaselineParams(gamma=0.0)
     with pytest.raises(ValueError):
-        BaselineParams(gamma=0.5, step_ell=-1.0)
-    with pytest.raises(ValueError):
         BaselineParams(gamma=0.5, max_iters=0)
+    # an iteration cap that is not an integer, or is a bool, is rejected when the class is built
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ConfigError, match="max_iters must be an integer"):
+            BaselineParams(gamma=0.5, max_iters=bad)
 
 
-@pytest.mark.parametrize("name", ["gamma", "step_ell", "residual_tol"])
+@pytest.mark.parametrize("name", ["gamma", "residual_tol"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_params_reject_non_finite(name, bad):
     kwargs = dict(gamma=0.5)
@@ -121,8 +124,8 @@ def _every_trial_bcd_solve(init, barrier, params):
         slope = float(g_ell @ g_ell)
         it_mid, h_mid, accepted_t, rejected = it, h_here, 0.0, 0
         if slope > 0:
-            t = params.step_ell
-            for _ in range(params.max_backtracks + 1):
+            t = 1.0
+            for _ in range(MAX_BACKTRACKS + 1):
                 trial = Iterate(it.ell - t * g_ell, it.s, basis)
                 h_trial = eval_h_tau(trial, barrier)
                 if h_trial <= h_here - lsfa.baseline._ARMIJO_SLOPE * t * slope:
@@ -132,7 +135,7 @@ def _every_trial_bcd_solve(init, barrier, params):
                 rejected += 1
         g_s_mid = grad_h_tau(it_mid, barrier)[1]
         gp, it_next = params.gamma, it_mid
-        for _ in range(params.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = Iterate(it_mid.ell, prox_l0_vec(it_mid.s - gp * g_s_mid, gp, C), basis)
             if eval_h_tau(trial, barrier) <= h_mid:
                 it_next = trial
@@ -166,7 +169,7 @@ def _assert_matches_every_trial_oracle(monkeypatch, problem, tau, L0, S0):
     assert result.status == expected.status
     backtracks = [row.n_backtracks for row in result.rows]
     assert max(backtracks) > 0
-    # the ell step's halvings alone give alpha = step_ell / 2^halvings
+    # the ell step's halvings alone give alpha = 1 / 2^halvings
     assert all(row.step_alpha > 0 for row in result.rows)
     assert all(row.step_alpha >= 0.5**row.n_backtracks for row in result.rows)
     # a step builds its rejected trials plus one accepted trial per block,
@@ -200,8 +203,8 @@ def test_trials_outside_the_cone_fail_cholesky(kind):
     B = rng.standard_normal((p, p))
     G = 20.0 * (B + B.T) if kind == "indefinite" else -random_spd(rng, p, shift=1.0)
     top = pencil_top(L, G)
-    # the step's halvings from step_ell = 1, and two points just past the bound
-    ts = [0.5**k for k in range(51)]
+    # the step's halvings from t = 1, and two points just past the bound
+    ts = [0.5**k for k in range(MAX_BACKTRACKS + 1)]
     if top > 0:
         ts += [(1 + 1e-7) / top, (1 + 1e-3) / top]
     skipped = [t for t in ts if outside_cone(t, top)]

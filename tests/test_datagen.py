@@ -71,8 +71,9 @@ def test_single_observation_shape():
 
 def test_zero_observations_rejected():
     truth = generate_ground_truth(p=6, r=2, seed=2)
-    with pytest.raises(ConfigError):
-        sample_observations(truth, 0)
+    for N in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="N must be an integer"):
+            sample_observations(truth, N)
 
 
 def test_monte_carlo_covariance():

@@ -96,17 +96,14 @@ def test_config_hands_each_setting_to_its_own_solver_field():
     # distinct non-default values: delta and residual_tol share the default
     # 1e-4, so only these tell a swap of the two from the right mapping
     settings = dict(gamma=0.11, delta=2e-4, sigma=3e-4, beta=0.4, residual_tol=5e-4,
-                    max_inner_iters=61, max_backtracks=71, tau0=0.81, theta=0.91, eps=6e-6,
-                    bcd_step_ell=0.7, bcd_max_iters=81)
+                    max_inner_iters=61, tau0=0.81, theta=0.91, eps=6e-6, bcd_max_iters=81)
     assert len(set(settings.values())) == len(settings)
     config = RunConfig(**settings).validate()
     ipm = config.ipm_params()
     assert ipm == IpmParams(gamma=0.11, delta=2e-4, sigma=3e-4, beta=0.4, residual_tol=5e-4,
-                            max_inner_iters=61, max_backtracks=71, tau0=0.81, theta=0.91,
-                            epsilon=6e-6)
+                            max_inner_iters=61, tau0=0.81, theta=0.91, epsilon=6e-6)
     baseline = config.baseline_params()
-    assert baseline == BaselineParams(gamma=0.11, step_ell=0.7, residual_tol=5e-4, max_iters=81,
-                                      max_backtracks=71)
+    assert baseline == BaselineParams(gamma=0.11, residual_tol=5e-4, max_iters=81)
     # and no setting is a default, so each value reached its field from the config
     for params in (ipm, baseline):
         defaults = type(params)(gamma=RunConfig.gamma)
@@ -321,8 +318,10 @@ def test_cli_cv_more_folds_than_samples_is_config_error(tmp_path, capsys):
     ('[["p", 6]]', []),
     (b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xc0)), []),
     (None, ["--seed", "-1"]),
+    ('{"max_backtracks": 5}', []),
+    ('{"bcd_step_ell": 0.5}', []),
 ], ids=["str-for-int", "number-for-grid", "float-for-int", "malformed-json", "not-an-object",
-        "not-utf-8", "negative-seed"])
+        "not-utf-8", "negative-seed", "no-max-backtracks", "no-bcd-step-ell"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config, argv):
     args = ["generate", "--run-dir", str(tmp_path), *argv]
     if config is not None:
@@ -331,6 +330,21 @@ def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config, argv):
         args += ["--config", str(path)]
     assert main(args) == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-backtracks", "--bcd-step-ell"])
+def test_cli_has_no_flag_for_the_fixed_search_constants(tmp_path, flag):
+    # the halving cap and the baseline's first ell step are constants
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--run-dir", str(tmp_path), flag, "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["p", "n", "bcd_max_iters"])
+@pytest.mark.parametrize("bad", [10.5, True])
+def test_config_validation_names_a_count_that_is_not_an_integer(name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        RunConfig(**{name: bad}).validate()
 
 
 def test_config_validation_rejects_non_finite():
@@ -447,6 +461,28 @@ def test_cv_warns_on_small_folds(small_run_dir):
                      np.random.default_rng(0).standard_normal((10, 6)))
     with pytest.warns(UserWarning, match="fold size"):
         run_cv(cfg)
+
+
+@pytest.mark.parametrize("shape,p,expected", [
+    ((60, 6), 40, None),
+    ((75, 30), 10, "fold size 25 is below p=30"),
+], ids=["config-p-above-variables", "config-p-below-variables"])
+def test_cv_fold_size_warning_reads_the_samples(small_run_dir, monkeypatch, shape, p, expected):
+    # the warning compares the fold size with the variables in the samples
+    # file, whatever config.p says; the fits do not bear on it, so each fails
+    write_matrix_csv(small_run_dir / "samples.csv",
+                     np.random.default_rng(0).standard_normal(shape))
+
+    def no_fit(config, problem):
+        raise lsfa.DataError("not fitted")
+
+    monkeypatch.setattr(lsfa.harness, "_fit", no_fit)
+    cfg = RunConfig(p=p, run_dir=str(small_run_dir), c_grid=(0.5,), mu_grid=(10.0,), folds=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_cv(cfg)
+    messages = [str(w.message) for w in caught if "fold size" in str(w.message)]
+    assert [m.split(";")[0] for m in messages] == ([expected] if expected else [])
 
 
 def test_cli_cv_on_two_variables_scores_inf_without_burning_the_step_cap(tmp_path, capsys,

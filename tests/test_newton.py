@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import lsfa.newton
 from lsfa import (
     BarrierObjective,
+    ConfigError,
     Direction,
     InfeasiblePointError,
     NumericalBreakdownError,
@@ -35,7 +36,7 @@ from lsfa import (
     solve_tau_min,
     stationarity_residual,
 )
-from lsfa.newton import _SchurComplement, fixed_barrier_loop, settle_guard
+from lsfa.newton import MAX_BACKTRACKS, _SchurComplement, fixed_barrier_loop, settle_guard
 from lsfa.objective import hessian_vector_product
 from conftest import random_interior_point, random_spd
 
@@ -538,10 +539,12 @@ def test_line_search_failure_reported():
     g_ell, g_s = grad_h_tau(it, barrier)
     T = np.arange(basis.m)
     d = Direction(d_ell=g_ell.copy(), d_s=g_s.copy(), kind="newton", T=T)  # ascent
-    params = NewtonParams(gamma=0.5, max_backtracks=20)
+    params = NewtonParams(gamma=0.5)
     ls = line_search(it, d, barrier, params)
     assert not ls.success
     assert ls.iterate is None
+    # the first trial and every halving after it were rejected
+    assert ls.n_backtracks == MAX_BACKTRACKS + 1
 
 
 def test_line_search_accepts_zeroing_paid_by_the_penalty():
@@ -574,7 +577,7 @@ def test_line_search_accepts_zeroing_paid_by_the_penalty():
     assert h1 - penalty < h0
     # the published test, on h_tau alone, rejects every trial
     slope = g[0] @ d.d_ell + g[1] @ d.d_s
-    for v in range(params.max_backtracks + 1):
+    for v in range(MAX_BACKTRACKS + 1):
         alpha = params.beta**v
         s_trial = np.zeros(basis.m)
         s_trial[T] = root.s[T] + alpha * d.d_s[T]
@@ -638,10 +641,10 @@ def test_solver_lets_predicted_drops_shrink_when_zeroing_them_fails(monkeypatch)
         assert searches[k - 1][0] < searches[k][0] and searches[k][1]
     assert len(searches) == result.n_iters + len(retried)
     # the trace counts every trial rejected before the accepted one, in both passes
-    rejected = [n + (params.max_backtracks + 1 if k in retried else 0)
+    rejected = [n + (MAX_BACKTRACKS + 1 if k in retried else 0)
                 for k, (_, success, n) in enumerate(searches) if success]
     assert [row.n_backtracks for row in result.rows] == rejected
-    assert any(n > params.max_backtracks for n in rejected)
+    assert any(n > MAX_BACKTRACKS for n in rejected)
 
 
 def test_solver_zero_iterations_at_stationary_init(small_instance):
@@ -829,6 +832,12 @@ def test_params_validation():
         NewtonParams(gamma=0.5, delta=-1.0)
     with pytest.raises(ValueError):
         NewtonParams(gamma=0.5, max_inner_iters=0)
+    # a step cap that is not an integer, or is a bool, is rejected when the class is built
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ConfigError, match="max_inner_iters must be an integer"):
+            NewtonParams(gamma=0.5, max_inner_iters=bad)
+        with pytest.raises(ConfigError, match="max_inner_iters must be an integer"):
+            IpmParams(gamma=0.5, max_inner_iters=bad)
 
 
 @pytest.mark.parametrize("name", ["gamma", "delta", "residual_tol"])

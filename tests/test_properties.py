@@ -133,9 +133,9 @@ _VALID = {
     "C": _POSITIVE, "mu": _POSITIVE, "gamma": _POSITIVE, "tau0": _POSITIVE, "theta": _UNIT,
     "eps": _POSITIVE, "delta": _POSITIVE,
     "sigma": st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
-    "beta": _UNIT, "residual_tol": _POSITIVE, "max_inner_iters": _COUNT, "max_backtracks": _COUNT,
+    "beta": _UNIT, "residual_tol": _POSITIVE, "max_inner_iters": _COUNT,
     "eta_rank": _POSITIVE, "eta_supp": _POSITIVE, "bcd_max_iters": _COUNT,
-    "bcd_step_ell": _POSITIVE, "folds": st.integers(2, 1000),
+    "folds": st.integers(2, 1000),
     "c_grid": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
     "mu_grid": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
     "run_dir": _NAME, "samples_file": _NAME, "covariance_file": st.none() | _NAME,
