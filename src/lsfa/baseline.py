@@ -14,7 +14,10 @@ matrix) is positive definite exactly when t * top < 1, top the largest
 eigenvalue of the pencil (G, L).  One eigenvalue per step therefore lets the
 halvings clearly outside the cone be counted as rejected without building
 their trial point; the iterates, step lengths and rejection counts are those
-of building every trial.  The solver records the same normalized
+of building every trial.  Each trial moves one block and is built from the
+iterate it moves away from, so it keeps that iterate's factor and inverse of
+the block it does not move: an ell trial factors only L and Sigma, a prox
+trial only S and Sigma.  The solver records the same normalized
 stationarity residual as the Newton solver (always at the nominal gamma),
 which makes the two traces directly comparable.
 
@@ -93,7 +96,7 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
             for k in range(MAX_BACKTRACKS + 1):
                 t = 0.5**k
                 if not outside_cone(t, top):
-                    trial = Iterate(it.ell - t * g_ell, it.s, basis)
+                    trial = Iterate(it.ell - t * g_ell, it.s, basis, it)
                     h_trial = eval_h_tau(trial, barrier)
                     if h_trial <= h_here - _ARMIJO_SLOPE * t * slope:
                         it_mid, h_mid, accepted_t = trial, h_trial, t
@@ -107,7 +110,7 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         gp, it_next = params.gamma, it_mid
         for _ in range(MAX_BACKTRACKS + 1):
             s_plus = prox_l0_vec(it_mid.s - gp * g_s_mid, gp, problem.C)
-            trial = Iterate(it_mid.ell, s_plus, basis)
+            trial = Iterate(it_mid.ell, s_plus, basis, it_mid)
             if eval_h_tau(trial, barrier) <= h_mid:
                 it_next = trial
                 break

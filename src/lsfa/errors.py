@@ -38,8 +38,8 @@ def require_positive(**values: float) -> None:
             raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
-def require_count(**values: int) -> None:
-    """Raise ConfigError naming the first of `values` that is not an integer >= 1 (a bool is not)."""
+def require_count(least: int = 1, /, **values: int) -> None:
+    """Raise ConfigError naming the first of `values` that is not an integer >= least (a bool is not)."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")

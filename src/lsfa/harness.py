@@ -99,11 +99,9 @@ class RunConfig:
         the field that was set.
         """
         require_positive(eta_rank=self.eta_rank, eta_supp=self.eta_supp, eps=self.eps)
-        require_count(p=self.p, n=self.n, bcd_max_iters=self.bcd_max_iters)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.folds < 2:
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        require_count(p=self.p, r=self.r, n=self.n, bcd_max_iters=self.bcd_max_iters)
+        require_count(2, folds=self.folds)
+        require_count(0, seed=self.seed)
         for name in ("c_grid", "mu_grid"):
             grid = getattr(self, name)
             if not grid or not all(0 < x < math.inf for x in grid):

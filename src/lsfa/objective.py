@@ -140,6 +140,27 @@ class BarrierObjective:
             raise ValueError(f"barrier parameter tau must be >= 0, got {self.tau}")
 
 
+class _Block:
+    """One block of an iterate: matrix, Cholesky factor, lazily inverse and log-determinant.
+
+    The factor is None when the matrix is not positive definite.  Iterates
+    that have a block in common hold the same _Block, so an inverse or
+    log-determinant computed through one of them serves the other too.
+    """
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.chol = _try_cholesky(M)
+
+    @functools.cached_property
+    def inv(self) -> np.ndarray:
+        return _inv_from_chol(self.chol)
+
+    @functools.cached_property
+    def logdet(self) -> float:
+        return _logdet_from_chol(self.chol)
+
+
 class Iterate:
     """A coordinate pair (ell, s) with cached matrices and factorizations.
 
@@ -149,12 +170,24 @@ class Iterate:
     trial points only ever need the log-determinants.  The objective values
     are memoized too (eval_f_at, eval_h_tau): an accepted trial point is
     evaluated by the line search, by its trace row and by the next step.
-    The coordinates must not be changed in place after construction.
+
+    A trial point that moves one block passes the iterate it moved from as
+    `source`, with the other coordinate array as that iterate's own object
+    (`s is source.s`, or `ell is source.ell`).  It then shares that block
+    with `source` (its matrix, factor, inverse and log-determinant) instead
+    of rebuilding it; Sigma is always built anew.  The coordinates must not
+    be changed in place after construction, and neither may anything an
+    iterate shares with another.
     """
 
-    def __init__(self, ell: np.ndarray, s: np.ndarray, basis: SymmetricBasis):
-        ell = np.array(ell, dtype=float)
-        s = np.array(s, dtype=float)
+    def __init__(self, ell: np.ndarray, s: np.ndarray, basis: SymmetricBasis,
+                 source: "Iterate | None" = None):
+        keep_L = source is not None and ell is source.ell
+        keep_S = source is not None and s is source.s
+        if not keep_L:
+            ell = np.array(ell, dtype=float)
+        if not keep_S:
+            s = np.array(s, dtype=float)
         if ell.shape != (basis.m,) or s.shape != (basis.m,):
             raise ValueError(
                 f"coordinate vectors must have length m={basis.m}, "
@@ -163,11 +196,11 @@ class Iterate:
         self.ell = ell
         self.s = s
         self.basis = basis
-        self.L = basis.vec_to_mat(ell)
-        self.S = basis.vec_to_mat(s)
+        self._L = source._L if keep_L else _Block(basis.vec_to_mat(ell))
+        self._S = source._S if keep_S else _Block(basis.vec_to_mat(s))
+        self.L, self.chol_L = self._L.M, self._L.chol
+        self.S, self.chol_S = self._S.M, self._S.chol
         self.sigma = self.L + self.S
-        self.chol_L = _try_cholesky(self.L)
-        self.chol_S = _try_cholesky(self.S)
         self.chol_sigma = _try_cholesky(self.sigma)
         self._f: dict[ProblemData, float] = {}
         self._h: dict[tuple[ProblemData, float], float] = {}
@@ -188,22 +221,22 @@ class Iterate:
     @property
     def logdet_L(self) -> float:
         self._require_feasible()
-        return _logdet_from_chol(self.chol_L)
+        return self._L.logdet
 
     @property
     def logdet_S(self) -> float:
         self._require_feasible()
-        return _logdet_from_chol(self.chol_S)
+        return self._S.logdet
 
     @functools.cached_property
     def inv_L(self) -> np.ndarray:
         self._require_feasible()
-        return _inv_from_chol(self.chol_L)
+        return self._L.inv
 
     @functools.cached_property
     def inv_S(self) -> np.ndarray:
         self._require_feasible()
-        return _inv_from_chol(self.chol_S)
+        return self._S.inv
 
     @functools.cached_property
     def inv_sigma(self) -> np.ndarray:

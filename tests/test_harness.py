@@ -347,6 +347,20 @@ def test_config_validation_names_a_count_that_is_not_an_integer(name, bad):
         RunConfig(**{name: bad}).validate()
 
 
+@pytest.mark.parametrize("entry", ["validate", "run_cv", "run_generate"])
+@pytest.mark.parametrize("name,bad", [("r", 2.5), ("r", True), ("r", 0), ("folds", 2.5),
+                                      ("folds", True), ("folds", 1), ("seed", 2.5),
+                                      ("seed", True), ("seed", -1)])
+def test_config_validation_names_a_bounded_count(tmp_path, entry, name, bad):
+    # set from Python, a count that is not an integer or is below its bound is named,
+    # not left to numpy's TypeError
+    config = RunConfig(p=6, run_dir=str(tmp_path), **{name: bad})
+    run = {"validate": RunConfig.validate, "run_cv": run_cv, "run_generate": run_generate}[entry]
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= "):
+        run(config)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_validation_rejects_non_finite():
     with pytest.raises(ConfigError, match="C must be finite"):
         RunConfig(C=float("inf")).validate()

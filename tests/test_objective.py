@@ -175,6 +175,47 @@ def test_objective_values_memoized_per_problem_and_tau(monkeypatch):
     assert h_other == eval_h_tau(Iterate(it.ell, it.s, basis), BarrierObjective(other, tau=0.37))
 
 
+@pytest.mark.parametrize("moved", ["ell", "s"])
+def test_one_block_trial_matches_a_fresh_iterate(moved):
+    rng = np.random.default_rng(9)
+    barrier = BarrierObjective(ProblemData(random_spd(rng, 4), C=1.0, mu=2.3), tau=0.37)
+    it, basis = random_interior_point(rng, 4)
+    step = 0.01 * rng.standard_normal(basis.m)
+    if moved == "ell":
+        trial, kept = Iterate(it.ell + step, it.s, basis, it), "S"
+    else:
+        trial, kept = Iterate(it.ell, it.s + step, basis, it), "L"
+    fresh = Iterate(trial.ell.copy(), trial.s.copy(), basis)
+    for name in ("ell", "s", "L", "S", "sigma", "chol_L", "chol_S", "chol_sigma",
+                 "inv_L", "inv_S", "inv_sigma"):
+        assert np.array_equal(getattr(trial, name), getattr(fresh, name)), name
+    assert (trial.logdet_L, trial.logdet_S) == (fresh.logdet_L, fresh.logdet_S)
+    assert eval_h_tau(trial, barrier) == eval_h_tau(fresh, barrier)
+    # the unmoved block is the source's own: its factor, and an inverse computed
+    # through either iterate, serve both; Sigma is the trial's own
+    for name in (kept, f"chol_{kept}", f"inv_{kept}", f"logdet_{kept}"):
+        assert getattr(trial, name) is getattr(it, name), name
+    assert trial.chol_sigma is not it.chol_sigma
+    # an equal array that is not the source's object rebuilds the block
+    copied = Iterate(it.ell.copy(), it.s.copy(), basis, it)
+    assert copied.chol_L is not it.chol_L and copied.chol_S is not it.chol_S
+
+
+def test_one_block_trial_with_a_moved_block_off_the_cone_is_infeasible():
+    rng = np.random.default_rng(10)
+    problem = ProblemData(random_spd(rng, 4), C=1.0, mu=2.3)
+    it, basis = random_interior_point(rng, 4)
+    # L indefinite, while the shared S keeps Sigma = L + S positive definite
+    trial = Iterate(basis.mat_to_vec(np.diag([0.1, 0.1, 0.1, -0.05])), it.s, basis, it)
+    assert trial.chol_S is it.chol_S is not None
+    assert trial.chol_L is None and trial.chol_sigma is not None
+    assert not trial.is_strictly_feasible
+    assert np.isfinite(eval_f_at(trial, problem))
+    assert eval_h_tau(trial, BarrierObjective(problem, tau=0.37)) == np.inf
+    with pytest.raises(InfeasiblePointError):
+        trial.inv_S
+
+
 # ---------- gradient ----------
 
 def _fd_gradient(it, barrier, step=1e-5):
