@@ -45,11 +45,19 @@ same solver restricted to that set.  The dense Hessian
 
 Conjugate gradients solve only as tightly as the step needs: to the
 relative residual 1e-12 by default, and in solve_tau_min to the forcing term
-max(1e-12, min(1e-3, ||F||)) of the point the step starts from.  A solve
-accurate to O(||F||) keeps Newton's local quadratic rate (Dembo, Eisenstat
-and Steihaug, "Inexact Newton methods", SIAM J. Numer. Anal. 1982); the cap
-keeps the early steps, whose predicted drops decide the support, on the
-exact solve's path.  Stopped early from zero, preconditioned CG still gives
+
+    max(1e-12, min(1e-3, ||F||), min(0.1, 0.5 residual_tol / ||F||))
+
+of the point the step starts from.  A solve accurate to O(||F||) keeps
+Newton's local quadratic rate (Dembo, Eisenstat and Steihaug, "Inexact
+Newton methods", SIAM J. Numer. Anal. 1982); the cap 1e-3 keeps the early
+steps, whose predicted drops decide the support, on the exact solve's path.
+The last term is the safeguard against oversolving (Eisenstat and Walker,
+SIAM J. Sci. Comput. 1996; Kelley, Iterative Methods for Linear and
+Nonlinear Equations, 1995, eq. 6.20): the solve ends once ||F|| <=
+residual_tol, so a step that starts a few times above that rule needs its
+system solved only to about residual_tol / (2 ||F||).  A point with F = 0
+takes 0.1.  Stopped early from zero, preconditioned CG still gives
 b^T x > 0, so a Newton direction keeps a negative joint slope (see
 descent_safeguard).
 """
@@ -111,7 +119,8 @@ class Direction:
     """Search direction on the working set T; the block off T equals -s there.
 
     cg_iterations counts the conjugate-gradient iterations spent on it,
-    summed over its refinement passes (0 when K was factored).
+    summed over its refinement passes, and cg_rtol is the relative residual
+    they were asked for (both 0 when K was factored).
     """
 
     d_ell: np.ndarray
@@ -119,33 +128,40 @@ class Direction:
     kind: str  # "newton" | "gradient-fallback"
     T: np.ndarray
     cg_iterations: int = 0
+    cg_rtol: float = 0.0
 
 
 # The relative residual conjugate gradients solve the Schur system to by
-# default, and the largest forcing term solve_tau_min asks for (see the
-# module docstring).  Looser caps change the path: min(0.1, sqrt(||F||)) took
-# the p = 40 dense start from 36 steps to 45 and to another optimum.
+# default; the cap on the forcing term min(_FORCING_CAP, ||F||) that
+# solve_tau_min asks for while ||F|| is large; and the cap on its safeguard
+# against oversolving, 0.5 residual_tol / ||F|| (see the module docstring).
+# Looser caps on the first change the path: min(0.1, sqrt(||F||)) took the
+# p = 40 dense start from 36 steps to 45 and to another optimum.
 _EXACT_RTOL = 1e-12
 _FORCING_CAP = 1e-3
+_FORCING_MAX = 0.1
 
 
 # Above this many flops for the product F F^T that assembles the Schur
 # complement (|T|^2 m), its systems are solved by conjugate gradients instead.
 # Measured, ms per direction, 1 BLAS thread, median over four iterates of a
-# dense-start solve, T the diagonal plus random off-diagonal coordinates; CG
+# dense-start solve (its first step and those a third, two thirds and all
+# the way through), T the diagonal plus random off-diagonal coordinates; CG
 # to 1e-12 and to the forcing term solve_tau_min passes at those iterates
-# (1e-3 at three of the four at p = 20, from 1e-3 to 8e-6 at p = 40, 60):
+# (1e-3 at the first, 2e-2 to 1e-1 at the other three, where the safeguard
+# against oversolving sets it):
 #
 #     p   |T|   |T|^2 m   assembled   CG 1e-12   CG forcing
-#     20  100   2.1e6        1.3        2.9         1.2
-#     20  210   9.3e6        3.1        8.0         3.9
-#     40  120   1.2e7        4.0        3.1         1.6
-#     40  200   3.3e7        6.4        4.2         1.8
-#     60  300   1.6e8       14.6        6.9         3.4
+#     20  100   2.1e6        0.8        1.5         0.6
+#     20  210   9.3e6        3.7        5.8         3.1
+#     40  120   1.2e7        4.4        3.1         1.1
+#     40  200   3.3e7        6.5        3.7         1.2
+#     60  300   1.6e8       14.7        4.8         1.8
 #
 # Under the forcing term CG wins at every |T| here from p = 40, and at p = 20
-# it ties assembly at |T| = 100 and loses at 210; at p = 40 the bound
-# (|T| ~ 140) sits above the crossover.  The bound counts only the flops of
+# it wins at |T| = 100 and ties assembly at 210 (2.0-3.3 ms against 2.6-3.7
+# over three runs); at p = 40 the bound (|T| ~ 140) sits above the
+# crossover.  The bound counts only the flops of
 # F F^T, not CG's iterations times its O(p^3) product.  On a p = 100 sparse start (|T| 100-193, up to
 # 1.9e8) CG takes sparse_init 0.31-0.36 s and ipm_solve after it 0.25-0.27 s,
 # against 0.85 s and 1.04-1.08 s with every set assembled (1 BLAS thread).
@@ -181,15 +197,21 @@ class _SchurComplement:
       O(p^3) each (o the entrywise product), preconditioned by K's
       diagonal, which costs O(|T| p^2) (_diagonal), to the relative
       residual rtol that solve is given: the exact 1e-12 by default, the
-      forcing term min(1e-3, ||F||) in solve_tau_min, since an inexact
-      Newton step needs a solve only as accurate as O(||F||) to keep its
-      quadratic rate (Dembo-Eisenstat-Steihaug).  The factored side
-      ignores rtol.  cg_iterations counts the iterations spent so far.
+      forcing term of the module docstring in solve_tau_min, since an
+      inexact Newton step needs a solve only as accurate as O(||F||) to
+      keep its quadratic rate (Dembo-Eisenstat-Steihaug), and near the
+      residual rule no more accurate than that rule needs.  The product
+      stays on T: X is scattered into a p x p array from the flat
+      positions of T's coordinates, and the symmetric part of the result
+      gathered from them (_on and _gather keep those positions per
+      working set), with no m-length vector and no symmetry check.  The
+      factored side ignores rtol.  cg_iterations counts the iterations
+      spent so far.
     """
 
     def __init__(self, iterate: Iterate, T: np.ndarray, barrier: BarrierObjective):
         self.basis = basis = iterate.basis
-        self.T = T
+        self._on(T)
         self.mu = mu = barrier.problem.mu
         self.tau = tau = barrier.tau
         try:
@@ -222,13 +244,24 @@ class _SchurComplement:
         The copy carries cg_iterations on, so it counts the passes of both.
         """
         sub = copy.copy(self)
-        sub.T = self.T[keep]
+        sub._on(self.T[keep])
         if self.iterative:
             sub.diag = self.diag[keep]
         else:
             sub.K = self.K[np.ix_(keep, keep)]
             sub.cho = sub._factor()
         return sub
+
+    def _on(self, T: np.ndarray) -> None:
+        """Set the working set T with the flat positions and scales of its coordinates."""
+        basis = self.basis
+        self.T = T
+        self.up_T, self.lo_T = basis.upper_flat[T], basis.lower_flat[T]
+        self.scale_T = basis.vec_scale[T]
+
+    def _gather(self, M: np.ndarray) -> np.ndarray:
+        """The coordinates on T of M's symmetric part, basis.sym_part_to_vec(M)[T]."""
+        return 0.5 * (M.take(self.up_T) + M.take(self.lo_T)) * self.scale_T
 
     def _factor(self):
         try:
@@ -262,16 +295,17 @@ class _SchurComplement:
         return diag
 
     def _product(self, x: np.ndarray) -> np.ndarray:
-        """K x on T, in O(p^3)."""
-        basis, W = self.basis, self.W
-        x_full = np.zeros(basis.m)
-        x_full[self.T] = x
-        X = basis.vec_to_mat(x_full)
+        """K x on T, in O(p^3), scattered into and gathered from p x p arrays on T alone."""
+        W, p = self.W, self.basis.p
+        X = np.zeros((p, p))
+        entries = x / self.scale_T
+        X.ravel()[self.up_T] = entries
+        X.ravel()[self.lo_T] = entries
         Y = W.T @ X @ W
         Y *= self.delta
         Z = W @ Y @ W.T
         Z += self.tau * (self.inv_S @ X @ self.inv_S)
-        return self._vec(Z)[self.T]
+        return self._gather(Z)
 
     def _cg(self, b: np.ndarray, rtol: float) -> np.ndarray:
         """K^-1 b by conjugate gradients from zero, preconditioned by K's diagonal.
@@ -311,9 +345,6 @@ class _SchurComplement:
             f"{np.linalg.norm(res) / np.linalg.norm(b):.3e}, asked for {rtol:.3e}: {reason}"
         )
 
-    def _vec(self, M: np.ndarray) -> np.ndarray:
-        return self.basis.mat_to_vec(0.5 * (M + M.T))
-
     def solve(self, r_ell: np.ndarray, r_T: np.ndarray,
               rtol: float = _EXACT_RTOL) -> tuple[np.ndarray, np.ndarray]:
         """(d_ell, d_T) with K [d_ell; d_T] = [r_ell; r_T] for the reduced matrix K on T.
@@ -328,7 +359,7 @@ class _SchurComplement:
         d_T = np.zeros(0)
         if len(T):
             # [A (A + B)^-1 r_ell]_T, with A V Y V^T = mu W Y W^T
-            b_T = r_T - self.mu * self._vec(W @ Y @ W.T)[T]
+            b_T = r_T - self.mu * self._gather(W @ Y @ W.T)
             if self.iterative:
                 d_T = self._cg(b_T, rtol)
             else:
@@ -338,7 +369,7 @@ class _SchurComplement:
             d_s = np.zeros(basis.m)
             d_s[T] = d_T
             Y -= self.mu * self.r * (W.T @ basis.vec_to_mat(d_s) @ W)
-        return self._vec(V @ Y @ V.T), d_T
+        return basis.sym_part_to_vec(V @ Y @ V.T), d_T
 
 
 def _refine(solver: _SchurComplement, iterate: Iterate, barrier: BarrierObjective,
@@ -403,7 +434,7 @@ def newton_direction(
         schur = schur.restrict(~drop)
         _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s, rtol)
     return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=schur.T,
-                     cg_iterations=schur.cg_iterations)
+                     cg_iterations=schur.cg_iterations, cg_rtol=rtol if schur.iterative else 0.0)
 
 
 def descent_safeguard(
@@ -639,15 +670,21 @@ def solve_tau_min(
     (it ends "iteration-cap" if it settles at that last step).
 
     Conjugate gradients solve each Newton system to the forcing term of the
-    point the step starts from (see the module docstring); the trace row
-    counts their iterations, also when the safeguard rejects the direction.
+    point the step starts from (see the module docstring): min(1e-3, ||F||)
+    far from the residual rule, and up to 0.5 residual_tol / ||F||, at most
+    0.1, near it, where a tighter solve buys nothing the rule keeps.  The
+    trace row counts their iterations and the relative residual they were
+    asked for (cg_rtol, 0 on the factored side), also when the safeguard
+    rejects the direction.
     """
     keep_floor = np.sqrt(2.0 * params.gamma * barrier.problem.C)
 
     def newton_step(it, g, res):
-        rtol = max(_EXACT_RTOL, min(_FORCING_CAP, res.norm_normalized))
+        f = res.norm_normalized
+        rtol = max(_EXACT_RTOL, min(_FORCING_CAP, f),
+                   _FORCING_MAX if f == 0 else min(_FORCING_MAX, 0.5 * params.residual_tol / f))
         direction = newton_direction(it, res.T, barrier, grad=g, keep_floor=keep_floor, rtol=rtol)
-        cg_iterations = direction.cg_iterations
+        cg = dict(cg_iterations=direction.cg_iterations, cg_rtol=direction.cg_rtol)
         if not descent_safeguard(direction, g[1], params.delta, params.gamma, g_ell=g[0]):
             direction = fallback_direction(it, g[0], g[1], res.T)
         ls = line_search(it, direction, barrier, params, grad=g)
@@ -661,8 +698,7 @@ def solve_tau_min(
         if not ls.success:
             return "line-search-failure"
         return ls.iterate, dict(step_alpha=ls.alpha, direction_kind=direction.kind,
-                                working_set_size=len(direction.T), n_backtracks=rejected,
-                                cg_iterations=cg_iterations)
+                                working_set_size=len(direction.T), n_backtracks=rejected, **cg)
 
     return fixed_barrier_loop(init, barrier, settle_guard(newton_step, barrier), gamma=params.gamma,
                               residual_tol=params.residual_tol,

@@ -305,8 +305,9 @@ def grad_h_tau(iterate: Iterate, barrier: BarrierObjective) -> tuple[np.ndarray,
     M = problem.mu * (problem.sigma_check_inv - iterate.inv_sigma)
     g_ell_mat = np.eye(problem.p) + M - tau * iterate.inv_L
     g_s_mat = M - tau * iterate.inv_S
+    # both exactly symmetric: the inverses are symmetrized when formed
     basis = iterate.basis
-    return basis.mat_to_vec(g_ell_mat), basis.mat_to_vec(g_s_mat)
+    return basis.sym_part_to_vec(g_ell_mat), basis.sym_part_to_vec(g_s_mat)
 
 
 def hessian_blocks(
@@ -357,7 +358,8 @@ def hessian_vector_product(
     fit *= barrier.problem.mu
     H_l = fit + tau * _congruence(iterate.inv_L, X_l)
     H_s = fit + tau * _congruence(iterate.inv_S, X_s)
-    return basis.mat_to_vec(H_l), basis.mat_to_vec(H_s)
+    # both exactly symmetric, as sums of symmetrized congruences
+    return basis.sym_part_to_vec(H_l), basis.sym_part_to_vec(H_s)
 
 
 def hessian_h_tau(iterate: Iterate, barrier: BarrierObjective) -> np.ndarray:

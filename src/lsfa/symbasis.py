@@ -10,9 +10,10 @@ then an isometry: ||vec(S)||_2 = ||S||_F for every symmetric S.
 Coordinates enumerate the upper triangle in row-major order, so for p = 2
 the basis is [[1,0],[0,0]], (1/sqrt 2)[[0,1],[1,0]], [[0,0],[0,1]].  A p x p
 table holds the coordinate of every position (the pair index), so both maps
-are single gathers.  The matrix of the congruence X -> A X A^T (sym_kron),
-or a block of it, is formed entry by entry from gathers, a block of rows at
-a time.
+are single gathers; so is the map from any square array to the coordinates
+of its symmetric part (sym_part_to_vec).  The matrix of the congruence
+X -> A X A^T (sym_kron), or a block of it, is formed entry by entry from
+gathers, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ class SymmetricBasis:
         off_diag: boolean mask of the off-diagonal coordinates.
         pair_index: p x p table of coordinates, pair_index[x, y] = q(x, y)
             the coordinate of the unordered pair {x, y}.
+        upper_flat, lower_flat: flat positions in a p x p array of
+            (rows[a], cols[a]) and (cols[a], rows[a]).
+        vec_scale: the factors s_a = <S, E_a> / S[rows[a], cols[a]] of a
+            symmetric S, sqrt(2) off the diagonal and 1 on it.
     """
 
     def __init__(self, p: int):
@@ -55,12 +60,13 @@ class SymmetricBasis:
         self.cols = cols
         self.off_diag = rows != cols
         # <S, E_a> picks up both mirrored entries of an off-diagonal pair.
-        self._vec_scale = np.where(self.off_diag, _SQRT2, 1.0)
+        self.vec_scale = np.where(self.off_diag, _SQRT2, 1.0)
         coords = np.arange(self.m)
         self.pair_index = np.empty((self.p, self.p), dtype=np.intp)
         self.pair_index[rows, cols] = coords
         self.pair_index[cols, rows] = coords
-        self._upper_flat = rows * self.p + cols
+        self.upper_flat = rows * self.p + cols
+        self.lower_flat = cols * self.p + rows
 
     def mat_to_vec(self, S: np.ndarray) -> np.ndarray:
         """Coordinates of a symmetric matrix: s_a = <S, E_a>.
@@ -78,14 +84,25 @@ class SymmetricBasis:
                 f"matrix is not symmetric: ||S - S.T||_F = {asym:.3e} exceeds "
                 "the relative tolerance 1e-12"
             )
-        return S.take(self._upper_flat) * self._vec_scale
+        return S.take(self.upper_flat) * self.vec_scale
+
+    def sym_part_to_vec(self, M: np.ndarray) -> np.ndarray:
+        """Coordinates of the symmetric part 0.5 (M + M^T) of a p x p array, unchecked.
+
+        One gather of the mirrored pairs, with no symmetry check and no p x p
+        copy, for the matrices the solver builds symmetric by construction:
+        bit for bit mat_to_vec(0.5 (M + M^T)) on any M, and mat_to_vec(M) on
+        an exactly symmetric M, where the mean of the two equal entries is
+        exact.  Caller-supplied matrices go through mat_to_vec and its check.
+        """
+        return 0.5 * (M.take(self.upper_flat) + M.take(self.lower_flat)) * self.vec_scale
 
     def vec_to_mat(self, v: np.ndarray) -> np.ndarray:
         """Matrix sum_a v_a E_a; exact inverse of :meth:`mat_to_vec`."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.m,):
             raise ValueError(f"expected a coordinate vector of length {self.m}, got shape {v.shape}")
-        return (v / self._vec_scale).take(self.pair_index)
+        return (v / self.vec_scale).take(self.pair_index)
 
     def element(self, a: int) -> np.ndarray:
         """The a-th basis matrix E_a."""

@@ -24,7 +24,8 @@ class TraceRow:
     of trial points rejected before the accepted one; `wall_time_ns` is a
     monotonic clock stamp taken when the step was accepted; `cg_iterations`
     is the number of conjugate-gradient iterations spent on the step's
-    direction, summed over its passes (0 when its Schur complement was
+    direction, summed over its passes, and `cg_rtol` the relative residual
+    those solves were asked for (both 0 when its Schur complement was
     factored, and for a baseline step).
     """
 
@@ -41,11 +42,13 @@ class TraceRow:
     direction_kind: str
     wall_time_ns: int
     cg_iterations: int
+    cg_rtol: float
 
     @classmethod
     def accepted(cls, it: Iterate, barrier: BarrierObjective, *, outer_iter: int, inner_iter: int,
                  residual_normalized: float, working_set_size: int, step_alpha: float,
-                 n_backtracks: int, direction_kind: str, cg_iterations: int = 0) -> TraceRow:
+                 n_backtracks: int, direction_kind: str, cg_iterations: int = 0,
+                 cg_rtol: float = 0.0) -> TraceRow:
         """The row of an accepted step to `it`, with the objectives evaluated there."""
         return cls(
             outer_iter=outer_iter,
@@ -61,6 +64,7 @@ class TraceRow:
             direction_kind=direction_kind,
             wall_time_ns=time.perf_counter_ns(),
             cg_iterations=int(cg_iterations),
+            cg_rtol=float(cg_rtol),
         )
 
 

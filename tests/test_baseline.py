@@ -106,6 +106,7 @@ def test_bcd_trace_schema_matches_newton(bcd_run):
     row = result.rows[0]
     assert isinstance(row, TraceRow)
     assert row.direction_kind == "bcd"
+    assert all((row.cg_iterations, row.cg_rtol) == (0, 0.0) for row in result.rows)
     # a BCD step records the working set T at the point it started from
     init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check,
                                  SymmetricBasis(5))

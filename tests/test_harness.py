@@ -58,6 +58,7 @@ def test_trace_csv_round_trip(tmp_path):
             direction_kind=rng.choice(["newton", "gradient-fallback", "bcd"]),
             wall_time_ns=int(rng.integers(0, 2**60)),
             cg_iterations=int(rng.integers(0, 5000)),
+            cg_rtol=float(rng.choice([0.0, 1e-12, 1e-3, np.exp(rng.uniform(-28, -2))])),
         )
         for k in range(25)
     ]

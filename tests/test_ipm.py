@@ -286,16 +286,18 @@ def test_extrapolated_starts_take_full_steps_on_the_default_instance(default_pro
 
 def test_inexact_newton_cg_keeps_the_exact_solves_path(default_problem, monkeypatch):
     # the default instance's sets (|T| ~ 600) are solved by conjugate
-    # gradients; solved to the forcing term instead of to 1e-12, the run
-    # takes the same steps to the same support and objective, for fewer
-    # iterations
+    # gradients; solved to the forcing term instead of to 1e-12 (both of its
+    # caps at the exact tolerance), the run takes the same steps to the same
+    # support and objective, for fewer iterations
     params = RunConfig().ipm_params()
     runs = []
-    for cap in (lsfa.newton._FORCING_CAP, lsfa.newton._EXACT_RTOL):
-        monkeypatch.setattr(lsfa.newton, "_FORCING_CAP", cap)
+    for cap in (None, lsfa.newton._EXACT_RTOL):
+        if cap is not None:
+            monkeypatch.setattr(lsfa.newton, "_FORCING_CAP", cap)
+            monkeypatch.setattr(lsfa.newton, "_FORCING_MAX", cap)
         runs.append(ipm_solve(default_problem, default_init(default_problem), params))
     inexact, exact = runs
-    assert all(row.cg_iterations > 0 for row in exact.traces)
+    assert all(row.cg_iterations > 0 and row.cg_rtol == lsfa.newton._EXACT_RTOL for row in exact.traces)
     assert (inexact.status, inexact.n_outer) == (exact.status, exact.n_outer) == ("converged", 19)
     assert [row.outer_iter for row in inexact.traces] == [row.outer_iter for row in exact.traces]
     np.testing.assert_array_equal(inexact.s_star != 0, exact.s_star != 0)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,39 @@ def test_conjugate_gradient_side_applies_the_dense_schur_complement(monkeypatch)
                     atol=1e-12 * scale * np.abs(x).sum())
 
 
+def test_conjugate_gradient_product_on_T_is_the_full_length_route_bit_for_bit(monkeypatch):
+    # the product scatters x into a p x p array on T alone and gathers the
+    # symmetric part of the result there: the same bits as embedding x in
+    # all m coordinates, mapping it and the result through vec_to_mat and
+    # mat_to_vec of the symmetric part, and reading T off it
+    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
+    rng = np.random.default_rng(93)
+    p = 8
+    problem = ProblemData(random_spd(rng, p), C=1.0, mu=5.0)
+    barrier = BarrierObjective(problem, tau=0.2)
+    it, basis = random_interior_point(rng, p)
+    T = np.union1d(np.flatnonzero(~basis.off_diag),
+                   rng.choice(np.flatnonzero(basis.off_diag), 15, replace=False))
+    schur = _SchurComplement(it, T, barrier)
+
+    def full_length_route(solver, x):
+        x_full = np.zeros(basis.m)
+        x_full[solver.T] = x
+        X = basis.vec_to_mat(x_full)
+        Y = solver.W.T @ X @ solver.W
+        Y *= solver.delta
+        Z = solver.W @ Y @ solver.W.T
+        Z += solver.tau * (solver.inv_S @ X @ solver.inv_S)
+        return basis.mat_to_vec(0.5 * (Z + Z.T))[solver.T]
+
+    sub = schur.restrict(rng.random(len(T)) < 0.5)
+    assert 0 < len(sub.T) < len(T)
+    for solver in (schur, sub):
+        for _ in range(3):
+            x = rng.standard_normal(len(solver.T))
+            np.testing.assert_array_equal(solver._product(x), full_length_route(solver, x))
+
+
 def _interior_point_with_working_set(seed, p, n_off=None):
     """A random interior point, a barrier, and T = the diagonal plus n_off off-diagonal
     coordinates (by default half of them)."""
@@ -294,6 +328,7 @@ def test_factored_and_conjugate_gradient_sides_agree(monkeypatch):
     assert len(T) - len(directions[np.inf][1].T) >= 2
     for factored, cg in zip(directions[np.inf], directions[0]):
         np.testing.assert_array_equal(factored.T, cg.T)
+        assert (factored.cg_rtol, cg.cg_rtol) == (0.0, lsfa.newton._EXACT_RTOL)
         x = np.concatenate([factored.d_ell, factored.d_s])
         x_cg = np.concatenate([cg.d_ell, cg.d_s])
         assert np.linalg.norm(x_cg - x) <= 1e-10 * np.linalg.norm(x)
@@ -331,8 +366,11 @@ def test_inexact_conjugate_gradient_direction_meets_its_tolerance_and_descends(m
 
 def test_solver_solves_each_step_to_its_forcing_term(monkeypatch):
     # every conjugate-gradient solve of a step runs to max(1e-12, min(1e-3,
-    # ||F||)) of the point the step starts from, and the trace row counts
-    # the iterations, one product each
+    # ||F||), min(0.1, 0.5 residual_tol / ||F||)) of the point the step
+    # starts from, and the trace row counts the iterations, one product
+    # each, and the relative residual they were asked for; the stop rule
+    # 1e-9 puts steps on both sides of the safeguard: one from 3e-5 solves
+    # to it, and those from ~5e-9 to 0.1
     monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
     rng = np.random.default_rng(11)
     p = 5
@@ -340,7 +378,7 @@ def test_solver_solves_each_step_to_its_forcing_term(monkeypatch):
     problem = ProblemData(sigma_check, C=0.5, mu=10.0)
     barrier = BarrierObjective(problem, tau=0.1)
     init = Iterate.from_matrices(0.5 * sigma_check, 0.5 * sigma_check, SymmetricBasis(p))
-    params = NewtonParams(gamma=0.1, residual_tol=1e-8)
+    params = NewtonParams(gamma=0.1, residual_tol=1e-9)
     steps = []  # per step: [rtol passed to newton_direction, cg rtols, products]
     direction, cg, product = newton_direction, _SchurComplement._cg, _SchurComplement._product
 
@@ -364,12 +402,44 @@ def test_solver_solves_each_step_to_its_forcing_term(monkeypatch):
     assert len(steps) == result.n_iters
     residuals = [stationarity_residual(init, barrier, params.gamma).norm_normalized]
     residuals += [row.residual_normalized for row in result.rows[:-1]]
-    forcing = [max(1e-12, min(1e-3, r)) for r in residuals]
+    forcing = [max(1e-12, min(1e-3, r), min(0.1, 0.5 * params.residual_tol / r)) for r in residuals]
     assert [rtol for rtol, *_ in steps] == forcing
     for (_, cg_rtols, _), rtol in zip(steps, forcing):
         assert cg_rtols and set(cg_rtols) == {rtol}
     assert forcing[0] == 1e-3 and 1e-12 < min(forcing) < 1e-3
+    # the safeguard against oversolving fired on a step near the root
+    assert any(rtol > lsfa.newton._FORCING_CAP for rtol in forcing)
+    assert max(forcing) <= lsfa.newton._FORCING_MAX
     assert [row.cg_iterations for row in result.rows] == [n for *_, n in steps]
+    assert [row.cg_rtol for row in result.rows] == forcing
+
+
+def test_step_from_a_zero_residual_solves_to_the_largest_forcing_term(monkeypatch):
+    # a point with F = 0 (stubbed) still takes its one step; the safeguard
+    # term is then _FORCING_MAX, taken without dividing by ||F|| = 0
+    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
+    rng = np.random.default_rng(11)
+    p = 5
+    sigma_check = random_spd(rng, p, shift=2.0)
+    barrier = BarrierObjective(ProblemData(sigma_check, C=0.5, mu=10.0), tau=0.1)
+    init = Iterate.from_matrices(0.5 * sigma_check, 0.5 * sigma_check, SymmetricBasis(p))
+    params = NewtonParams(gamma=0.1)
+    residual = stationarity_residual(init, barrier, params.gamma)
+    monkeypatch.setattr(lsfa.newton, "stationarity_residual",
+                        lambda *args, **kwargs: replace(residual, norm=0.0, norm_normalized=0.0))
+    rtols = []
+    cg = _SchurComplement._cg
+
+    def cg_spy(self, b, rtol):
+        rtols.append(rtol)
+        return cg(self, b, rtol)
+
+    monkeypatch.setattr(_SchurComplement, "_cg", cg_spy)
+    with np.errstate(all="raise"):
+        result = solve_tau_min(init, barrier, params)
+    assert (result.status, result.n_iters) == ("converged", 1)
+    assert rtols and set(rtols) == {lsfa.newton._FORCING_MAX}
+    assert result.rows[0].cg_rtol == lsfa.newton._FORCING_MAX
 
 
 def test_nonpositive_curvature_in_conjugate_gradients_is_a_breakdown(monkeypatch):

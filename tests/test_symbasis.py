@@ -162,3 +162,16 @@ def test_vec_of_transposed_view_equals_contiguous_copy():
     strided = S[::2, ::2]
     np.testing.assert_array_equal(build_basis(4).mat_to_vec(strided),
                                   build_basis(4).mat_to_vec(np.ascontiguousarray(strided)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 7])
+def test_symmetric_part_gather_is_mat_to_vec_bit_for_bit(p):
+    rng = np.random.default_rng(6)
+    basis = build_basis(p)
+    M = rng.standard_normal((p, p))
+    # any array: the coordinates of its symmetric part, also read through a view
+    np.testing.assert_array_equal(basis.sym_part_to_vec(M), basis.mat_to_vec(0.5 * (M + M.T)))
+    np.testing.assert_array_equal(basis.sym_part_to_vec(M.T), basis.mat_to_vec(0.5 * (M + M.T)))
+    # an exactly symmetric matrix: its own coordinates
+    S = M + M.T
+    np.testing.assert_array_equal(basis.sym_part_to_vec(S), basis.mat_to_vec(S))
