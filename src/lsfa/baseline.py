@@ -34,7 +34,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import require_count, require_positive
-from .newton import MAX_BACKTRACKS, InnerSolveResult, NewtonParams, fixed_barrier_loop
+from .newton import (BACKTRACK_BETA, MAX_BACKTRACKS, InnerSolveResult, NewtonParams,
+                     fixed_barrier_loop)
 from .objective import BarrierObjective, Iterate, eval_h_tau, grad_h_tau
 from .prox import prox_l0_vec
 
@@ -65,8 +66,9 @@ def outside_cone(t: float, top: float) -> bool:
 class BaselineParams:
     """First-order solver parameters; gamma doubles as the prox stepsize.
 
-    The stopping threshold defaults to the Newton solver's and the halving
-    cap is its MAX_BACKTRACKS, so the two solvers compare under the same rules.
+    The stopping threshold defaults to the Newton solver's, and the halving
+    ratio and cap are its BACKTRACK_BETA and MAX_BACKTRACKS, so the two
+    solvers compare under the same rules.
     """
 
     gamma: float
@@ -94,7 +96,7 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         if slope > 0:
             top = pencil_top(it.L, basis.vec_to_mat(g_ell))
             for k in range(MAX_BACKTRACKS + 1):
-                t = 0.5**k
+                t = BACKTRACK_BETA**k
                 if not outside_cone(t, top):
                     trial = Iterate(it.ell - t * g_ell, it.s, basis, it)
                     h_trial = eval_h_tau(trial, barrier)
@@ -114,7 +116,7 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
             if eval_h_tau(trial, barrier) <= h_mid:
                 it_next = trial
                 break
-            gp *= 0.5
+            gp *= BACKTRACK_BETA
             rejected += 1
         return it_next, dict(step_alpha=accepted_t, direction_kind="bcd",
                              working_set_size=len(res.T), n_backtracks=rejected)

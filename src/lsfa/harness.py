@@ -65,9 +65,6 @@ class RunConfig:
     tau0: float = IpmParams.tau0
     theta: float = IpmParams.theta
     eps: float = IpmParams.epsilon
-    delta: float = NewtonParams.delta
-    sigma: float = NewtonParams.sigma
-    beta: float = NewtonParams.beta
     residual_tol: float = NewtonParams.residual_tol
     max_inner_iters: int = NewtonParams.max_inner_iters
     eta_rank: float = ETA_RANK

@@ -101,9 +101,10 @@ def sparse_init(problem: ProblemData, params: IpmParams) -> tuple[np.ndarray, np
     iterate is strictly feasible.  When gamma_start exceeds the inverse
     curvature of the fit (mu = 300 on the default instance), coordinates
     enter below the keep floor and leave again, so the solve cannot
-    converge: the Newton step's settle_guard ends it "stalled" once its
-    iterates repeat (a cycle, returned at its lowest-merit point, or steps
-    that no longer move), or it ends in a line-search failure.
+    converge: the Newton step's settle_guard ends it "stalled" once an
+    iterate repeats one it visited earlier in the solve (a cycle of any
+    period, returned at its lowest-merit point, or steps that no longer
+    move), or it ends in a line-search failure.
     """
     sigma = problem.sigma_check
     scale = np.sqrt(np.diag(sigma))

@@ -72,8 +72,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import (ConfigError, InfeasiblePointError, NumericalBreakdownError, require_count,
-                     require_positive)
+from .errors import InfeasiblePointError, NumericalBreakdownError, require_count, require_positive
 from .objective import (
     BarrierObjective,
     Iterate,
@@ -81,11 +80,17 @@ from .objective import (
     grad_h_tau,
     hessian_vector_product,
 )
-from .prox import StationarityResidual, complement, stationarity_residual
+from .prox import StationarityResidual, complement, prox_keep_floor, stationarity_residual
 from .trace import TraceRow
 
-# The most halvings a backtracking search takes after its first trial, here and in the
-# baseline: at the default beta = 0.5, 0.5**50 ~ 9e-16 is at float64's relative spacing.
+# The search's fixed constants: the descent safeguard's margin delta, the line
+# search's sufficient-decrease fraction sigma, and the ratio beta by which the line
+# search and both of the baseline's halving loops shrink their step.
+SAFEGUARD_DELTA = 1e-4
+DECREASE_SIGMA = 5e-5
+BACKTRACK_BETA = 0.5
+# The most halvings a backtracking search takes after its first trial:
+# BACKTRACK_BETA**50 ~ 9e-16 is at float64's relative spacing.
 MAX_BACKTRACKS = 50
 
 
@@ -93,25 +98,19 @@ MAX_BACKTRACKS = 50
 class NewtonParams:
     """Inner-solver parameters.
 
-    gamma is the prox stepsize defining the working set; delta the safeguard
-    margin; sigma and beta the sufficient-decrease fraction and backtracking
-    ratio; residual_tol the stopping threshold on ||F|| / sqrt(2m).
+    gamma is the prox stepsize defining the working set; residual_tol the
+    stopping threshold on ||F|| / sqrt(2m); max_inner_iters the step cap.
+    The search's margin, decrease fraction and halving ratio are the module
+    constants SAFEGUARD_DELTA, DECREASE_SIGMA and BACKTRACK_BETA.
     """
 
     gamma: float
-    delta: float = 1e-4
-    sigma: float = 5e-5
-    beta: float = 0.5
     residual_tol: float = 1e-4
     max_inner_iters: int = 200
 
     def __post_init__(self):
-        require_positive(gamma=self.gamma, delta=self.delta, residual_tol=self.residual_tol)
+        require_positive(gamma=self.gamma, residual_tol=self.residual_tol)
         require_count(max_inner_iters=self.max_inner_iters)
-        if not 0 < self.sigma < 0.5:
-            raise ConfigError(f"sigma must be in (0, 1/2), got {self.sigma}")
-        if not 0 < self.beta < 1:
-            raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
 
 
 @dataclass
@@ -495,17 +494,16 @@ def line_search(
     iterate: Iterate,
     direction: Direction,
     barrier: BarrierObjective,
-    params: NewtonParams,
     grad: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LineSearchResult:
     """Backtracking search over alpha = beta^v with the modified update on T = direction.T.
 
     Each trial point moves s on T by alpha d_s and zeroes it off T.  It is
     accepted when h_tau(trial) <= h_tau + sigma alpha slope, or when the
-    same holds with C nnz(.) added to both sides.  The slope uses the full
-    concatenated gradient and direction, including the off-T block that
-    takes a unit step regardless of alpha.  Infeasible trial points evaluate
-    to +inf and fail both tests.
+    same holds with C nnz(.) added to both sides; beta is BACKTRACK_BETA and
+    sigma DECREASE_SIGMA.  The slope uses the full concatenated gradient and
+    direction, including the off-T block that takes a unit step regardless
+    of alpha.  Infeasible trial points evaluate to +inf and fail both tests.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     h0 = eval_h_tau(iterate, barrier)
@@ -516,11 +514,11 @@ def line_search(
     in_T[direction.T] = True
 
     for v in range(MAX_BACKTRACKS + 1):
-        alpha = params.beta**v
+        alpha = BACKTRACK_BETA**v
         trial_s = np.where(in_T, iterate.s + alpha * direction.d_s, 0.0)
         trial = Iterate(iterate.ell + alpha * direction.d_ell, trial_s, iterate.basis)
         h_trial = eval_h_tau(trial, barrier)
-        decrease = params.sigma * alpha * slope
+        decrease = DECREASE_SIGMA * alpha * slope
         if h_trial <= h0 + decrease or h_trial + C * np.count_nonzero(trial_s) <= merit0 + decrease:
             return LineSearchResult(alpha=alpha, iterate=trial, n_backtracks=v)
     return LineSearchResult(alpha=0.0, iterate=None, n_backtracks=MAX_BACKTRACKS + 1)
@@ -550,13 +548,15 @@ Step = Callable[[Iterate, tuple[np.ndarray, np.ndarray], StationarityResidual],
 # Measured on cv_p20's C=1 sparse starts (seed 7): fold 0 settles into a
 # period-3 orbit (supports 30/29/29) by step ~30 and repeats h_tau bit for
 # bit until the 200-step cap; fold 1 stops moving at step 13, and then takes
-# steps at alpha 1e-11 to 4e-15 with h_tau and the residual unchanged.  A
+# steps at alpha 1e-11 to 4e-15 with h_tau and the residual unchanged.
+# Criterion 9's C=1, mu=300 sparse start settles into a period-4 orbit
+# (supports 75/75/75/76), which a comparison with only the last three states
+# misses; so the guard compares with every state the solve has visited.  A
 # looser rule, the same support with h_tau no lower, fires while Newton still
 # converges: near a root, where h_tau stops falling at rounding level while
 # the residual still falls, and on a 45 -> 44 -> 45 support transient that
 # raises h_tau at level 5 of the p=10 fit of generator seed 4 (mu=300),
 # which then converges in 14 steps.
-SETTLE_WINDOW = 3
 SETTLE_RTOL = 1e-8
 
 
@@ -564,28 +564,35 @@ def settle_guard(step: Step, barrier: BarrierObjective) -> Step:
     """`step`, returning "stalled" instead of stepping once the solve has settled.
 
     Before each step but the first, the last accepted iterate is compared
-    with the SETTLE_WINDOW accepted before it.  It has settled when it
-    repeats one of them (the same support, and h_tau and the normalized
-    residual equal to SETTLE_RTOL relative) at a penalized merit
-    h_tau + C nnz(s) no higher than theirs: F = 0 is out of reach at this
-    gamma, where the prox brings in coordinates that the keep floor pins at
-    zero or drops again.  A cycle thus ends on its lowest-merit point, and
-    steps that no longer move end at once.  The guard reads only the
+    with every iterate accepted before it.  It has settled when it repeats
+    one of them (the same support, and h_tau and the normalized residual
+    equal to SETTLE_RTOL relative) at a penalized merit h_tau + C nnz(s) no
+    higher than that of any iterate accepted since the one it repeats: F = 0
+    is out of reach at this gamma, where the prox brings in coordinates that
+    the keep floor pins at zero or drops again.  A cycle of any period thus
+    ends on its lowest-merit point, and steps that no longer move end at
+    once.  The visits are kept by the support's bytes, so a step compares
+    only with the iterates of its own support.  The guard reads only the
     memoized h_tau and the residual the loop passes in.
     """
-    recent = None  # (support, h_tau, residual, merit) of accepted iterates; None at the start
+    visits: dict[bytes, list[tuple[int, float, float]]] = {}  # support -> (index, h_tau, residual)
+    merits: list[float] = []  # of the accepted iterates, in order
+    started = False
 
     def guarded(it, g, res):
-        nonlocal recent
-        if recent is not None:
+        nonlocal started
+        if started:
             support, h, residual = it.s != 0, eval_h_tau(it, barrier), res.norm_normalized
             merit = h + barrier.problem.C * np.count_nonzero(support)
-            if (any(np.array_equal(support, mask) and math.isclose(h, h_prev, rel_tol=SETTLE_RTOL)
-                    and math.isclose(residual, residual_prev, rel_tol=SETTLE_RTOL)
-                    for mask, h_prev, residual_prev, _ in recent)
-                    and all(merit <= merit_prev for *_, merit_prev in recent)):
+            same_support = visits.setdefault(support.tobytes(), [])
+            if any(math.isclose(h, h_prev, rel_tol=SETTLE_RTOL)
+                   and math.isclose(residual, residual_prev, rel_tol=SETTLE_RTOL)
+                   and merit <= min(merits[k:])
+                   for k, h_prev, residual_prev in same_support):
                 return "stalled"
-        recent = [] if recent is None else [*recent[1 - SETTLE_WINDOW:], (support, h, residual, merit)]
+            same_support.append((len(merits), h, residual))
+            merits.append(merit)
+        started = True
         return step(it, g, res)
 
     return guarded
@@ -677,7 +684,7 @@ def solve_tau_min(
     asked for (cg_rtol, 0 on the factored side), also when the safeguard
     rejects the direction.
     """
-    keep_floor = np.sqrt(2.0 * params.gamma * barrier.problem.C)
+    keep_floor = prox_keep_floor(params.gamma, barrier.problem.C)
 
     def newton_step(it, g, res):
         f = res.norm_normalized
@@ -685,15 +692,15 @@ def solve_tau_min(
                    _FORCING_MAX if f == 0 else min(_FORCING_MAX, 0.5 * params.residual_tol / f))
         direction = newton_direction(it, res.T, barrier, grad=g, keep_floor=keep_floor, rtol=rtol)
         cg = dict(cg_iterations=direction.cg_iterations, cg_rtol=direction.cg_rtol)
-        if not descent_safeguard(direction, g[1], params.delta, params.gamma, g_ell=g[0]):
+        if not descent_safeguard(direction, g[1], SAFEGUARD_DELTA, params.gamma, g_ell=g[0]):
             direction = fallback_direction(it, g[0], g[1], res.T)
-        ls = line_search(it, direction, barrier, params, grad=g)
+        ls = line_search(it, direction, barrier, grad=g)
         rejected = ls.n_backtracks
         if not ls.success and len(direction.T) < len(res.T):
             # zeroing the predicted drops at every alpha failed; let them
             # shrink with alpha instead, and the prox drop them later
             direction = replace(direction, T=res.T)
-            ls = line_search(it, direction, barrier, params, grad=g)
+            ls = line_search(it, direction, barrier, grad=g)
             rejected += ls.n_backtracks
         if not ls.success:
             return "line-search-failure"

@@ -30,6 +30,16 @@ from .errors import require_positive
 from .objective import BarrierObjective, Iterate, grad_h_tau
 
 
+def prox_keep_floor(gamma: float, C: float) -> float:
+    """sqrt(2 gamma C): the prox keeps a coordinate above it and zeroes one below."""
+    return np.sqrt(2.0 * gamma * C)
+
+
+def prox_entry_cap(gamma: float, C: float) -> float:
+    """sqrt(2 C / gamma): a zero coordinate joins the working set only once |g_s| reaches it."""
+    return np.sqrt(2.0 * C / gamma)
+
+
 def prox_l0_scalar(x: float, gamma: float, C: float) -> float:
     """Hard threshold a scalar at sqrt(2 gamma C); ties map to 0."""
     return float(prox_l0_vec(x, gamma, C))
@@ -39,7 +49,7 @@ def prox_l0_vec(x: np.ndarray, gamma: float, C: float) -> np.ndarray:
     """Elementwise hard threshold of a vector at sqrt(2 gamma C)."""
     require_positive(gamma=gamma, C=C)
     x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) > np.sqrt(2.0 * gamma * C), x, 0.0)
+    return np.where(np.abs(x) > prox_keep_floor(gamma, C), x, 0.0)
 
 
 def index_set_T(s: np.ndarray, g_s: np.ndarray, gamma: float, C: float) -> np.ndarray:
@@ -54,7 +64,7 @@ def index_set_T(s: np.ndarray, g_s: np.ndarray, gamma: float, C: float) -> np.nd
     g_s = np.asarray(g_s, dtype=float)
     if s.shape != g_s.shape:
         raise ValueError(f"s and g_s must have equal length, got {s.shape} and {g_s.shape}")
-    return np.flatnonzero(np.abs(s - gamma * g_s) >= np.sqrt(2.0 * gamma * C))
+    return np.flatnonzero(np.abs(s - gamma * g_s) >= prox_keep_floor(gamma, C))
 
 
 def complement(T: np.ndarray, m: int) -> np.ndarray:
@@ -139,8 +149,7 @@ def evaluate_stationarity_clauses(
     g_ell_max = float(np.max(np.abs(g_ell))) if len(g_ell) else 0.0
     if g_ell_max > tol:
         violations.append(f"g_ell not zero: max |g_ell| = {g_ell_max:.3e} > tol {tol:g}")
-    keep_floor = np.sqrt(2.0 * gamma * C)
-    off_cap = np.sqrt(2.0 * C / gamma)
+    keep_floor, off_cap = prox_keep_floor(gamma, C), prox_entry_cap(gamma, C)
     for i in np.flatnonzero(s):
         if abs(g_s[i]) > tol:
             violations.append(f"supported coordinate {i}: |g_s| = {abs(g_s[i]):.3e} > tol {tol:g}")

@@ -2,9 +2,9 @@
 
 The default instance is p=40, r=5, N=1200, SNR=1 (seeds 7/8, the RunConfig
 defaults) with solver weights C=0.5, mu=100, gamma=0.1 and the standard
-schedule tau0=0.5, eps=1e-6, delta=1e-4, sigma=5e-5, beta=0.5.  Heavy runs
-are shared through module-scoped fixtures.  Each criterion prints one
-PASS/FAIL line.
+schedule tau0=0.5, eps=1e-6; the search's constants are lsfa.newton's
+(SAFEGUARD_DELTA, DECREASE_SIGMA, BACKTRACK_BETA).  Heavy runs are shared
+through module-scoped fixtures.  Each criterion prints one PASS/FAIL line.
 """
 
 import statistics
@@ -43,6 +43,7 @@ from lsfa import (
     stationarity_residual,
 )
 from lsfa.harness import RunConfig, run_cv, run_generate, run_solve
+from lsfa.newton import SAFEGUARD_DELTA
 from conftest import random_interior_point, random_spd
 from test_objective import _fd_gradient, _fd_hessian
 
@@ -274,9 +275,9 @@ def test_criterion_8_structural_invariants(run_theta_05, run_theta_08, bcd_at_fi
         if res.norm_normalized <= params.residual_tol:
             break
         d = newton_direction(it, res.T, barrier, grad=g)
-        if not descent_safeguard(d, g[1], params.delta, params.gamma):
+        if not descent_safeguard(d, g[1], SAFEGUARD_DELTA, params.gamma):
             d = fallback_direction(it, g[0], g[1], res.T)
-        ls = line_search(it, d, barrier, params, grad=g)
+        ls = line_search(it, d, barrier, grad=g)
         if not ls.success:
             problems.append("instrumented run: line search failed")
             break

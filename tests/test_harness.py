@@ -78,8 +78,6 @@ def test_config_validation_names_fields():
         RunConfig(folds=1).validate()
     with pytest.raises(ConfigError, match="n must"):
         RunConfig(n=0).validate()
-    with pytest.raises(ConfigError, match="sigma"):
-        RunConfig(sigma=0.7).validate()
 
 
 def test_config_defaults_are_the_solver_defaults():
@@ -94,15 +92,14 @@ def test_config_defaults_are_the_solver_defaults():
 
 
 def test_config_hands_each_setting_to_its_own_solver_field():
-    # distinct non-default values: delta and residual_tol share the default
-    # 1e-4, so only these tell a swap of the two from the right mapping
-    settings = dict(gamma=0.11, delta=2e-4, sigma=3e-4, beta=0.4, residual_tol=5e-4,
-                    max_inner_iters=61, tau0=0.81, theta=0.91, eps=6e-6, bcd_max_iters=81)
+    # distinct non-default values, so that a swap of any two fields shows
+    settings = dict(gamma=0.11, residual_tol=5e-4, max_inner_iters=61, tau0=0.81, theta=0.91,
+                    eps=6e-6, bcd_max_iters=81)
     assert len(set(settings.values())) == len(settings)
     config = RunConfig(**settings).validate()
     ipm = config.ipm_params()
-    assert ipm == IpmParams(gamma=0.11, delta=2e-4, sigma=3e-4, beta=0.4, residual_tol=5e-4,
-                            max_inner_iters=61, tau0=0.81, theta=0.91, epsilon=6e-6)
+    assert ipm == IpmParams(gamma=0.11, residual_tol=5e-4, max_inner_iters=61, tau0=0.81,
+                            theta=0.91, epsilon=6e-6)
     baseline = config.baseline_params()
     assert baseline == BaselineParams(gamma=0.11, residual_tol=5e-4, max_iters=81)
     # and no setting is a default, so each value reached its field from the config
@@ -321,8 +318,12 @@ def test_cli_cv_more_folds_than_samples_is_config_error(tmp_path, capsys):
     (None, ["--seed", "-1"]),
     ('{"max_backtracks": 5}', []),
     ('{"bcd_step_ell": 0.5}', []),
+    ('{"delta": 1e-3}', []),
+    ('{"sigma": 0.1}', []),
+    ('{"beta": 0.4}', []),
 ], ids=["str-for-int", "number-for-grid", "float-for-int", "malformed-json", "not-an-object",
-        "not-utf-8", "negative-seed", "no-max-backtracks", "no-bcd-step-ell"])
+        "not-utf-8", "negative-seed", "no-max-backtracks", "no-bcd-step-ell", "no-delta",
+        "no-sigma", "no-beta"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config, argv):
     args = ["generate", "--run-dir", str(tmp_path), *argv]
     if config is not None:
@@ -333,9 +334,11 @@ def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config, argv):
     assert "invalid configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--max-backtracks", "--bcd-step-ell"])
+@pytest.mark.parametrize("flag", ["--max-backtracks", "--bcd-step-ell", "--delta", "--sigma",
+                                  "--beta"])
 def test_cli_has_no_flag_for_the_fixed_search_constants(tmp_path, flag):
-    # the halving cap and the baseline's first ell step are constants
+    # the search's margin, decrease fraction, halving ratio and halving cap,
+    # and the baseline's first ell step, are constants
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--run-dir", str(tmp_path), flag, "5"])
     assert exc.value.code == 2

@@ -281,7 +281,8 @@ def test_extrapolated_starts_take_full_steps_on_the_default_instance(default_pro
     if theta == 0.5:
         assert all(row.n_backtracks == 0 for row in solution.traces if row.outer_iter >= 2)
     # no second pass of the line search ran, so alpha = beta^n_backtracks
-    assert all(row.step_alpha == params.beta**row.n_backtracks for row in solution.traces)
+    assert all(row.step_alpha == lsfa.newton.BACKTRACK_BETA**row.n_backtracks
+               for row in solution.traces)
 
 
 def test_inexact_newton_cg_keeps_the_exact_solves_path(default_problem, monkeypatch):

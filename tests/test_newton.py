@@ -37,7 +37,8 @@ from lsfa import (
     solve_tau_min,
     stationarity_residual,
 )
-from lsfa.newton import MAX_BACKTRACKS, _SchurComplement, fixed_barrier_loop, settle_guard
+from lsfa.newton import (BACKTRACK_BETA, DECREASE_SIGMA, MAX_BACKTRACKS, SAFEGUARD_DELTA,
+                         _SchurComplement, fixed_barrier_loop, settle_guard)
 from lsfa.objective import hessian_vector_product
 from conftest import random_interior_point, random_spd
 
@@ -361,7 +362,7 @@ def test_inexact_conjugate_gradient_direction_meets_its_tolerance_and_descends(m
     assert np.linalg.norm(K @ x - b) <= 1e-3 * np.linalg.norm(b)
     assert 0 < d.cg_iterations < exact.cg_iterations
     g_ell, g_s = grad_h_tau(it, barrier)
-    assert descent_safeguard(d, g_s, NewtonParams.delta, 0.1, g_ell=g_ell)
+    assert descent_safeguard(d, g_s, SAFEGUARD_DELTA, 0.1, g_ell=g_ell)
 
 
 def test_solver_solves_each_step_to_its_forcing_term(monkeypatch):
@@ -569,7 +570,7 @@ def test_line_search_zero_direction_accepts_immediately(small_instance):
     basis = small_instance["basis"]
     T = np.flatnonzero(root.s)
     d = Direction(d_ell=np.zeros(basis.m), d_s=np.zeros(basis.m), kind="newton", T=T)
-    ls = line_search(root, d, barrier, small_instance["params"])
+    ls = line_search(root, d, barrier)
     assert ls.success
     assert ls.alpha == 1.0
     assert ls.n_backtracks == 0
@@ -585,8 +586,7 @@ def test_line_search_rejects_cone_exit():
     assert g_ell[0] > 0  # gradient pushes L toward the boundary
     T = np.array([0])
     d = fallback_direction(it, g_ell, g_s, T)
-    params = NewtonParams(gamma=0.5)
-    ls = line_search(it, d, barrier, params)
+    ls = line_search(it, d, barrier)
     assert ls.success
     # the full step exits the cone (0.05 - g < 0), so backtracking happened
     assert ls.n_backtracks >= 1
@@ -609,8 +609,7 @@ def test_line_search_failure_reported():
     g_ell, g_s = grad_h_tau(it, barrier)
     T = np.arange(basis.m)
     d = Direction(d_ell=g_ell.copy(), d_s=g_s.copy(), kind="newton", T=T)  # ascent
-    params = NewtonParams(gamma=0.5)
-    ls = line_search(it, d, barrier, params)
+    ls = line_search(it, d, barrier)
     assert not ls.success
     assert ls.iterate is None
     # the first trial and every halving after it were rejected
@@ -633,13 +632,12 @@ def test_line_search_accepts_zeroing_paid_by_the_penalty():
     off = np.flatnonzero(basis.off_diag & (root.s != 0))
     i = off[np.argmin(np.abs(root.s[off]))]
     gamma = 1.01 * root.s[i] ** 2 / (2 * problem.C)
-    params = NewtonParams(gamma=gamma)
     g = grad_h_tau(root, barrier)
     T = stationarity_residual(root, barrier, gamma, grad=g).T
     assert i not in T
     d = newton_direction(root, T, barrier, grad=g)
-    assert descent_safeguard(d, g[1], params.delta, gamma)
-    ls = line_search(root, d, barrier, params, grad=g)
+    assert descent_safeguard(d, g[1], SAFEGUARD_DELTA, gamma)
+    ls = line_search(root, d, barrier, grad=g)
     assert ls.success and ls.iterate.s[i] == 0.0
     h0 = eval_h_tau(root, barrier)
     h1 = eval_h_tau(ls.iterate, barrier)
@@ -648,11 +646,11 @@ def test_line_search_accepts_zeroing_paid_by_the_penalty():
     # the published test, on h_tau alone, rejects every trial
     slope = g[0] @ d.d_ell + g[1] @ d.d_s
     for v in range(MAX_BACKTRACKS + 1):
-        alpha = params.beta**v
+        alpha = BACKTRACK_BETA**v
         s_trial = np.zeros(basis.m)
         s_trial[T] = root.s[T] + alpha * d.d_s[T]
         trial = Iterate(root.ell + alpha * d.d_ell, s_trial, basis)
-        assert eval_h_tau(trial, barrier) > h0 + params.sigma * alpha * slope
+        assert eval_h_tau(trial, barrier) > h0 + DECREASE_SIGMA * alpha * slope
 
 
 # ---------- inner solver ----------
@@ -748,7 +746,7 @@ def test_solver_keeps_diagonal_in_working_set():
     g = grad_h_tau(init, barrier)
     dropped = index_set_T(init.s, g[1], params.gamma, problem.C)
     d = fallback_direction(init, g[0], g[1], dropped)
-    assert not line_search(init, d, barrier, params, grad=g).success
+    assert not line_search(init, d, barrier, grad=g).success
     result = solve_tau_min(init, barrier, params)
     assert result.status == "converged"
     assert result.n_iters >= 1
@@ -794,11 +792,13 @@ def _merit(it, barrier):
     return eval_h_tau(it, barrier) + barrier.problem.C * np.count_nonzero(it.s)
 
 
-def test_fixed_barrier_loop_ends_a_cycle_on_its_lowest_merit_iterate():
-    # a stub step that cycles among three feasible iterates, the second of
+@pytest.mark.parametrize("period", [3, 4])
+def test_fixed_barrier_loop_ends_a_cycle_on_its_lowest_merit_iterate(period):
+    # a stub step that cycles among `period` feasible iterates, the second of
     # which has the lowest penalized merit: with settle_guard the repeat is
-    # first seen at step 4, on the first iterate, and the solve stops one step
-    # later, on the second
+    # first seen at step period + 1, on the first iterate, and the solve
+    # stops one step later, on the second.  A guard that compared only with
+    # the last three iterates ran the period-4 orbit to the step cap.
     rng = np.random.default_rng(33)
     problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
     barrier = BarrierObjective(problem, tau=0.1)
@@ -806,12 +806,13 @@ def test_fixed_barrier_loop_ends_a_cycle_on_its_lowest_merit_iterate():
     thinned = init.s.copy()
     thinned[np.flatnonzero(init.basis.off_diag)[0]] = 0.0
     members = sorted([Iterate(1.01 * init.ell, init.s, init.basis), Iterate(init.ell, thinned, init.basis),
-                      Iterate(0.99 * init.ell, init.s, init.basis)],
+                      Iterate(0.99 * init.ell, init.s, init.basis),
+                      Iterate(1.02 * init.ell, init.s, init.basis)][:period],
                      key=lambda it: _merit(it, barrier))
-    assert len({_merit(it, barrier) for it in members}) == 3
+    assert len({_merit(it, barrier) for it in members}) == period
 
     def run(guarded, max_iters=200):
-        orbit = itertools.cycle([members[1], members[0], members[2]])
+        orbit = itertools.cycle([members[1], members[0], *members[2:]])
 
         def step(it, g, res):
             return next(orbit), _STUB_FIELDS
@@ -820,13 +821,13 @@ def test_fixed_barrier_loop_ends_a_cycle_on_its_lowest_merit_iterate():
                                   gamma=0.1, residual_tol=1e-12, max_iters=max_iters)
 
     result = run(guarded=True)
-    assert (result.status, result.n_iters) == ("stalled", 5)
+    assert (result.status, result.n_iters) == ("stalled", period + 2)
     assert result.iterate is members[0]
     assert result.rows[-1].objective_h_tau == eval_h_tau(members[0], barrier)
     # the guard looks before the next step, so a settle at the last allowed
     # step ends on the step cap
-    capped = run(guarded=True, max_iters=5)
-    assert (capped.status, capped.n_iters) == ("iteration-cap", 5)
+    capped = run(guarded=True, max_iters=period + 2)
+    assert (capped.status, capped.n_iters) == ("iteration-cap", period + 2)
     # the loop bcd_solve runs does not look for cycles
     plain = run(guarded=False)
     assert (plain.status, plain.n_iters) == ("iteration-cap", 200)
@@ -883,9 +884,9 @@ def test_support_contained_in_working_set_each_step():
         if res.norm_normalized <= params.residual_tol:
             break
         d = newton_direction(it, res.T, barrier, grad=g)
-        if not descent_safeguard(d, g[1], params.delta, params.gamma):
+        if not descent_safeguard(d, g[1], SAFEGUARD_DELTA, params.gamma):
             d = fallback_direction(it, g[0], g[1], res.T)
-        ls = line_search(it, d, barrier, params, grad=g)
+        ls = line_search(it, d, barrier, grad=g)
         assert ls.success
         assert set(np.flatnonzero(ls.iterate.s)) <= set(res.T)
         it = ls.iterate
@@ -894,12 +895,6 @@ def test_support_contained_in_working_set_each_step():
 def test_params_validation():
     with pytest.raises(ValueError):
         NewtonParams(gamma=0.0)
-    with pytest.raises(ValueError):
-        NewtonParams(gamma=0.5, sigma=0.5)
-    with pytest.raises(ValueError):
-        NewtonParams(gamma=0.5, beta=1.0)
-    with pytest.raises(ValueError):
-        NewtonParams(gamma=0.5, delta=-1.0)
     with pytest.raises(ValueError):
         NewtonParams(gamma=0.5, max_inner_iters=0)
     # a step cap that is not an integer, or is a bool, is rejected when the class is built
@@ -910,7 +905,7 @@ def test_params_validation():
             IpmParams(gamma=0.5, max_inner_iters=bad)
 
 
-@pytest.mark.parametrize("name", ["gamma", "delta", "residual_tol"])
+@pytest.mark.parametrize("name", ["gamma", "residual_tol"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_params_reject_non_finite(name, bad):
     kwargs = dict(gamma=0.5)

@@ -131,9 +131,7 @@ _NAME = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_siz
 _VALID = {
     "n": _COUNT, "density": _UNIT | st.just(1.0), "snr": _POSITIVE, "seed": st.integers(0, 2**32),
     "C": _POSITIVE, "mu": _POSITIVE, "gamma": _POSITIVE, "tau0": _POSITIVE, "theta": _UNIT,
-    "eps": _POSITIVE, "delta": _POSITIVE,
-    "sigma": st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
-    "beta": _UNIT, "residual_tol": _POSITIVE, "max_inner_iters": _COUNT,
+    "eps": _POSITIVE, "residual_tol": _POSITIVE, "max_inner_iters": _COUNT,
     "eta_rank": _POSITIVE, "eta_supp": _POSITIVE, "bcd_max_iters": _COUNT,
     "folds": st.integers(2, 1000),
     "c_grid": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
