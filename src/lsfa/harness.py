@@ -171,12 +171,13 @@ def read_matrix_csv(path) -> np.ndarray:
         with warnings.catch_warnings():
             # an empty file is reported below, as a DataError, not as a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            M = np.loadtxt(path, delimiter=",", dtype=float)
+            # ndmin=2 keeps one column N x 1 and one row 1 x N
+            M = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path} is not a numeric CSV matrix: {exc}") from exc
     if M.size == 0:
         raise DataError(f"{path} holds no numbers")
-    return np.atleast_2d(M)
+    return M
 
 
 def _emit_summary(label: str, summary: dict, path: str | None = None) -> None:
@@ -216,15 +217,22 @@ def run_generate(config: RunConfig) -> dict:
     return summary
 
 
+@contextlib.contextmanager
+def _covariance_from(source: str):
+    """Re-raise a DataError met while reading or using `source` as one that names the file."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"cannot use the covariance from {source!r}: {exc}") from exc
+
+
 def load_problem(config: RunConfig) -> ProblemData:
     """Build ProblemData from the configured covariance or samples file."""
     source = config.problem_file()
-    try:
+    with _covariance_from(source):
         matrix = read_matrix_csv(source)
         sigma = matrix if config.covariance_file is not None else sample_covariance(matrix)
         return ProblemData(sigma, C=config.C, mu=config.mu)
-    except DataError as exc:
-        raise DataError(f"cannot use the covariance from {source!r}: {exc}") from exc
 
 
 def _fit(config: RunConfig, problem: ProblemData) -> tuple[tuple[np.ndarray, np.ndarray], Solution]:
@@ -327,7 +335,12 @@ def gaussian_nll(samples: np.ndarray, cov: np.ndarray) -> float:
 def run_cv(config: RunConfig) -> dict:
     """K-fold grid search over (C, mu) scored by held-out Gaussian NLL."""
     config.validate()
-    samples = read_matrix_csv(config.path(config.samples_file))
+    source = config.path(config.samples_file)
+    with _covariance_from(source):
+        samples = read_matrix_csv(source)
+        # checked once here: a file every fold's covariance rejects would
+        # otherwise score each grid point inf without saying why
+        sample_covariance(samples)
     n, p = samples.shape
     if config.folds > n:
         # a fold without samples has no held-out likelihood to score

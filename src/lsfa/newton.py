@@ -33,18 +33,18 @@ outside the positive-definite cone evaluate to +inf and fail both tests.
 The reduced matrix of size m + |T| is never formed.  The ell block is
 eliminated exactly: in the generalized eigenbasis of (L, Sigma) its inverse
 and its Schur complement apply in O(p^3), which leaves the |T| x |T|
-Schur complement K on s_T (see _SchurComplement).  While assembling K costs
-at most _ASSEMBLE_FLOPS it is formed and Cholesky-factorized; above that it
-is never formed, and conjugate gradients solve with its O(p^3) product.
-Every direction comes from refinement passes, d += K^-1 (-g - H d) with the
-matrix-free Hessian-vector product (_refine): two from d_{s_T} = 0 reach
-the accuracy of a dense solve on the factored side, and one suffices with
-conjugate gradients.  A drop takes one more pass, on T \\ D, through the
-same solver restricted to that set.  The dense Hessian
-(objective.hessian_blocks) remains as the test oracle.
+Schur complement K on s_T (see _SchurComplement).  Conjugate gradients
+solve with K through its O(p^3) product, preconditioned by the Cholesky
+factor of the assembled K while assembling it costs at most _ASSEMBLE_FLOPS,
+and by K's diagonal above that.  Every direction comes from refinement
+passes, d += K^-1 (-g - H d) with the matrix-free Hessian-vector product
+(_refine): two from d_{s_T} = 0 reach the accuracy of a dense solve when the
+exact 1e-12 is asked for, and one suffices at a forcing term.  A drop takes
+one more pass, on T \\ D, through the same solver restricted to that set.
+The dense Hessian (objective.hessian_blocks) remains as the test oracle.
 
-Conjugate gradients solve only as tightly as the step needs: to the
-relative residual 1e-12 by default, and in solve_tau_min to the forcing term
+Each solve runs only as tightly as the step needs: to the relative residual
+1e-12 by default, and in solve_tau_min to the forcing term
 
     max(1e-12, min(1e-3, ||F||), min(0.1, 0.5 residual_tol / ||F||))
 
@@ -118,8 +118,7 @@ class Direction:
     """Search direction on the working set T; the block off T equals -s there.
 
     cg_iterations counts the conjugate-gradient iterations spent on it,
-    summed over its refinement passes, and cg_rtol is the relative residual
-    they were asked for (both 0 when K was factored).
+    summed over its refinement passes (0 for the gradient fallback).
     """
 
     d_ell: np.ndarray
@@ -127,7 +126,6 @@ class Direction:
     kind: str  # "newton" | "gradient-fallback"
     T: np.ndarray
     cg_iterations: int = 0
-    cg_rtol: float = 0.0
 
 
 # The relative residual conjugate gradients solve the Schur system to by
@@ -141,14 +139,17 @@ _FORCING_CAP = 1e-3
 _FORCING_MAX = 0.1
 
 
-# Above this many flops for the product F F^T that assembles the Schur
-# complement (|T|^2 m), its systems are solved by conjugate gradients instead.
-# Measured, ms per direction, 1 BLAS thread, median over four iterates of a
-# dense-start solve (its first step and those a third, two thirds and all
-# the way through), T the diagonal plus random off-diagonal coordinates; CG
-# to 1e-12 and to the forcing term solve_tau_min passes at those iterates
-# (1e-3 at the first, 2e-2 to 1e-1 at the other three, where the safeguard
-# against oversolving sets it):
+# Up to this many flops for the product F F^T that assembles the Schur
+# complement (|T|^2 m), the Cholesky factor of the assembled K preconditions
+# conjugate gradients, which then take one or two iterations; above it K is
+# never formed and its diagonal preconditions them.  Measured, ms per
+# direction, 1 BLAS thread, median over four iterates of a dense-start solve
+# (its first step and those a third, two thirds and all the way through), T
+# the diagonal plus random off-diagonal coordinates; "assembled" is the
+# factored solve alone, two passes of cho_solve, and the CG columns use the
+# diagonal, to 1e-12 and to the forcing term solve_tau_min passes at those
+# iterates (1e-3 at the first, 2e-2 to 1e-1 at the other three, where the
+# safeguard against oversolving sets it):
 #
 #     p   |T|   |T|^2 m   assembled   CG 1e-12   CG forcing
 #     20  100   2.1e6        0.8        1.5         0.6
@@ -157,13 +158,13 @@ _FORCING_MAX = 0.1
 #     40  200   3.3e7        6.5        3.7         1.2
 #     60  300   1.6e8       14.7        4.8         1.8
 #
-# Under the forcing term CG wins at every |T| here from p = 40, and at p = 20
-# it wins at |T| = 100 and ties assembly at 210 (2.0-3.3 ms against 2.6-3.7
-# over three runs); at p = 40 the bound (|T| ~ 140) sits above the
-# crossover.  The bound counts only the flops of
-# F F^T, not CG's iterations times its O(p^3) product.  On a p = 100 sparse start (|T| 100-193, up to
-# 1.9e8) CG takes sparse_init 0.31-0.36 s and ipm_solve after it 0.25-0.27 s,
-# against 0.85 s and 1.04-1.08 s with every set assembled (1 BLAS thread).
+# Under the forcing term the diagonal wins at every |T| here from p = 40, and
+# at p = 20 it wins at |T| = 100 and ties assembly at 210 (2.0-3.3 ms against
+# 2.6-3.7 over three runs); at p = 40 the bound (|T| ~ 140) sits above the
+# crossover.  The bound counts only the flops of F F^T, not CG's iterations
+# times its O(p^3) product.  On a p = 100 sparse start (|T| 100-193, up to
+# 1.9e8) the diagonal takes sparse_init 0.31-0.36 s and ipm_solve after it
+# 0.25-0.27 s, against 0.85 s and 1.04-1.08 s with every set assembled.
 _ASSEMBLE_FLOPS = 1.6e7
 
 
@@ -183,29 +184,31 @@ class _SchurComplement:
         E = Phi diag(delta) Phi^T,   delta_kl = mu tau / (tau + mu lam_k lam_l),
         (A + B)^-1 X = V [(V^T X V) * r] V^T,   r_kl = lam_k lam_l / (mu lam_k lam_l + tau),
 
-    so every operator but K^-1 applies in O(p^3).  K is solved one of two
-    ways, chosen by the cost |T|^2 m of assembling it:
+    so every operator but K^-1 applies in O(p^3).  K is solved by
+    conjugate gradients on the product
+
+        K x = [W (delta o (W^T X W)) W^T + tau S^-1 X S^-1]_T,   X = vec^-1(x),
+
+    O(p^3) each (o the entrywise product), to the relative residual rtol
+    that solve is given: the exact 1e-12 by default, the forcing term of the
+    module docstring in solve_tau_min, since an inexact Newton step needs a
+    solve only as accurate as O(||F||) to keep its quadratic rate
+    (Dembo-Eisenstat-Steihaug), and near the residual rule no more accurate
+    than that rule needs.  The cost |T|^2 m of assembling K picks the
+    preconditioner (iterative says which):
 
     - up to _ASSEMBLE_FLOPS, K = F F^T + C_TT is formed, with F = Phi_T
       sqrt(delta) the rows T of sym_kron(W) and C_TT a block of sym_kron,
-      and Cholesky-factorized;
-    - above it, K is never formed: conjugate gradients run on the product
+      and its Cholesky factor preconditions, so a solve takes one or two
+      iterations;
+    - above it, K is never formed, and its diagonal, which costs
+      O(|T| p^2) (_diagonal), preconditions.
 
-          K x = [W (delta o (W^T X W)) W^T + tau S^-1 X S^-1]_T,   X = vec^-1(x),
-
-      O(p^3) each (o the entrywise product), preconditioned by K's
-      diagonal, which costs O(|T| p^2) (_diagonal), to the relative
-      residual rtol that solve is given: the exact 1e-12 by default, the
-      forcing term of the module docstring in solve_tau_min, since an
-      inexact Newton step needs a solve only as accurate as O(||F||) to
-      keep its quadratic rate (Dembo-Eisenstat-Steihaug), and near the
-      residual rule no more accurate than that rule needs.  The product
-      stays on T: X is scattered into a p x p array from the flat
-      positions of T's coordinates, and the symmetric part of the result
-      gathered from them (_on and _gather keep those positions per
-      working set), with no m-length vector and no symmetry check.  The
-      factored side ignores rtol.  cg_iterations counts the iterations
-      spent so far.
+    X is scattered into a p x p array from the flat positions of T's
+    coordinates (_scatter), and the symmetric part of the result gathered
+    from them (_gather; _on keeps those positions per working set), with no
+    m-length vector and no symmetry check.  cg_iterations counts the
+    iterations so far.
     """
 
     def __init__(self, iterate: Iterate, T: np.ndarray, barrier: BarrierObjective):
@@ -238,7 +241,7 @@ class _SchurComplement:
             self.cho = self._factor()
 
     def restrict(self, keep: np.ndarray) -> _SchurComplement:
-        """The same system on T[keep]: K[keep, keep] factored, or conjugate gradients on it.
+        """The same system on T[keep], with K[keep, keep] refactored or K's diagonal on it.
 
         The copy carries cg_iterations on, so it counts the passes of both.
         """
@@ -293,13 +296,17 @@ class _SchurComplement:
         diag *= np.where(basis.off_diag[self.T], 1.0, 0.5)
         return diag
 
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        """K x on T, in O(p^3), scattered into and gathered from p x p arrays on T alone."""
-        W, p = self.W, self.basis.p
-        X = np.zeros((p, p))
+    def _scatter(self, x: np.ndarray) -> np.ndarray:
+        """The p x p matrix of coordinates x on T and 0 off it, basis.vec_to_mat of x embedded."""
+        X = np.zeros((self.basis.p, self.basis.p))
         entries = x / self.scale_T
         X.ravel()[self.up_T] = entries
         X.ravel()[self.lo_T] = entries
+        return X
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """K x on T, in O(p^3), scattered into and gathered from p x p arrays on T alone."""
+        W, X = self.W, self._scatter(x)
         Y = W.T @ X @ W
         Y *= self.delta
         Z = W @ Y @ W.T
@@ -307,7 +314,7 @@ class _SchurComplement:
         return self._gather(Z)
 
     def _cg(self, b: np.ndarray, rtol: float) -> np.ndarray:
-        """K^-1 b by conjugate gradients from zero, preconditioned by K's diagonal.
+        """K^-1 b by conjugate gradients from zero, preconditioned by K's diagonal or factor.
 
         Stops at ||K x - b|| <= rtol ||b||: rtol is 1e-12 for an exact solve,
         or the forcing term of an inexact Newton step, which needs the solve
@@ -317,9 +324,8 @@ class _SchurComplement:
         2 |T| iterations, raises NumericalBreakdownError.
         """
         x, res = np.zeros_like(b), b.copy()
-        d = z = res / self.diag
-        rz = res @ z
         tol = rtol * np.linalg.norm(b)
+        rz = d = None
         for k in range(2 * len(b) + 1):
             if np.linalg.norm(res) <= tol:
                 self.cg_iterations += k
@@ -327,6 +333,10 @@ class _SchurComplement:
             if k == 2 * len(b):
                 reason = "no convergence"
                 break
+            z = (res / self.diag if self.iterative
+                 else scipy.linalg.cho_solve(self.cho, res, check_finite=False))
+            rz, rz_old = res @ z, rz
+            d = z if k == 0 else z + (rz / rz_old) * d
             q = self._product(d)
             curvature = d @ q
             if not curvature > 0:
@@ -335,9 +345,6 @@ class _SchurComplement:
             alpha = rz / curvature
             x += alpha * d
             res -= alpha * q
-            z = res / self.diag
-            rz, rz_old = res @ z, rz
-            d = z + (rz / rz_old) * d
         raise NumericalBreakdownError(
             f"conjugate gradients on the Schur complement of size {len(b)} stopped after "
             f"{k} iterations at relative residual "
@@ -348,27 +355,19 @@ class _SchurComplement:
               rtol: float = _EXACT_RTOL) -> tuple[np.ndarray, np.ndarray]:
         """(d_ell, d_T) with K [d_ell; d_T] = [r_ell; r_T] for the reduced matrix K on T.
 
-        d_ell is exact given d_T; on the CG side d_T solves the Schur system
-        to the relative residual rtol.
+        d_T solves the Schur system to the relative residual rtol, and d_ell
+        is exact given d_T.
         """
-        W, V, T, basis = self.W, self.V, self.T, self.basis
+        W, V = self.W, self.V
         # Y: (A + B)^-1 r_ell = V Y V^T
-        Y = V.T @ basis.vec_to_mat(r_ell) @ V
+        Y = V.T @ self.basis.vec_to_mat(r_ell) @ V
         Y *= self.r
-        d_T = np.zeros(0)
-        if len(T):
-            # [A (A + B)^-1 r_ell]_T, with A V Y V^T = mu W Y W^T
-            b_T = r_T - self.mu * self._gather(W @ Y @ W.T)
-            if self.iterative:
-                d_T = self._cg(b_T, rtol)
-            else:
-                d_T = scipy.linalg.cho_solve(self.cho, b_T, check_finite=False)
-            # d_ell = (A + B)^-1 (r_ell - A d_s), d_s = d_T on T and 0 off it,
-            # where V^T A X V = mu W^T X W
-            d_s = np.zeros(basis.m)
-            d_s[T] = d_T
-            Y -= self.mu * self.r * (W.T @ basis.vec_to_mat(d_s) @ W)
-        return basis.sym_part_to_vec(V @ Y @ V.T), d_T
+        # [A (A + B)^-1 r_ell]_T, with A V Y V^T = mu W Y W^T
+        d_T = self._cg(r_T - self.mu * self._gather(W @ Y @ W.T), rtol)
+        # d_ell = (A + B)^-1 (r_ell - A d_s), d_s = d_T on T and 0 off it,
+        # where V^T A X V = mu W^T X W
+        Y -= self.mu * self.r * (W.T @ self._scatter(d_T) @ W)
+        return self.basis.sym_part_to_vec(V @ Y @ V.T), d_T
 
 
 def _refine(solver: _SchurComplement, iterate: Iterate, barrier: BarrierObjective,
@@ -400,40 +399,37 @@ def newton_direction(
     """Solve the reduced Newton system of size m + |T| by its Schur complement on s_T.
 
     The direction starts from its held set: d_ell = 0 and d_s = -s, with
-    d_s = 0 on T.  Refinement passes (_refine) then solve for the rest.
-    With K assembled there are two: a solve, then one step of iterative
-    refinement that brings it to the accuracy of a dense solve; with
-    conjugate gradients one pass suffices.  A pass from d = 0, where
-    s_{~T} = 0, is a plain solve of -g.  The Schur complement is positive
-    definite because the reduced matrix is a principal submatrix of the
-    positive definite Hessian; a failed eigendecomposition or
-    factorization, and nonpositive curvature or no convergence in
+    d_s = 0 on T.  Refinement passes (_refine) then solve for the rest, each
+    solving the Schur system by conjugate gradients to the relative
+    residual rtol.  Asked for the exact 1e-12 there are two: a solve, then
+    one step of iterative refinement that brings it to the accuracy of a
+    dense solve; at a looser forcing term one pass suffices.  A pass from
+    d = 0, where s_{~T} = 0, is a plain solve of -g.  The Schur complement
+    is positive definite because the reduced matrix is a principal
+    submatrix of the positive definite Hessian; a failed eigendecomposition
+    or factorization, and nonpositive curvature or no convergence in
     conjugate gradients, raise NumericalBreakdownError.
 
     The off-diagonal coordinates D of T whose predicted value |s_i + d_i|
     falls below keep_floor (the prox's sqrt(2 gamma C); the default 0.0
     drops nothing) leave the working set in the same step: they join the
     held set with d_D = -s_D, and one more pass re-solves on T \\ D with
-    the solver restricted to that set, which factors the principal block of
-    the K held for T or runs conjugate gradients on T \\ D.  The returned
+    the solver restricted to that set, which refactors the principal block
+    of the K assembled for T when its factor preconditions.  The returned
     Direction names the set it was solved on.
-
-    Each conjugate-gradient pass solves the Schur system to the relative
-    residual rtol; the factored side ignores it.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     schur = _SchurComplement(iterate, T, barrier)
     d_ell, d_s = np.zeros(iterate.basis.m), -iterate.s
     d_s[T] = 0.0
-    for _ in range(1 if schur.iterative else 2):
+    for _ in range(2 if rtol <= _EXACT_RTOL else 1):
         _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s, rtol)
     drop = iterate.basis.off_diag[T] & (np.abs(iterate.s[T] + d_s[T]) < keep_floor)
     if drop.any():
         d_s[T[drop]] = -iterate.s[T[drop]]
         schur = schur.restrict(~drop)
         _refine(schur, iterate, barrier, (g_ell, g_s), d_ell, d_s, rtol)
-    return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=schur.T,
-                     cg_iterations=schur.cg_iterations, cg_rtol=rtol if schur.iterative else 0.0)
+    return Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=schur.T, cg_iterations=schur.cg_iterations)
 
 
 def descent_safeguard(
@@ -481,13 +477,17 @@ def fallback_direction(iterate: Iterate, g_ell: np.ndarray, g_s: np.ndarray, T: 
 
 @dataclass
 class LineSearchResult:
-    alpha: float
     iterate: Iterate | None  # None when no trial point passed
     n_backtracks: int  # trials rejected: MAX_BACKTRACKS + 1, all of them, when it failed
 
     @property
     def success(self) -> bool:
         return self.iterate is not None
+
+    @property
+    def alpha(self) -> float:
+        """The accepted step BACKTRACK_BETA**n_backtracks, or 0.0 when no trial passed."""
+        return BACKTRACK_BETA**self.n_backtracks if self.success else 0.0
 
 
 def line_search(
@@ -520,8 +520,8 @@ def line_search(
         h_trial = eval_h_tau(trial, barrier)
         decrease = DECREASE_SIGMA * alpha * slope
         if h_trial <= h0 + decrease or h_trial + C * np.count_nonzero(trial_s) <= merit0 + decrease:
-            return LineSearchResult(alpha=alpha, iterate=trial, n_backtracks=v)
-    return LineSearchResult(alpha=0.0, iterate=None, n_backtracks=MAX_BACKTRACKS + 1)
+            return LineSearchResult(iterate=trial, n_backtracks=v)
+    return LineSearchResult(iterate=None, n_backtracks=MAX_BACKTRACKS + 1)
 
 
 @dataclass
@@ -681,8 +681,7 @@ def solve_tau_min(
     far from the residual rule, and up to 0.5 residual_tol / ||F||, at most
     0.1, near it, where a tighter solve buys nothing the rule keeps.  The
     trace row counts their iterations and the relative residual they were
-    asked for (cg_rtol, 0 on the factored side), also when the safeguard
-    rejects the direction.
+    asked for (cg_rtol), also when the safeguard rejects the direction.
     """
     keep_floor = prox_keep_floor(params.gamma, barrier.problem.C)
 
@@ -691,7 +690,7 @@ def solve_tau_min(
         rtol = max(_EXACT_RTOL, min(_FORCING_CAP, f),
                    _FORCING_MAX if f == 0 else min(_FORCING_MAX, 0.5 * params.residual_tol / f))
         direction = newton_direction(it, res.T, barrier, grad=g, keep_floor=keep_floor, rtol=rtol)
-        cg = dict(cg_iterations=direction.cg_iterations, cg_rtol=direction.cg_rtol)
+        cg = dict(cg_iterations=direction.cg_iterations, cg_rtol=rtol)
         if not descent_safeguard(direction, g[1], SAFEGUARD_DELTA, params.gamma, g_ell=g[0]):
             direction = fallback_direction(it, g[0], g[1], res.T)
         ls = line_search(it, direction, barrier, grad=g)

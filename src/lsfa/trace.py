@@ -25,8 +25,8 @@ class TraceRow:
     monotonic clock stamp taken when the step was accepted; `cg_iterations`
     is the number of conjugate-gradient iterations spent on the step's
     direction, summed over its passes, and `cg_rtol` the relative residual
-    those solves were asked for (both 0 when its Schur complement was
-    factored, and for a baseline step).
+    those solves were asked for, the step's forcing term (both 0 for a
+    baseline step).
     """
 
     outer_iter: int

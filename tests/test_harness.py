@@ -41,6 +41,23 @@ def test_matrix_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(M, back)  # 17 significant digits round-trip float64
 
 
+@pytest.mark.parametrize("shape", [(50, 1), (1, 6), (1, 1)])
+def test_matrix_csv_keeps_one_column_and_one_row_shapes(tmp_path, shape):
+    # a one-column file holds N rows of one number each, not one row of N
+    M = np.random.default_rng(2).standard_normal(shape)
+    write_matrix_csv(tmp_path / "m.csv", M)
+    back = read_matrix_csv(tmp_path / "m.csv")
+    assert back.shape == shape
+    assert np.array_equal(M, back)
+
+
+def test_cli_solve_one_variable_samples(tmp_path):
+    samples = np.random.default_rng(3).standard_normal((50, 1))
+    write_matrix_csv(tmp_path / "col.csv", samples)
+    assert main(["solve", "--run-dir", str(tmp_path), "--samples", "col.csv"]) == 0
+    assert read_matrix_csv(tmp_path / "S_star.csv").shape == (1, 1)
+
+
 def test_trace_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     rows = [
@@ -295,6 +312,17 @@ def test_cli_cv_ragged_samples_is_data_error(tmp_path, capsys):
     (tmp_path / "samples.csv").write_text("1,2,3\n4,5\n")
     assert main(["cv", "--p", "3", "--r", "1", "--run-dir", str(tmp_path)]) == 4
     assert "is not a numeric CSV matrix" in capsys.readouterr().err
+
+
+def test_cli_cv_non_finite_samples_is_data_error(tmp_path, capsys):
+    # every fold's covariance would reject the file; it is named before any fit
+    (tmp_path / "samples.csv").write_text("1,2\nnan,3\n4,5\n")
+    argv = ["cv", "--folds", "2", "--c-grid", "0.5", "--mu-grid", "100", "--run-dir", str(tmp_path)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "cannot use the covariance from" in err and "samples.csv" in err
+    assert "NaN or infinite" in err
+    assert not (tmp_path / "cv_scores.csv").exists()
 
 
 def test_cli_cv_more_folds_than_samples_is_config_error(tmp_path, capsys):

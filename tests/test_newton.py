@@ -318,18 +318,29 @@ def test_conjugate_gradient_direction_solves_the_dense_reduced_system():
 
 
 def test_factored_and_conjugate_gradient_sides_agree(monkeypatch):
+    # both preconditioners, the assembled K's Cholesky factor and K's
+    # diagonal, solve every pass by conjugate gradients to the exact 1e-12
     it, basis, barrier, T = _interior_point_with_working_set(57, 8)
     plain = newton_direction(it, T, barrier)
     off_T = T[basis.off_diag[T]]
     floor = float(np.median(np.abs(it.s[off_T] + plain.d_s[off_T])))
+    cg_rtols = []
+    cg_solve = _SchurComplement._cg
+
+    def cg_spy(self, b, rtol):
+        cg_rtols.append(rtol)
+        return cg_solve(self, b, rtol)
+
+    monkeypatch.setattr(_SchurComplement, "_cg", cg_spy)
     directions = {}
     for bound in (np.inf, 0):
         monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", bound)
         directions[bound] = [newton_direction(it, T, barrier, keep_floor=k) for k in (0.0, floor)]
     assert len(T) - len(directions[np.inf][1].T) >= 2
+    assert cg_rtols and set(cg_rtols) == {lsfa.newton._EXACT_RTOL}
     for factored, cg in zip(directions[np.inf], directions[0]):
         np.testing.assert_array_equal(factored.T, cg.T)
-        assert (factored.cg_rtol, cg.cg_rtol) == (0.0, lsfa.newton._EXACT_RTOL)
+        assert 0 < factored.cg_iterations < cg.cg_iterations
         x = np.concatenate([factored.d_ell, factored.d_s])
         x_cg = np.concatenate([cg.d_ell, cg.d_s])
         assert np.linalg.norm(x_cg - x) <= 1e-10 * np.linalg.norm(x)
@@ -356,7 +367,7 @@ def test_inexact_conjugate_gradient_direction_meets_its_tolerance_and_descends(m
     monkeypatch.setattr(_SchurComplement, "_cg", spy)
     exact = newton_direction(it, T, barrier)
     d = newton_direction(it, T, barrier, rtol=1e-3)
-    assert [rtol for *_, rtol in solves] == [1e-12, 1e-3]
+    assert [rtol for *_, rtol in solves] == [1e-12, 1e-12, 1e-3]
     b, x, _ = solves[-1]
     K = _dense_schur_complement(it, barrier, T)
     assert np.linalg.norm(K @ x - b) <= 1e-3 * np.linalg.norm(b)
@@ -365,14 +376,17 @@ def test_inexact_conjugate_gradient_direction_meets_its_tolerance_and_descends(m
     assert descent_safeguard(d, g_s, SAFEGUARD_DELTA, 0.1, g_ell=g_ell)
 
 
-def test_solver_solves_each_step_to_its_forcing_term(monkeypatch):
+@pytest.mark.parametrize("bound", [0, lsfa.newton._ASSEMBLE_FLOPS], ids=["diagonal", "factor"])
+def test_solver_solves_each_step_to_its_forcing_term(monkeypatch, bound):
     # every conjugate-gradient solve of a step runs to max(1e-12, min(1e-3,
     # ||F||), min(0.1, 0.5 residual_tol / ||F||)) of the point the step
     # starts from, and the trace row counts the iterations, one product
     # each, and the relative residual they were asked for; the stop rule
     # 1e-9 puts steps on both sides of the safeguard: one from 3e-5 solves
-    # to it, and those from ~5e-9 to 0.1
-    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
+    # to it, and those from ~5e-9 to 0.1.  At the default bound every K
+    # here (|T|^2 m <= 15^3) is assembled and its Cholesky factor
+    # preconditions, so each solve takes at most two iterations
+    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", bound)
     rng = np.random.default_rng(11)
     p = 5
     sigma_check = random_spd(rng, p, shift=2.0)
@@ -387,9 +401,14 @@ def test_solver_solves_each_step_to_its_forcing_term(monkeypatch):
         steps.append([rtol, [], 0])
         return direction(*args, rtol=rtol, **kwargs)
 
+    solves = []  # per CG solve: (preconditioned by the diagonal, iterations)
+
     def cg_spy(self, b, rtol):
         steps[-1][1].append(rtol)
-        return cg(self, b, rtol)
+        before = self.cg_iterations
+        x = cg(self, b, rtol)
+        solves.append((self.iterative, self.cg_iterations - before))
+        return x
 
     def product_spy(self, x):
         steps[-1][2] += 1
@@ -413,6 +432,10 @@ def test_solver_solves_each_step_to_its_forcing_term(monkeypatch):
     assert max(forcing) <= lsfa.newton._FORCING_MAX
     assert [row.cg_iterations for row in result.rows] == [n for *_, n in steps]
     assert [row.cg_rtol for row in result.rows] == forcing
+    if bound:
+        assert all(not iterative and 1 <= n <= 2 for iterative, n in solves)
+    else:
+        assert all(iterative for iterative, _ in solves)
 
 
 def test_step_from_a_zero_residual_solves_to_the_largest_forcing_term(monkeypatch):
