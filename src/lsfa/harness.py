@@ -95,7 +95,12 @@ class RunConfig:
         those classes know by other names (_RENAMED), so that the error names
         the field that was set.
         """
-        require_positive(eta_rank=self.eta_rank, eta_supp=self.eta_supp, eps=self.eps)
+        require_positive(eps=self.eps)
+        for name in ("eta_rank", "eta_supp"):
+            # a read-out keeps the values above this share of the largest one
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ConfigError(f"{name} must be in (0, 1), got {value}")
         require_count(p=self.p, r=self.r, n=self.n, bcd_max_iters=self.bcd_max_iters)
         require_count(2, folds=self.folds)
         require_count(0, seed=self.seed)

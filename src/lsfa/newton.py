@@ -31,15 +31,19 @@ the penalized merit charges C each however small alpha is.  Trial points
 outside the positive-definite cone evaluate to +inf and fail both tests.
 
 The reduced matrix of size m + |T| is never formed.  The ell block is
-eliminated exactly: in the generalized eigenbasis of (L, Sigma) its inverse
-and its Schur complement apply in O(p^3), which leaves the |T| x |T|
-Schur complement K on s_T (see _SchurComplement).  Conjugate gradients
-solve with K through its O(p^3) product, preconditioned by the Cholesky
-factor of the assembled K while assembling it costs at most _ASSEMBLE_FLOPS,
-and by K's diagonal above that.  Every direction comes from refinement
-passes, d += K^-1 (-g - H d) with the matrix-free Hessian-vector product
-(_refine): two from d_{s_T} = 0 reach the accuracy of a dense solve when the
-exact 1e-12 is asked for, and one suffices at a forcing term.  A drop takes
+eliminated exactly: in the generalized eigenbasis W of (L, Sigma) its
+inverse and its Schur complement apply in O(p^3), which leaves the |T| x |T|
+Schur complement K on s_T.  Every block of the barrier Hessian is diagonal
+in that basis, the S-barrier too, since S = Sigma - L makes W^T S W
+diagonal; so K = [Phi diag(delta) Phi^T]_TT, with Phi the matrix of
+Z -> W Z W^T and one weight delta built from lam and sig = diag(W^T S W)
+(see _SchurComplement).  Conjugate gradients solve with K through its
+O(p^3) product, preconditioned by the Cholesky factor of the assembled K
+while assembling it costs at most _ASSEMBLE_FLOPS, and by K's diagonal
+above that.  Every direction comes from refinement passes,
+d += K^-1 (-g - H d) with the matrix-free Hessian-vector product (_refine):
+two from d_{s_T} = 0 reach the accuracy of a dense solve when the exact
+1e-12 is asked for, and one suffices at a forcing term.  A drop takes
 one more pass, on T \\ D, through the same solver restricted to that set.
 The dense Hessian (objective.hessian_blocks) remains as the test oracle.
 
@@ -143,26 +147,27 @@ _FORCING_MAX = 0.1
 # complement (|T|^2 m), the Cholesky factor of the assembled K preconditions
 # conjugate gradients, which then take one or two iterations; above it K is
 # never formed and its diagonal preconditions them.  Measured, ms per
-# direction, 1 BLAS thread, median over four iterates of a dense-start solve
+# newton_direction (best of five), 1 BLAS thread, median over four iterates
+# of the dense-start ipm_solve of the generator's default instance at that p
 # (its first step and those a third, two thirds and all the way through), T
-# the diagonal plus random off-diagonal coordinates; "assembled" is the
-# factored solve alone, two passes of cho_solve, and the CG columns use the
-# diagonal, to 1e-12 and to the forcing term solve_tau_min passes at those
-# iterates (1e-3 at the first, 2e-2 to 1e-1 at the other three, where the
-# safeguard against oversolving sets it):
+# the diagonal plus random off-diagonal coordinates, median of three runs;
+# "assembled" forms and factors K and solves to 1e-12 (two passes), and the
+# CG columns use the diagonal, to 1e-12 and to the forcing term solve_tau_min
+# passes at those iterates (1e-3 at the first, 1e-2 to 1e-1 at the other
+# three, where the safeguard against oversolving sets it):
 #
 #     p   |T|   |T|^2 m   assembled   CG 1e-12   CG forcing
-#     20  100   2.1e6        0.8        1.5         0.6
-#     20  210   9.3e6        3.7        5.8         3.1
-#     40  120   1.2e7        4.4        3.1         1.1
-#     40  200   3.3e7        6.5        3.7         1.2
-#     60  300   1.6e8       14.7        4.8         1.8
+#     20  100   2.1e6        1.0        2.8         0.6
+#     20  210   9.3e6        2.7        9.4         2.2
+#     40  120   1.2e7        3.9        4.4         1.2
+#     40  200   3.3e7        5.9        6.1         1.4
+#     60  300   1.6e8       15.1        7.1         2.2
 #
-# Under the forcing term the diagonal wins at every |T| here from p = 40, and
-# at p = 20 it wins at |T| = 100 and ties assembly at 210 (2.0-3.3 ms against
-# 2.6-3.7 over three runs); at p = 40 the bound (|T| ~ 140) sits above the
-# crossover.  The bound counts only the flops of F F^T, not CG's iterations
-# times its O(p^3) product.  On a p = 100 sparse start (|T| 100-193, up to
+# Under the forcing term the diagonal wins at every row here, at p = 20 and
+# |T| = 210 by 1.5-2.6 ms against 2.3-3.3 over the three runs, so the bound
+# (every set at p = 20, |T| ~ 140 at p = 40) sits above the crossover.  It
+# counts only the flops of F F^T, not CG's iterations times its O(p^3)
+# product.  On a p = 100 sparse start (|T| 100-193, up to
 # 1.9e8) the diagonal takes sparse_init 0.31-0.36 s and ipm_solve after it
 # 0.25-0.27 s, against 0.85 s and 1.04-1.08 s with every set assembled.
 _ASSEMBLE_FLOPS = 1.6e7
@@ -178,29 +183,31 @@ class _SchurComplement:
 
         E = A - A (A + B)^-1 A = ((1/mu) G(Sigma) + (1/tau) G(L))^-1.
 
-    The generalized eigenpairs L W = Sigma W diag(lam), W^T Sigma W = I,
-    diagonalize both maps: with Phi the matrix of Z -> W Z W^T and V = Sigma W,
+    Every block is diagonal in the generalized eigenbasis of (L, Sigma):
+    with L W = Sigma W diag(lam) and W^T Sigma W = I, S = Sigma - L gives
+    W^T S W = diag(sig), sig = 1 - lam, taken as diag(W^T S W).  With Phi
+    the matrix of Z -> W Z W^T and V = Sigma W,
 
-        E = Phi diag(delta) Phi^T,   delta_kl = mu tau / (tau + mu lam_k lam_l),
+        E + C = Phi diag(delta) Phi^T,
+        delta_kl = mu tau / (tau + mu lam_k lam_l) + tau / (sig_k sig_l),
         (A + B)^-1 X = V [(V^T X V) * r] V^T,   r_kl = lam_k lam_l / (mu lam_k lam_l + tau),
 
-    so every operator but K^-1 applies in O(p^3).  K is solved by
-    conjugate gradients on the product
+    so K = [Phi diag(delta) Phi^T]_TT and every operator but K^-1 applies
+    in O(p^3).  K is solved by conjugate gradients on the product
 
-        K x = [W (delta o (W^T X W)) W^T + tau S^-1 X S^-1]_T,   X = vec^-1(x),
+        K x = [W (delta o (W^T X W)) W^T]_T,   X = vec^-1(x),
 
-    O(p^3) each (o the entrywise product), to the relative residual rtol
-    that solve is given: the exact 1e-12 by default, the forcing term of the
-    module docstring in solve_tau_min, since an inexact Newton step needs a
-    solve only as accurate as O(||F||) to keep its quadratic rate
-    (Dembo-Eisenstat-Steihaug), and near the residual rule no more accurate
-    than that rule needs.  The cost |T|^2 m of assembling K picks the
-    preconditioner (iterative says which):
+    four p x p GEMMs each (o the entrywise product), to the relative
+    residual rtol that solve is given: the exact 1e-12 by default, the
+    forcing term of the module docstring in solve_tau_min, since an inexact
+    Newton step needs a solve only as accurate as O(||F||) to keep its
+    quadratic rate (Dembo-Eisenstat-Steihaug), and near the residual rule
+    no more accurate than that rule needs.  The cost |T|^2 m of assembling
+    K picks the preconditioner (iterative says which):
 
-    - up to _ASSEMBLE_FLOPS, K = F F^T + C_TT is formed, with F = Phi_T
-      sqrt(delta) the rows T of sym_kron(W) and C_TT a block of sym_kron,
-      and its Cholesky factor preconditions, so a solve takes one or two
-      iterations;
+    - up to _ASSEMBLE_FLOPS, K = F F^T is formed, with F = Phi_T sqrt(delta)
+      the rows T of sym_kron(W) scaled by column, and its Cholesky factor
+      preconditions, so a solve takes one or two iterations;
     - above it, K is never formed, and its diagonal, which costs
       O(|T| p^2) (_diagonal), preconditions.
 
@@ -223,10 +230,12 @@ class _SchurComplement:
                 f"generalized eigendecomposition of (L, Sigma) failed: {exc}"
             ) from exc
         self.W, self.V = W, iterate.sigma @ W
-        self.inv_S = iterate.inv_S
+        # the S-barrier's weight tau / (sig_k sig_l) is u u^T, u = sqrt(tau) / sig, with
+        # sig = diag(W^T S W), not 1 - lam, which cancels where S is nearly singular
+        u = np.sqrt(tau) / (W * (iterate.S @ W)).sum(axis=0)
         lam2 = np.multiply.outer(lam, lam)
         self.r = lam2 / (mu * lam2 + tau)
-        self.delta = (mu * tau) / (tau + mu * lam2)
+        self.delta = (mu * tau) / (tau + mu * lam2) + np.multiply.outer(u, u)
         self.iterative = len(T) ** 2 * basis.m > _ASSEMBLE_FLOPS
         self.cg_iterations = 0
         if self.iterative:
@@ -235,9 +244,6 @@ class _SchurComplement:
             F = basis.sym_kron(W, rows=T)
             F *= np.sqrt(self.delta[basis.rows, basis.cols])
             self.K = F @ F.T
-            C_TT = basis.sym_kron(self.inv_S, rows=T, cols=T)
-            C_TT *= tau
-            self.K += C_TT
             self.cho = self._factor()
 
     def restrict(self, keep: np.ndarray) -> _SchurComplement:
@@ -267,8 +273,7 @@ class _SchurComplement:
 
     def _factor(self):
         try:
-            # K is exactly symmetric (F F^T and sym_kron of a symmetric matrix
-            # both are), and finite because W, delta and S^-1 are
+            # K = F F^T is exactly symmetric, and finite because W and delta are
             return scipy.linalg.cho_factor(self.K, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError(
@@ -282,17 +287,15 @@ class _SchurComplement:
         For a coordinate a = {i, j}, E_a = c_a (e_i e_j^T + e_j e_i^T) and
         the rows w_i of W give W^T E_a W = c_a (w_i w_j^T + w_j w_i^T), so
 
-            E_aa = 2 c_a^2 ((w_i^2)^T delta (w_j^2) + (w_i o w_j)^T delta (w_i o w_j)),
-            C_aa = 2 c_a^2 tau (Sinv_ii Sinv_jj + Sinv_ij^2),
+            K_aa = 2 c_a^2 ((w_i^2)^T delta (w_j^2) + (w_i o w_j)^T delta (w_i o w_j)),
 
         with 2 c_a^2 = 1 off the diagonal and 1/2 on it, where both terms agree.
         """
-        basis, W, Sinv = self.basis, self.W, self.inv_S
+        basis, W = self.basis, self.W
         i, j = basis.rows[self.T], basis.cols[self.T]
         W2 = W * W
         P = W[i] * W[j]
         diag = (W2 @ self.delta @ W2.T)[i, j] + ((P @ self.delta) * P).sum(axis=1)
-        diag += self.tau * (Sinv[i, i] * Sinv[j, j] + Sinv[i, j] ** 2)
         diag *= np.where(basis.off_diag[self.T], 1.0, 0.5)
         return diag
 
@@ -305,13 +308,11 @@ class _SchurComplement:
         return X
 
     def _product(self, x: np.ndarray) -> np.ndarray:
-        """K x on T, in O(p^3), scattered into and gathered from p x p arrays on T alone."""
-        W, X = self.W, self._scatter(x)
-        Y = W.T @ X @ W
+        """K x on T in four p x p GEMMs, scattered into and gathered from p x p arrays on T."""
+        W = self.W
+        Y = W.T @ self._scatter(x) @ W
         Y *= self.delta
-        Z = W @ Y @ W.T
-        Z += self.tau * (self.inv_S @ X @ self.inv_S)
-        return self._gather(Z)
+        return self._gather(W @ Y @ W.T)
 
     def _cg(self, b: np.ndarray, rtol: float) -> np.ndarray:
         """K^-1 b by conjugate gradients from zero, preconditioned by K's diagonal or factor.

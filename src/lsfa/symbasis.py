@@ -12,8 +12,8 @@ the basis is [[1,0],[0,0]], (1/sqrt 2)[[0,1],[1,0]], [[0,0],[0,1]].  A p x p
 table holds the coordinate of every position (the pair index), so both maps
 are single gathers; so is the map from any square array to the coordinates
 of its symmetric part (sym_part_to_vec).  The matrix of the congruence
-X -> A X A^T (sym_kron), or a block of it, is formed entry by entry from
-gathers, a block of rows at a time.
+X -> A X A^T (sym_kron), or some of its rows, is formed entry by entry
+from gathers, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 from .errors import require_count
 
 _SQRT2 = np.sqrt(2.0)
-# Rows of sym_kron formed per pass.  A pass copies whole rows of p x ncols
-# tables into temporaries of _ROW_BLOCK x ncols (~0.16 MB each at p = 40,
-# ncols ~ 640), which stay in L2 cache.  Timed on square blocks of 0.78 m
+# Rows of sym_kron formed per pass.  A pass copies whole rows of p x m
+# tables into temporaries of _ROW_BLOCK x m (~0.2 MB each at p = 40,
+# m = 820), which stay in L2 cache.  Timed on square blocks of 0.78 m
 # rows, 1 BLAS thread, against 32 rows a pass: 16 took 1.06-1.3x as long at
 # p = 20-60 (per-pass overhead), 64 took 0.8-0.86x at p = 20 and 40 but 1.1x
 # at p = 60, and 128 took 0.94-2x.
@@ -114,41 +114,33 @@ class SymmetricBasis:
         """All basis matrices stacked as an (m, p, p) array."""
         return np.stack([self.element(a) for a in range(self.m)])
 
-    def sym_kron(
-        self,
-        A: np.ndarray,
-        rows: np.ndarray | None = None,
-        cols: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def sym_kron(self, A: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Matrix of the congruence map X -> A X A^T in this basis.
 
         Returns the m x m matrix G with G[a, b] = tr(E_a A E_b A^T) (for a
         symmetric A, the symmetric Kronecker product of A with itself), or
-        only its block G[rows][:, cols] when `rows` or `cols` is given.
-        Writing E_a = c_a (e_i e_j^T + e_j e_i^T) with c_a = 1/2 on the
-        diagonal and 1/sqrt(2) off it, the trace expands to
+        only its rows G[rows] when `rows` is given.  Writing
+        E_a = c_a (e_i e_j^T + e_j e_i^T) with c_a = 1/2 on the diagonal and
+        1/sqrt(2) off it, the trace expands to
 
             G[a, b] = 2 c_a c_b (A[i_a, i_b] A[j_a, j_b] + A[i_a, j_b] A[j_a, i_b]),
 
         O(m^2) work.  The columns i_b and j_b of A are taken once, as two
-        p x ncols tables; the factors of a block of rows are then whole-row
-        copies from them.  An entry of a block equals that entry of the full
-        matrix.
+        p x m tables; the factors of a block of rows are then whole-row
+        copies from them.  Each row equals that row of the full matrix.
         """
         A = np.asarray(A, dtype=float)
-        (ia, ja, ca), (ib, jb, cb) = (
-            (self.rows, self.cols, self._coord_scale) if idx is None
-            else (self.rows[idx], self.cols[idx], self._coord_scale[idx])
-            for idx in (rows, cols)
-        )
-        A_i, A_j = A.take(ib, axis=1), A.take(jb, axis=1)
-        G = np.empty((len(ia), len(ib)))
+        ia, ja, ca = self.rows, self.cols, self._coord_scale
+        if rows is not None:
+            ia, ja, ca = ia[rows], ja[rows], ca[rows]
+        A_i, A_j = A.take(self.rows, axis=1), A.take(self.cols, axis=1)
+        G = np.empty((len(ia), self.m))
         for lo in range(0, len(ia), _ROW_BLOCK):
             blk = slice(lo, lo + _ROW_BLOCK)
             x, y = ia[blk], ja[blk]
             e = A_i[x] * A_j[y]
             e += A_j[x] * A_i[y]
-            np.multiply(e, np.multiply.outer(2.0 * ca[blk], cb), out=G[blk])
+            np.multiply(e, np.multiply.outer(2.0 * ca[blk], self._coord_scale), out=G[blk])
         return G
 
     @functools.cached_property

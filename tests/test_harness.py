@@ -362,6 +362,16 @@ def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config, argv):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1", "2"])
+@pytest.mark.parametrize("flag", ["--eta-rank", "--eta-supp"])
+def test_cli_read_out_threshold_of_one_or_more_is_config_error(tmp_path, capsys, flag, value):
+    # a read-out keeps the values above eta times the largest, so at eta >= 1
+    # it would keep none: rank 0, or an empty support
+    assert main(["solve", "--run-dir", str(tmp_path), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and flag[2:].replace("-", "_") in err
+
+
 @pytest.mark.parametrize("flag", ["--max-backtracks", "--bcd-step-ell", "--delta", "--sigma",
                                   "--beta"])
 def test_cli_has_no_flag_for_the_fixed_search_constants(tmp_path, flag):

@@ -122,18 +122,47 @@ def _ill_conditioned_instance(p, seed):
     return it, basis, BarrierObjective(problem, tau=1e-6), rng
 
 
-@pytest.mark.parametrize("p", [8, 9, 10])
-def test_direction_matches_dense_oracle_when_ill_conditioned(p):
-    it, basis, barrier, rng = _ill_conditioned_instance(p, seed=p)
+def _near_singular_S_instance(p, seed):
+    """A point with L's eigenvalues in [1, 2] and S's geomspace(1e-11, 1, p), at
+    tau = 1e-6 and mu = 100: S, not L, is nearly singular relative to Sigma.
+    S's eigenvectors are a small rotation of the coordinate axes."""
+    rng = np.random.default_rng(seed)
+    K = rng.standard_normal((p, p))
+    Q = scipy.linalg.expm(0.003 * (K - K.T))
+    S = (Q * np.geomspace(1e-11, 1.0, p)) @ Q.T
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    L = (Q * rng.uniform(1.0, 2.0, p)) @ Q.T
+    basis = SymmetricBasis(p)
+    it = Iterate.from_matrices(0.5 * (L + L.T), 0.5 * (S + S.T), basis)
+    problem = ProblemData(L + S + 0.1 * np.eye(p), C=0.5, mu=100.0)
+    return it, basis, BarrierObjective(problem, tau=1e-6), rng
+
+
+@pytest.mark.parametrize("p,seed,instance", [
+    pytest.param(8, 8, _ill_conditioned_instance, id="8"),
+    pytest.param(9, 9, _ill_conditioned_instance, id="9"),
+    pytest.param(10, 10, _ill_conditioned_instance, id="10"),
+    # in the S-barrier's weight tau / (sig_k sig_l), sig = diag(W^T S W) gives
+    # a backward error of 3e-18 here, and sig = 1 - lam, which cancels, 2e-13
+    pytest.param(8, 7, _near_singular_S_instance, id="near-singular-S"),
+])
+def test_direction_matches_dense_oracle_when_ill_conditioned(p, seed, instance):
+    it, basis, barrier, rng = instance(p, seed)
     lam = scipy.linalg.eigh(it.L, it.sigma, eigvals_only=True)
-    assert lam.min() < 1e-4 and lam.max() > 0.5
+    if instance is _ill_conditioned_instance:
+        assert lam.min() < 1e-4 and lam.max() > 0.5
+    else:
+        assert 1 - lam.max() < 1e-9
     assert np.linalg.cond(hessian_h_tau(it, barrier)) > 1e9
     m = basis.m
     T = np.union1d(np.flatnonzero(~basis.off_diag),
                    rng.choice(np.flatnonzero(basis.off_diag), m // 3, replace=False))
-    s_on_T = np.zeros(m)
-    s_on_T[T] = it.s[T]
-    cases = [(it, T), (Iterate(it.ell, s_on_T, basis), T), (it, np.array([], dtype=int))]
+    cases = [(it, T), (it, np.array([], dtype=int))]
+    if instance is _ill_conditioned_instance:
+        # S, diagonal plus small entries, stays positive definite on T alone
+        s_on_T = np.zeros(m)
+        s_on_T[T] = it.s[T]
+        cases.append((Iterate(it.ell, s_on_T, basis), T))
     for point, TT in cases:
         d = newton_direction(point, TT, barrier)
         A, rhs, Tbar = _full_newton_system(point, barrier, TT)
@@ -214,11 +243,9 @@ def test_conjugate_gradient_product_on_T_is_the_full_length_route_bit_for_bit(mo
     def full_length_route(solver, x):
         x_full = np.zeros(basis.m)
         x_full[solver.T] = x
-        X = basis.vec_to_mat(x_full)
-        Y = solver.W.T @ X @ solver.W
+        Y = solver.W.T @ basis.vec_to_mat(x_full) @ solver.W
         Y *= solver.delta
         Z = solver.W @ Y @ solver.W.T
-        Z += solver.tau * (solver.inv_S @ X @ solver.inv_S)
         return basis.mat_to_vec(0.5 * (Z + Z.T))[solver.T]
 
     sub = schur.restrict(rng.random(len(T)) < 0.5)

@@ -132,7 +132,7 @@ _VALID = {
     "n": _COUNT, "density": _UNIT | st.just(1.0), "snr": _POSITIVE, "seed": st.integers(0, 2**32),
     "C": _POSITIVE, "mu": _POSITIVE, "gamma": _POSITIVE, "tau0": _POSITIVE, "theta": _UNIT,
     "eps": _POSITIVE, "residual_tol": _POSITIVE, "max_inner_iters": _COUNT,
-    "eta_rank": _POSITIVE, "eta_supp": _POSITIVE, "bcd_max_iters": _COUNT,
+    "eta_rank": _UNIT, "eta_supp": _UNIT, "bcd_max_iters": _COUNT,
     "folds": st.integers(2, 1000),
     "c_grid": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
     "mu_grid": st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),

@@ -123,9 +123,8 @@ def test_sym_kron_matches_bruteforce(p):
     assert_allclose(basis.sym_kron(A), brute, atol=1e-12)
     rows = np.arange(0, basis.m, 2)
     np.testing.assert_array_equal(basis.sym_kron(A, rows=rows), basis.sym_kron(A)[rows])
-    cols = np.arange(1, basis.m, 3)
-    np.testing.assert_array_equal(basis.sym_kron(A, rows=rows, cols=cols),
-                                  basis.sym_kron(A)[np.ix_(rows, cols)])
+    rows = np.arange(1, basis.m, 3)[::-1]
+    np.testing.assert_array_equal(basis.sym_kron(A, rows=rows), basis.sym_kron(A)[rows])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 9])
@@ -145,7 +144,7 @@ def test_sym_kron_nonsymmetric_matches_bruteforce(p):
     assert_allclose(basis.sym_kron(A) @ basis.mat_to_vec(X), basis.mat_to_vec(A @ X @ A.T),
                     atol=1e-12)
     rows = np.arange(1, basis.m, 2)
-    assert_allclose(basis.sym_kron(A, rows=rows, cols=rows), brute[np.ix_(rows, rows)], atol=1e-12)
+    assert_allclose(basis.sym_kron(A, rows=rows), brute[rows], atol=1e-12)
 
 
 def test_vec_of_transposed_view_equals_contiguous_copy():
