@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import lsfa.baseline
@@ -203,7 +204,7 @@ def test_trials_outside_the_cone_fail_cholesky(kind):
     L = random_spd(rng, p, shift=1.0)
     B = rng.standard_normal((p, p))
     G = 20.0 * (B + B.T) if kind == "indefinite" else -random_spd(rng, p, shift=1.0)
-    top = pencil_top(L, G)
+    top = pencil_top(np.linalg.cholesky(L), G)
     # the step's halvings from t = 1, and two points just past the bound
     ts = [0.5**k for k in range(MAX_BACKTRACKS + 1)]
     if top > 0:
@@ -228,6 +229,36 @@ def test_bcd_rejects_infeasible_init():
     bad = Iterate.from_matrices(np.eye(3), -np.eye(3), basis)
     with pytest.raises(InfeasiblePointError):
         bcd_solve(bad, BarrierObjective(problem, 0.1), BaselineParams(gamma=0.5))
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bcd_rejects_non_finite_init(bad, where):
+    problem = ProblemData(np.eye(3), C=1.0, mu=1.0)
+    basis = SymmetricBasis(3)
+    ell = basis.mat_to_vec(0.5 * np.eye(3))
+    ell[np.flatnonzero(basis.off_diag == (where == "off-diagonal"))[0]] = bad
+    init = Iterate(ell, basis.mat_to_vec(0.5 * np.eye(3)), basis)
+    with pytest.raises(InfeasiblePointError):
+        bcd_solve(init, BarrierObjective(problem, 0.1), BaselineParams(gamma=0.5))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("kind", ["indefinite", "negative-definite"])
+def test_pencil_top_matches_the_generalized_eigenvalue_problem(kind, cond):
+    rng = np.random.default_rng(56)
+    p = 40
+    for _ in range(3):
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        L = (Q * np.geomspace(1.0, 1.0 / cond, p)) @ Q.T
+        L = 0.5 * (L + L.T)
+        B = rng.standard_normal((p, p))
+        G = B + B.T if kind == "indefinite" else -random_spd(rng, p)
+        expected = scipy.linalg.eigh(G, L, eigvals_only=True)[-1]
+        top = pencil_top(np.linalg.cholesky(L), G)
+        # a hundredth of the cone margin, which outside_cone compares t * top to
+        assert abs(top - expected) <= 1e-2 * lsfa.baseline._CONE_MARGIN * abs(expected)
+        assert (top < 0) == (kind == "negative-definite")
 
 
 def test_bcd_iteration_cap():

@@ -197,6 +197,17 @@ def test_infeasible_init_rejected():
         ipm_solve(problem, (np.eye(3), -np.eye(3)), params)
 
 
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_init_rejected(bad, where):
+    problem = ProblemData(np.eye(3), C=1.0, mu=1.0)
+    L0 = 0.5 * np.eye(3)
+    L0[where] = L0[where[::-1]] = bad
+    # mat_to_vec's symmetry check forms inf - inf on an infinite L0
+    with np.errstate(invalid="ignore"), pytest.raises(InfeasiblePointError):
+        ipm_solve(problem, (L0, 0.5 * np.eye(3)), IpmParams(gamma=0.5))
+
+
 # ---------- solution recovery ----------
 
 def test_recover_rank_with_separated_spectrum():

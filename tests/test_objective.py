@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lsfa.objective
-from lsfa.objective import eval_f_at
+from lsfa.objective import _try_cholesky, eval_f_at
 from lsfa import (
     BarrierObjective,
     DataError,
@@ -214,6 +214,56 @@ def test_one_block_trial_with_a_moved_block_off_the_cone_is_infeasible():
     assert eval_h_tau(trial, BarrierObjective(problem, tau=0.37)) == np.inf
     with pytest.raises(InfeasiblePointError):
         trial.inv_S
+
+
+# ---------- Cholesky factor ----------
+
+@pytest.mark.parametrize("p", [2, 3, 5, 8, 13, 20, 40, 60])
+def test_try_cholesky_matches_numpy_on_spd_matrices(p):
+    rng = np.random.default_rng(60 + p)
+    for _ in range(5):
+        A = random_spd(rng, p, shift=0.1)
+        chol = _try_cholesky(A)
+        # numpy and scipy may link different LAPACK builds: equal to rounding
+        assert_allclose(chol, np.linalg.cholesky(A), rtol=0, atol=1e-15 * np.abs(chol).max())
+        assert not np.triu(chol, 1).any()
+
+
+def _not_positive_definite(p):
+    rng = np.random.default_rng(70 + p)
+    B = rng.standard_normal((p, p))
+    zero_row = random_spd(rng, p)
+    zero_row[p // 2, :] = zero_row[:, p // 2] = 0.0
+    return {
+        "indefinite": B + B.T,
+        "negative-definite": -random_spd(rng, p),
+        "singular-ones": np.ones((p, p)),
+        "singular-zero-row": zero_row,
+        "zero": np.zeros((p, p)),
+    }
+
+
+@pytest.mark.parametrize("p", [2, 5, 20, 60])
+def test_try_cholesky_is_none_exactly_where_numpy_raises(p):
+    for kind, A in _not_positive_definite(p).items():
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(A)
+        assert _try_cholesky(A) is None, kind
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_block_is_not_positive_definite(bad, where):
+    # built from coordinates: an infinite matrix fails mat_to_vec's symmetry
+    # check with a RuntimeWarning (inf - inf) before any factorization
+    problem = ProblemData(np.eye(3), C=1.0, mu=1.0)
+    basis = SymmetricBasis(3)
+    ell = basis.mat_to_vec(np.eye(3))
+    ell[np.flatnonzero(basis.off_diag == (where == "off-diagonal"))[0]] = bad
+    for it in (Iterate(ell, basis.mat_to_vec(np.eye(3)), basis),
+               Iterate(basis.mat_to_vec(np.eye(3)), ell, basis)):
+        assert not it.is_strictly_feasible
+        assert eval_h_tau(it, BarrierObjective(problem, tau=0.5)) == np.inf
 
 
 # ---------- gradient ----------
