@@ -22,12 +22,12 @@ class NumericalBreakdownError(RuntimeError):
     Raised when the Newton step's generalized eigendecomposition of (L, Sigma)
     fails, or when the Schur complement on s_T of the reduced Newton system
     (positive definite, since the reduced system is a principal submatrix of
-    the positive-definite Hessian) cannot be Cholesky-factorized, or, where
-    it is solved by conjugate gradients, meets nonpositive curvature or does
-    not converge within twice its size in iterations; the message then gives
-    the size, the iterations taken and the relative residual reached.  This
-    signals an assembly bug or catastrophic conditioning rather than a user
-    error.
+    the positive-definite Hessian) fails: its Cholesky factorization, where
+    the assembled complement preconditions, or the conjugate gradients every
+    solve with it runs, which can meet nonpositive curvature or not converge
+    within twice its size in iterations; the message then gives the size,
+    the iterations taken and the relative residual reached.  This signals an
+    assembly bug or catastrophic conditioning rather than a user error.
     """
 
 
@@ -43,3 +43,10 @@ def require_count(least: int = 1, /, **values: int) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_fraction(**values: float) -> None:
+    """Raise ConfigError naming the first of `values` that is not in the open interval (0, 1)."""
+    for name, value in values.items():
+        if not 0 < value < 1:
+            raise ConfigError(f"{name} must be in (0, 1), got {value}")

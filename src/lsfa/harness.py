@@ -24,7 +24,7 @@ import scipy.linalg
 from .baseline import BaselineParams, bcd_solve
 from .datagen import check_instance, generate_ground_truth, sample_observations
 from .errors import (ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError,
-                     require_count, require_positive)
+                     require_count, require_fraction, require_positive)
 from .ipm import ETA_RANK, ETA_SUPP, IpmParams, Solution, ipm_solve, sparse_init
 from .newton import NewtonParams
 from .objective import (BarrierObjective, Iterate, ProblemData, _logdet_from_chol,
@@ -96,11 +96,8 @@ class RunConfig:
         the field that was set.
         """
         require_positive(eps=self.eps)
-        for name in ("eta_rank", "eta_supp"):
-            # a read-out keeps the values above this share of the largest one
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ConfigError(f"{name} must be in (0, 1), got {value}")
+        # a read-out keeps the values above this share of the largest one
+        require_fraction(eta_rank=self.eta_rank, eta_supp=self.eta_supp)
         require_count(p=self.p, r=self.r, n=self.n, bcd_max_iters=self.bcd_max_iters)
         require_count(2, folds=self.folds)
         require_count(0, seed=self.seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InfeasiblePointError, require_positive
+from .errors import InfeasiblePointError, require_fraction, require_positive
 from .newton import InnerSolveResult, NewtonParams, solve_tau_min
 from .objective import BarrierObjective, Iterate, ProblemData
 from .symbasis import SymmetricBasis
@@ -38,8 +38,7 @@ class IpmParams(NewtonParams):
     def __post_init__(self):
         super().__post_init__()
         require_positive(tau0=self.tau0, epsilon=self.epsilon)
-        if not 0 < self.theta < 1:
-            raise ConfigError(f"theta must be in (0, 1), got {self.theta}")
+        require_fraction(theta=self.theta)
 
 
 @dataclass
@@ -170,39 +169,23 @@ def rank_read_out(eigs: np.ndarray, eta_rank: float, tau: float = np.nan) -> int
     return k + 1 if ratio[k] > 1 else n
 
 
-def recover_solution(
-    iterate: Iterate,
-    eta_rank: float = ETA_RANK,
-    eta_supp: float = ETA_SUPP,
-    traces: list[TraceRow] | None = None,
-    status: str = "converged",
-    n_outer: int = 0,
-    final_tau: float = np.nan,
-    final_residual_normalized: float = np.nan,
-) -> Solution:
+def recover_solution(iterate: Iterate, eta_rank: float = ETA_RANK, eta_supp: float = ETA_SUPP,
+                     **outcome) -> Solution:
     """Map a final iterate to matrices and structure estimates.
 
-    rank_estimate is the number of dominant factors of L (see rank_read_out);
-    support marks entries of S above eta_supp times the largest magnitude.
+    rank_estimate is the number of dominant factors of L (see rank_read_out,
+    with the barrier floor at final_tau when it is given); support marks
+    entries of S above eta_supp times the largest magnitude.  `outcome`
+    holds the Solution fields of the run (traces, status, ...), passed on as
+    they are.
     """
     L, S = iterate.L, iterate.S
-    rank_estimate = rank_read_out(np.linalg.eigvalsh(L)[::-1], eta_rank, final_tau)
+    rank_estimate = rank_read_out(np.linalg.eigvalsh(L)[::-1], eta_rank,
+                                  outcome.get("final_tau", Solution.final_tau))
     s_max = float(np.max(np.abs(S)))
     support = np.abs(S) > eta_supp * s_max if s_max > 0 else np.zeros_like(S, dtype=bool)
-    traces = list(traces) if traces is not None else []
-    return Solution(
-        L_star=L,
-        S_star=S,
-        ell_star=iterate.ell.copy(),
-        s_star=iterate.s.copy(),
-        rank_estimate=rank_estimate,
-        support=support,
-        traces=traces,
-        status=status,
-        n_outer=n_outer,
-        final_tau=final_tau,
-        final_residual_normalized=final_residual_normalized,
-    )
+    return Solution(L_star=L, S_star=S, ell_star=iterate.ell.copy(), s_star=iterate.s.copy(),
+                    rank_estimate=rank_estimate, support=support, **outcome)
 
 
 def extrapolated_start(previous: Iterate, current: Iterate, theta: float) -> Iterate:
@@ -263,7 +246,7 @@ def ipm_solve(
 
     if params.tau0 <= params.epsilon:
         # no barrier level to solve: the start, read out with no barrier floor
-        solution = recover_solution(it, eta_rank=eta_rank, eta_supp=eta_supp, status="empty-schedule")
+        solution = recover_solution(it, eta_rank, eta_supp, status="empty-schedule")
         return replace(solution, final_tau=params.tau0)
 
     rows: list[TraceRow] = []
@@ -291,13 +274,6 @@ def ipm_solve(
     else:
         status = "converged"
 
-    return recover_solution(
-        it,
-        eta_rank=eta_rank,
-        eta_supp=eta_supp,
-        traces=rows,
-        status=status,
-        n_outer=len(statuses),
-        final_tau=barrier.tau,
-        final_residual_normalized=result.residual.norm_normalized,
-    )
+    return recover_solution(it, eta_rank, eta_supp, traces=rows, status=status,
+                            n_outer=len(statuses), final_tau=barrier.tau,
+                            final_residual_normalized=result.residual.norm_normalized)

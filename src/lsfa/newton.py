@@ -83,6 +83,7 @@ from .objective import (
     eval_h_tau,
     grad_h_tau,
     hessian_vector_product,
+    penalized_merit,
 )
 from .prox import StationarityResidual, complement, prox_keep_floor, stationarity_residual
 from .trace import TraceRow
@@ -222,7 +223,7 @@ class _SchurComplement:
         self.basis = basis = iterate.basis
         self._on(T)
         self.mu = mu = barrier.problem.mu
-        self.tau = tau = barrier.tau
+        tau = barrier.tau
         try:
             lam, W = scipy.linalg.eigh(iterate.L, iterate.sigma)
         except np.linalg.LinAlgError as exc:
@@ -509,7 +510,7 @@ def line_search(
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     h0 = eval_h_tau(iterate, barrier)
     C = barrier.problem.C
-    merit0 = h0 + C * np.count_nonzero(iterate.s)
+    merit0 = penalized_merit(h0, iterate.s, C)
     slope = float(g_ell @ direction.d_ell + g_s @ direction.d_s)
     in_T = np.zeros(iterate.basis.m, dtype=bool)
     in_T[direction.T] = True
@@ -520,7 +521,7 @@ def line_search(
         trial = Iterate(iterate.ell + alpha * direction.d_ell, trial_s, iterate.basis)
         h_trial = eval_h_tau(trial, barrier)
         decrease = DECREASE_SIGMA * alpha * slope
-        if h_trial <= h0 + decrease or h_trial + C * np.count_nonzero(trial_s) <= merit0 + decrease:
+        if h_trial <= h0 + decrease or penalized_merit(h_trial, trial_s, C) <= merit0 + decrease:
             return LineSearchResult(iterate=trial, n_backtracks=v)
     return LineSearchResult(iterate=None, n_backtracks=MAX_BACKTRACKS + 1)
 
@@ -540,8 +541,8 @@ class InnerSolveResult:
 
 
 # A fixed-barrier step: (iterate, its gradient (g_ell, g_s), its residual) -> the
-# accepted iterate with its trace-row fields by name (the keywords of
-# TraceRow.accepted past residual_normalized), or the status that ends the solve.
+# accepted iterate with, by name, the TraceRow columns that neither
+# TraceRow.accepted nor the loop fills, or the status that ends the solve.
 Step = Callable[[Iterate, tuple[np.ndarray, np.ndarray], StationarityResidual],
                 tuple[Iterate, dict] | str]
 
@@ -584,7 +585,7 @@ def settle_guard(step: Step, barrier: BarrierObjective) -> Step:
         nonlocal started
         if started:
             support, h, residual = it.s != 0, eval_h_tau(it, barrier), res.norm_normalized
-            merit = h + barrier.problem.C * np.count_nonzero(support)
+            merit = penalized_merit(h, support, barrier.problem.C)
             same_support = visits.setdefault(support.tobytes(), [])
             if any(math.isclose(h, h_prev, rel_tol=SETTLE_RTOL)
                    and math.isclose(residual, residual_prev, rel_tol=SETTLE_RTOL)

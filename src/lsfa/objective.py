@@ -89,13 +89,6 @@ def _logdet_from_chol(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
-def _inv_from_chol(chol: np.ndarray) -> np.ndarray:
-    inv, info = _potrs(chol, np.eye(chol.shape[0]), lower=1, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-    return 0.5 * (inv + inv.T)
-
-
 class ProblemData:
     """Fixed problem data: sample covariance, cached inverse, and weights.
 
@@ -118,14 +111,14 @@ class ProblemData:
             raise DataError("sample covariance must be symmetric")
         # mu = 0 passes too: the degenerate limit of the derivative identities
         self.check_weights(C, 1.0 if mu == 0 else mu)
-        chol = _try_cholesky(S)
-        if chol is None:
+        block = _Block(S)
+        if block.chol is None:
             raise DataError(
                 "sample covariance is not positive definite (fewer samples than "
                 "variables, or degenerate data); it must be invertible"
             )
         self.sigma_check = S
-        self.sigma_check_inv = _inv_from_chol(chol)
+        self.sigma_check_inv = block.inv
         self.C = float(C)
         self.mu = float(mu)
         self.p = S.shape[0]
@@ -149,11 +142,12 @@ class BarrierObjective:
 
 
 class _Block:
-    """One block of an iterate: matrix, Cholesky factor, lazily inverse and log-determinant.
+    """A symmetric matrix with its Cholesky factor, and lazily its inverse and log-determinant.
 
-    The factor is None when the matrix is not positive definite.  Iterates
-    that have a block in common hold the same _Block, so an inverse or
-    log-determinant computed through one of them serves the other too.
+    The factor is None when the matrix is not positive definite.  Each of
+    L, S and Sigma of an iterate is one.  Iterates that have a block in
+    common hold the same _Block, so an inverse or log-determinant computed
+    through one of them serves the other too.
     """
 
     def __init__(self, M: np.ndarray):
@@ -162,7 +156,10 @@ class _Block:
 
     @functools.cached_property
     def inv(self) -> np.ndarray:
-        return _inv_from_chol(self.chol)
+        inv, info = _potrs(self.chol, np.eye(self.chol.shape[0]), lower=1, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+        return 0.5 * (inv + inv.T)
 
     @functools.cached_property
     def logdet(self) -> float:
@@ -206,10 +203,10 @@ class Iterate:
         self.basis = basis
         self._L = source._L if keep_L else _Block(basis.vec_to_mat(ell))
         self._S = source._S if keep_S else _Block(basis.vec_to_mat(s))
+        self._sigma = _Block(self._L.M + self._S.M)
         self.L, self.chol_L = self._L.M, self._L.chol
         self.S, self.chol_S = self._S.M, self._S.chol
-        self.sigma = self.L + self.S
-        self.chol_sigma = _try_cholesky(self.sigma)
+        self.sigma, self.chol_sigma = self._sigma.M, self._sigma.chol
         self._f: dict[ProblemData, float] = {}
         self._h: dict[tuple[ProblemData, float], float] = {}
 
@@ -236,25 +233,25 @@ class Iterate:
         self._require_feasible()
         return self._S.logdet
 
-    @functools.cached_property
+    @property
     def inv_L(self) -> np.ndarray:
         self._require_feasible()
         return self._L.inv
 
-    @functools.cached_property
+    @property
     def inv_S(self) -> np.ndarray:
         self._require_feasible()
         return self._S.inv
 
-    @functools.cached_property
+    @property
     def inv_sigma(self) -> np.ndarray:
         self._require_feasible()
-        return _inv_from_chol(self.chol_sigma)
+        return self._sigma.inv
 
 
-def _smooth_f(L: np.ndarray, sigma: np.ndarray, chol_sigma: np.ndarray, problem: ProblemData) -> float:
-    """tr(L) + mu (<Sigma, Sigma_check^-1> - log det Sigma), given Sigma's Cholesky factor."""
-    fit = float(np.sum(sigma * problem.sigma_check_inv)) - _logdet_from_chol(chol_sigma)
+def _smooth_f(L: np.ndarray, sigma: _Block, problem: ProblemData) -> float:
+    """tr(L) + mu (<Sigma, Sigma_check^-1> - log det Sigma), given Sigma's factored block."""
+    fit = float(np.sum(sigma.M * problem.sigma_check_inv)) - sigma.logdet
     return float(np.trace(L)) + problem.mu * fit
 
 
@@ -264,12 +261,11 @@ def eval_f(L: np.ndarray, S: np.ndarray, problem: ProblemData) -> float:
     Returns +inf when L + S is not positive definite (boundary convention).
     """
     L = np.asarray(L, dtype=float)
-    S = np.asarray(S, dtype=float)
-    sigma = L + S
-    chol = _try_cholesky(0.5 * (sigma + sigma.T))
-    if chol is None:
+    sigma = L + np.asarray(S, dtype=float)
+    block = _Block(0.5 * (sigma + sigma.T))
+    if block.chol is None:
         return np.inf
-    return _smooth_f(L, sigma, chol, problem)
+    return _smooth_f(L, block, problem)
 
 
 def eval_f_at(iterate: Iterate, problem: ProblemData) -> float:
@@ -283,7 +279,7 @@ def eval_f_at(iterate: Iterate, problem: ProblemData) -> float:
         return np.inf
     f = iterate._f.get(problem)
     if f is None:
-        f = iterate._f[problem] = _smooth_f(iterate.L, iterate.sigma, iterate.chol_sigma, problem)
+        f = iterate._f[problem] = _smooth_f(iterate.L, iterate._sigma, problem)
     return f
 
 
@@ -300,6 +296,11 @@ def eval_h_tau(iterate: Iterate, barrier: BarrierObjective) -> float:
         h = iterate._h[key] = (eval_f_at(iterate, barrier.problem)
                                - barrier.tau * (iterate.logdet_L + iterate.logdet_S))
     return h
+
+
+def penalized_merit(h_tau: float, s: np.ndarray, C: float) -> float:
+    """h_tau + C nnz(s): the barrier objective with the l0 penalty, given h_tau at the point."""
+    return h_tau + C * np.count_nonzero(s)
 
 
 def grad_h_tau(iterate: Iterate, barrier: BarrierObjective) -> tuple[np.ndarray, np.ndarray]:

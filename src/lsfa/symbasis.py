@@ -78,7 +78,9 @@ class SymmetricBasis:
         S = np.asarray(S, dtype=float)
         if S.shape != (self.p, self.p):
             raise ValueError(f"expected a {self.p}x{self.p} matrix, got shape {S.shape}")
-        asym = np.linalg.norm(S - S.T)
+        # only unequal mirrored entries are subtracted: equal ones, infinities
+        # too, differ by exactly 0, and inf - inf would warn
+        asym = np.linalg.norm(np.subtract(S, S.T, out=np.zeros_like(S), where=S != S.T))
         if asym > 1e-12 * np.linalg.norm(S):
             raise ValueError(
                 f"matrix is not symmetric: ||S - S.T||_F = {asym:.3e} exceeds "

@@ -41,35 +41,34 @@ class TraceRow:
     n_backtracks: int
     direction_kind: str
     wall_time_ns: int
-    cg_iterations: int
-    cg_rtol: float
+    cg_iterations: int = 0
+    cg_rtol: float = 0.0
 
     @classmethod
-    def accepted(cls, it: Iterate, barrier: BarrierObjective, *, outer_iter: int, inner_iter: int,
-                 residual_normalized: float, working_set_size: int, step_alpha: float,
-                 n_backtracks: int, direction_kind: str, cg_iterations: int = 0,
-                 cg_rtol: float = 0.0) -> TraceRow:
-        """The row of an accepted step to `it`, with the objectives evaluated there."""
+    def accepted(cls, it: Iterate, barrier: BarrierObjective, **columns) -> TraceRow:
+        """The row of an accepted step to `it`.
+
+        The barrier level, the objectives evaluated at `it`, its support size
+        and the clock stamp are filled in here; every other column comes from
+        `columns` by name, stored as its declared type.  A name that is not a
+        column raises TypeError, as the constructor does.
+        """
+        unknown = columns.keys() - _COLUMN_TYPES.keys()
+        if unknown:
+            raise TypeError(f"TraceRow has no columns {sorted(unknown)}")
         return cls(
-            outer_iter=outer_iter,
             tau=barrier.tau,
-            inner_iter=inner_iter,
             objective_h_tau=eval_h_tau(it, barrier),
             objective_f=eval_f_at(it, barrier.problem),
-            residual_normalized=residual_normalized,
             support_size=int(np.count_nonzero(it.s)),
-            working_set_size=int(working_set_size),
-            step_alpha=step_alpha,
-            n_backtracks=int(n_backtracks),
-            direction_kind=direction_kind,
             wall_time_ns=time.perf_counter_ns(),
-            cg_iterations=int(cg_iterations),
-            cg_rtol=float(cg_rtol),
+            **{name: _COLUMN_TYPES[name](value) for name, value in columns.items()},
         )
 
 
 TRACE_COLUMNS = [f.name for f in fields(TraceRow)]
-# column name -> int, float or str: what a CSV cell is parsed back with
+# column name -> int, float or str: what TraceRow.accepted stores a column as,
+# and what a CSV cell is parsed back with
 _COLUMN_TYPES = get_type_hints(TraceRow)
 
 

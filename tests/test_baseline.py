@@ -24,6 +24,7 @@ from lsfa import (
 )
 from lsfa.baseline import outside_cone, pencil_top
 from lsfa.newton import MAX_BACKTRACKS, fixed_barrier_loop
+from lsfa.trace import _COLUMN_TYPES
 from conftest import random_spd
 
 
@@ -108,6 +109,9 @@ def test_bcd_trace_schema_matches_newton(bcd_run):
     assert isinstance(row, TraceRow)
     assert row.direction_kind == "bcd"
     assert all((row.cg_iterations, row.cg_rtol) == (0, 0.0) for row in result.rows)
+    # every column of every row holds exactly its declared type, as the Newton rows do
+    assert all(type(getattr(row, name)) is kind
+               for row in result.rows for name, kind in _COLUMN_TYPES.items())
     # a BCD step records the working set T at the point it started from
     init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check,
                                  SymmetricBasis(5))

@@ -4,6 +4,7 @@ import json
 import os
 import warnings
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from numpy.testing import assert_allclose
 
 import lsfa.harness
 import lsfa.newton
-from lsfa import (BaselineParams, ConfigError, IpmParams, TraceRow, ipm_solve, read_trace_csv,
-                  recover_solution, write_trace_csv)
+from lsfa import (BarrierObjective, BaselineParams, ConfigError, IpmParams, Iterate, ProblemData,
+                  SymmetricBasis, TraceRow, ipm_solve, read_trace_csv, recover_solution,
+                  write_trace_csv)
 from lsfa.cli import build_parser, main
 from lsfa.harness import (
     FIELD_TYPES,
@@ -82,6 +84,25 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(rows, path)
     assert read_trace_csv(path) == rows
+
+
+def test_accepted_row_stores_declared_types_and_rejects_unknown_columns():
+    p = 3
+    problem = ProblemData(np.eye(p), C=0.5, mu=10.0)
+    barrier = BarrierObjective(problem, tau=0.1)
+    it = Iterate.from_matrices(0.5 * np.eye(p), 0.5 * np.eye(p), SymmetricBasis(p))
+    columns = dict(outer_iter=np.int64(0), inner_iter=1, residual_normalized=np.float64(0.25),
+                   working_set_size=np.intp(4), step_alpha=1.0, n_backtracks=0,
+                   direction_kind="bcd")
+    row = TraceRow.accepted(it, barrier, **columns)
+    assert [type(getattr(row, f.name)) for f in fields(TraceRow)] == [
+        get_type_hints(TraceRow)[f.name] for f in fields(TraceRow)]
+    assert (row.residual_normalized, row.cg_iterations, row.cg_rtol) == (0.25, 0, 0.0)
+    with pytest.raises(TypeError, match="n_backtrack"):
+        TraceRow.accepted(it, barrier, **columns, n_backtrack=0)
+    # a computed column cannot be supplied too
+    with pytest.raises(TypeError):
+        TraceRow.accepted(it, barrier, **columns, tau=0.2)
 
 
 # ---------- config ----------

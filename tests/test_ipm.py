@@ -203,8 +203,7 @@ def test_non_finite_init_rejected(bad, where):
     problem = ProblemData(np.eye(3), C=1.0, mu=1.0)
     L0 = 0.5 * np.eye(3)
     L0[where] = L0[where[::-1]] = bad
-    # mat_to_vec's symmetry check forms inf - inf on an infinite L0
-    with np.errstate(invalid="ignore"), pytest.raises(InfeasiblePointError):
+    with pytest.raises(InfeasiblePointError):
         ipm_solve(problem, (L0, 0.5 * np.eye(3)), IpmParams(gamma=0.5))
 
 

@@ -22,7 +22,6 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -31,7 +30,6 @@ from hypothesis import strategies as st
 from lsfa import (
     IpmParams,
     ProblemData,
-    TraceRow,
     default_init,
     generate_ground_truth,
     ipm_solve,
@@ -43,10 +41,11 @@ from lsfa import (
 )
 from lsfa.cli import build_parser, config_from_args, main
 from lsfa.harness import FIELD_TYPES, RunConfig, run_solve, write_matrix_csv
+from lsfa.trace import _COLUMN_TYPES
 
 PARAMS = IpmParams(gamma=0.1, epsilon=1e-2)
 SCHEDULE = [PARAMS.tau0 * PARAMS.theta**k for k in range(6)]  # 0.5 down to 0.5**6 > 1e-2
-FLOAT_COLUMNS = [name for name, kind in get_type_hints(TraceRow).items() if kind is float]
+FLOAT_COLUMNS = [name for name, kind in _COLUMN_TYPES.items() if kind is float]
 
 
 @st.composite
@@ -69,8 +68,10 @@ def _solutions(problem):
 def test_trace_properties(problem):
     for solution in _solutions(problem):
         rows = solution.traces
-        # every trace value is finite
+        # every trace value is finite, and every column holds exactly its declared type
         assert all(math.isfinite(getattr(row, name)) for row in rows for name in FLOAT_COLUMNS)
+        assert all(type(getattr(row, name)) is kind
+                   for row in rows for name, kind in _COLUMN_TYPES.items())
         # a step zeroes every coordinate off the set it updated
         assert all(row.support_size <= row.working_set_size for row in rows)
         # the levels are the closed-form schedule, each with at least one row;
