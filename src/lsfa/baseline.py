@@ -11,16 +11,17 @@ and the barrier objective does not increase.  Infeasible trials evaluate to
 +inf, so one inequality covers both rejections.  Most of the ell step's
 halvings are such infeasible trials: L - t G (G the ell gradient as a
 matrix) is positive definite exactly when t * top < 1, top the largest
-eigenvalue of the pencil (G, L).  The step computes that one eigenvalue from
-the Cholesky factor of L its iterate already holds (pencil_top), and counts
-the halvings clearly outside the cone as rejected without building their
-trial point; the iterates, step lengths and rejection counts are those of
-building every trial.  Each trial moves one block and is built from the
-iterate it moves away from, so it keeps that iterate's factor and inverse of
-the block it does not move: an ell trial factors only L and Sigma, a prox
-trial only S and Sigma.  The solver records the same normalized
-stationarity residual as the Newton solver (always at the nominal gamma),
-which makes the two traces directly comparable.
+eigenvalue of the pencil (G, L).  The step computes that one eigenvalue
+through the inverse of L's Cholesky factor, which its iterate already holds
+since the gradient formed L^-1 from it (pencil_top), and counts the halvings
+clearly outside the cone as rejected without building their trial point;
+the iterates, step lengths and rejection counts are those of building every
+trial.  Each trial moves one block and is built from the iterate it moves
+away from, so it keeps that iterate's factor and inverses of the block it
+does not move: an ell trial factors only L and Sigma, a prox trial only S
+and Sigma.  The solver records the same normalized stationarity residual as
+the Newton solver (always at the nominal gamma), which makes the two traces
+directly comparable.
 
 This baseline deliberately targets the same fixed-tau barrier problem as one
 inner Newton solve, so both solvers chase the same stationary points and the
@@ -50,25 +51,24 @@ _ARMIJO_SLOPE = 1e-4
 _CONE_MARGIN = 1e-4
 
 
-# The LAPACK reduction and eigensolver of scipy.linalg.eigh(G, L), called on
-# the factor of L an iterate holds instead of factoring L again.
-_sygst, _syevr = scipy.linalg.get_lapack_funcs(("sygst", "syevr"), (np.empty(0),))
+# The LAPACK eigensolver of scipy.linalg.eigh, asked for one eigenvalue.
+_syevr = scipy.linalg.get_lapack_funcs("syevr", (np.empty(0),))
 
 
-def pencil_top(chol_L: np.ndarray, G: np.ndarray) -> float:
-    """Largest eigenvalue of the pencil (G, L), given L's lower Cholesky factor.
+def pencil_top(chol_inv_L: np.ndarray, G: np.ndarray) -> float:
+    """Largest eigenvalue of the pencil (G, L), given the inverse of L's lower Cholesky factor.
 
     For t >= 0, L - t G is positive definite exactly when t * pencil_top < 1.
     With L = C C^T, the pencil has the eigenvalues of C^-1 G C^-T, so the
-    held factor reduces it to a standard symmetric problem (LAPACK sygst),
-    and only that problem's top eigenvalue is computed (syevr).  Both read
-    only the lower triangles of G and C.
+    triangular inverse C^-1 an iterate holds (its gradient formed L^-1 from
+    it) reduces it to a standard symmetric problem in two GEMMs, and only
+    that problem's top eigenvalue is computed (LAPACK syevr, which reads the
+    lower triangle).
     """
     p = G.shape[0]
-    reduced, info = _sygst(G, chol_L, itype=1, lower=1)
-    if info == 0:
-        top, _, _, _, info = _syevr(reduced, compute_v=0, range="I", il=p, iu=p, lower=1,
-                                    overwrite_a=1)
+    reduced = chol_inv_L @ G @ chol_inv_L.T
+    top, _, _, _, info = _syevr(reduced, compute_v=0, range="I", il=p, iu=p, lower=1,
+                                overwrite_a=1)
     if info != 0:
         raise ValueError(f"LAPACK returned info={info} for the pencil's top eigenvalue")
     return float(top[0])
@@ -111,7 +111,7 @@ def bcd_solve(init: Iterate, barrier: BarrierObjective, params: BaselineParams) 
         it_mid, h_mid, accepted_t = it, h_here, 0.0
         rejected = 0  # trial points rejected in both blocks, for the trace row
         if slope > 0:
-            top = pencil_top(it.chol_L, basis.vec_to_mat(g_ell))
+            top = pencil_top(it.chol_inv_L, basis.vec_to_mat(g_ell))
             for k in range(MAX_BACKTRACKS + 1):
                 t = BACKTRACK_BETA**k
                 if not outside_cone(t, top):

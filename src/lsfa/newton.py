@@ -29,6 +29,11 @@ objective, and under the published rule alone the solve would abort there.
 The first test admits steps that bring coordinates into the support, which
 the penalized merit charges C each however small alpha is.  Trial points
 outside the positive-definite cone evaluate to +inf and fail both tests.
+Near a root, where the decrease a descent step must make falls below the
+rounding of h_tau, both tests accept a rise within that rounding instead
+(H_ROUNDING_RTOL; Hager and Zhang's approximate Armijo test, SIAM J.
+Optim. 2005), so the last bits of a direction do not decide whether a
+solve converges.
 
 The reduced matrix of size m + |T| is never formed.  The ell block is
 eliminated exactly: in the generalized eigenbasis W of (L, Sigma) its
@@ -94,6 +99,14 @@ from .trace import TraceRow
 SAFEGUARD_DELTA = 1e-4
 DECREASE_SIGMA = 5e-5
 BACKTRACK_BETA = 0.5
+# The rounding of h_tau, relative to |h_tau|.  Evaluating it sums a trace, an
+# inner product and the log-determinants of three factors: near a root, trial
+# points whose true values differ by less than one ulp read from -56 to +92
+# ulp off the start.  Where the full step's required decrease
+# DECREASE_SIGMA |slope| is below this rounding, the line search accepts a rise
+# within it instead (Hager and Zhang's approximate Armijo test).  At the
+# default instance's |h_tau| ~ 4.8e3 it is 1.4e-10.
+H_ROUNDING_RTOL = 128 * np.finfo(float).eps
 # The most halvings a backtracking search takes after its first trial:
 # BACKTRACK_BETA**50 ~ 9e-16 is at float64's relative spacing.
 MAX_BACKTRACKS = 50
@@ -105,8 +118,9 @@ class NewtonParams:
 
     gamma is the prox stepsize defining the working set; residual_tol the
     stopping threshold on ||F|| / sqrt(2m); max_inner_iters the step cap.
-    The search's margin, decrease fraction and halving ratio are the module
-    constants SAFEGUARD_DELTA, DECREASE_SIGMA and BACKTRACK_BETA.
+    The search's margin, decrease fraction, rounding allowance and halving
+    ratio are the module constants SAFEGUARD_DELTA, DECREASE_SIGMA,
+    H_ROUNDING_RTOL and BACKTRACK_BETA.
     """
 
     gamma: float
@@ -506,6 +520,12 @@ def line_search(
     sigma DECREASE_SIGMA.  The slope uses the full concatenated gradient and
     direction, including the off-T block that takes a unit step regardless
     of alpha.  Infeasible trial points evaluate to +inf and fail both tests.
+
+    Near a root the required decrease can fall below the rounding of h_tau
+    itself, and the test would then decide on the last bits of a direction.
+    So when the slope is negative and sigma |slope| is below
+    H_ROUNDING_RTOL |h_tau|, both tests instead accept a rise of at most
+    that rounding.  An ascent or zero slope never gets the allowance.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     h0 = eval_h_tau(iterate, barrier)
@@ -514,14 +534,16 @@ def line_search(
     slope = float(g_ell @ direction.d_ell + g_s @ direction.d_s)
     in_T = np.zeros(iterate.basis.m, dtype=bool)
     in_T[direction.T] = True
+    rounding = H_ROUNDING_RTOL * abs(h0)
+    below_rounding = slope < 0 and DECREASE_SIGMA * -slope < rounding
 
     for v in range(MAX_BACKTRACKS + 1):
         alpha = BACKTRACK_BETA**v
         trial_s = np.where(in_T, iterate.s + alpha * direction.d_s, 0.0)
         trial = Iterate(iterate.ell + alpha * direction.d_ell, trial_s, iterate.basis)
         h_trial = eval_h_tau(trial, barrier)
-        decrease = DECREASE_SIGMA * alpha * slope
-        if h_trial <= h0 + decrease or penalized_merit(h_trial, trial_s, C) <= merit0 + decrease:
+        margin = rounding if below_rounding else DECREASE_SIGMA * alpha * slope
+        if h_trial <= h0 + margin or penalized_merit(h_trial, trial_s, C) <= merit0 + margin:
             return LineSearchResult(iterate=trial, n_backtracks=v)
     return LineSearchResult(iterate=None, n_backtracks=MAX_BACKTRACKS + 1)
 

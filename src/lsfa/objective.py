@@ -63,13 +63,16 @@ def sample_covariance(samples) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-# The LAPACK factorization and solve behind np.linalg.cholesky and
-# scipy.linalg.cho_solve, called without those functions' wrappers and
-# argument checks.  At the sizes the solvers run, the wrappers cost about as
-# much as the routines: one factorization took 5.7 us through numpy against
-# 2.0 us here at p = 20, and 19 us against 11 us at p = 40; one inverse took
-# 22 us through cho_solve against 10 us here at p = 20 (one core, OpenBLAS).
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+# The LAPACK factorization behind np.linalg.cholesky, and the triangular
+# inverse every block inverse is formed from, called without numpy's and
+# scipy's wrappers and argument checks.  At the sizes the solvers run, the
+# wrappers cost about as much as the routines: one factorization took 5.7 us
+# through numpy against 2.0 us here at p = 20, and 19 us against 11 us at
+# p = 40.  A symmetrized inverse as trtri then the one GEMM Li^T Li took
+# 6.7 us at p = 20, 17.4 us at p = 40 and 110 us at p = 100, against 10.2,
+# 27.0 and 204 us by potrs against the identity, two triangular solves with
+# p right-hand sides (one core, OpenBLAS, best of 5 x 2000 calls).
+_potrf, _trtri = scipy.linalg.get_lapack_funcs(("potrf", "trtri"), (np.empty(0),))
 
 
 def _try_cholesky(A: np.ndarray):
@@ -142,12 +145,12 @@ class BarrierObjective:
 
 
 class _Block:
-    """A symmetric matrix with its Cholesky factor, and lazily its inverse and log-determinant.
+    """A symmetric matrix with its Cholesky factor, and lazily its inverses and log-determinant.
 
-    The factor is None when the matrix is not positive definite.  Each of
-    L, S and Sigma of an iterate is one.  Iterates that have a block in
-    common hold the same _Block, so an inverse or log-determinant computed
-    through one of them serves the other too.
+    The factor C (M = C C^T) is None when the matrix is not positive
+    definite.  Each of L, S and Sigma of an iterate is one.  Iterates that
+    have a block in common hold the same _Block, so an inverse or
+    log-determinant computed through one of them serves the other too.
     """
 
     def __init__(self, M: np.ndarray):
@@ -155,10 +158,18 @@ class _Block:
         self.chol = _try_cholesky(M)
 
     @functools.cached_property
-    def inv(self) -> np.ndarray:
-        inv, info = _potrs(self.chol, np.eye(self.chol.shape[0]), lower=1, overwrite_b=1)
+    def chol_inv(self) -> np.ndarray:
+        """C^-1, lower triangular like C."""
+        Li, info = _trtri(self.chol, lower=1)
         if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+            raise ValueError(f"LAPACK trtri returned info={info}")
+        return Li
+
+    @functools.cached_property
+    def inv(self) -> np.ndarray:
+        """M^-1 = C^-T C^-1, exactly symmetric."""
+        Li = self.chol_inv
+        inv = Li.T @ Li
         return 0.5 * (inv + inv.T)
 
     @functools.cached_property
@@ -237,6 +248,12 @@ class Iterate:
     def inv_L(self) -> np.ndarray:
         self._require_feasible()
         return self._L.inv
+
+    @property
+    def chol_inv_L(self) -> np.ndarray:
+        """The inverse of L's lower Cholesky factor."""
+        self._require_feasible()
+        return self._L.chol_inv
 
     @property
     def inv_S(self) -> np.ndarray:

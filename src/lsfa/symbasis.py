@@ -72,16 +72,19 @@ class SymmetricBasis:
         """Coordinates of a symmetric matrix: s_a = <S, E_a>.
 
         Diagonal entries map unchanged; an off-diagonal entry S_ij maps to
-        sqrt(2) * S_ij.  Asymmetric input (beyond 1e-12 relative to ||S||_F)
-        is rejected rather than silently symmetrized.
+        sqrt(2) * S_ij.  Asymmetric input (beyond 1e-12 relative to ||S||_F,
+        or an unequal mirrored pair with a NaN or an infinity in it) is
+        rejected rather than silently symmetrized.
         """
         S = np.asarray(S, dtype=float)
         if S.shape != (self.p, self.p):
             raise ValueError(f"expected a {self.p}x{self.p} matrix, got shape {S.shape}")
         # only unequal mirrored entries are subtracted: equal ones, infinities
-        # too, differ by exactly 0, and inf - inf would warn
-        asym = np.linalg.norm(np.subtract(S, S.T, out=np.zeros_like(S), where=S != S.T))
-        if asym > 1e-12 * np.linalg.norm(S):
+        # and NaN facing NaN too, differ by exactly 0, and inf - inf would
+        # warn; an unequal pair with a NaN or an infinity differs by NaN or inf
+        unequal = (S != S.T) & ~(np.isnan(S) & np.isnan(S.T))
+        asym = np.linalg.norm(np.subtract(S, S.T, out=np.zeros_like(S), where=unequal))
+        if not np.isfinite(asym) or asym > 1e-12 * np.linalg.norm(S):
             raise ValueError(
                 f"matrix is not symmetric: ||S - S.T||_F = {asym:.3e} exceeds "
                 "the relative tolerance 1e-12"

@@ -208,7 +208,8 @@ def test_trials_outside_the_cone_fail_cholesky(kind):
     L = random_spd(rng, p, shift=1.0)
     B = rng.standard_normal((p, p))
     G = 20.0 * (B + B.T) if kind == "indefinite" else -random_spd(rng, p, shift=1.0)
-    top = pencil_top(np.linalg.cholesky(L), G)
+    chol_inv_L = scipy.linalg.solve_triangular(np.linalg.cholesky(L), np.eye(p), lower=True)
+    top = pencil_top(chol_inv_L, G)
     # the step's halvings from t = 1, and two points just past the bound
     ts = [0.5**k for k in range(MAX_BACKTRACKS + 1)]
     if top > 0:
@@ -259,7 +260,8 @@ def test_pencil_top_matches_the_generalized_eigenvalue_problem(kind, cond):
         B = rng.standard_normal((p, p))
         G = B + B.T if kind == "indefinite" else -random_spd(rng, p)
         expected = scipy.linalg.eigh(G, L, eigvals_only=True)[-1]
-        top = pencil_top(np.linalg.cholesky(L), G)
+        chol_inv_L = scipy.linalg.solve_triangular(np.linalg.cholesky(L), np.eye(p), lower=True)
+        top = pencil_top(chol_inv_L, G)
         # a hundredth of the cone margin, which outside_cone compares t * top to
         assert abs(top - expected) <= 1e-2 * lsfa.baseline._CONE_MARGIN * abs(expected)
         assert (top < 0) == (kind == "negative-definite")

@@ -37,8 +37,8 @@ from lsfa import (
     solve_tau_min,
     stationarity_residual,
 )
-from lsfa.newton import (BACKTRACK_BETA, DECREASE_SIGMA, MAX_BACKTRACKS, SAFEGUARD_DELTA,
-                         _SchurComplement, fixed_barrier_loop, settle_guard)
+from lsfa.newton import (BACKTRACK_BETA, DECREASE_SIGMA, H_ROUNDING_RTOL, MAX_BACKTRACKS,
+                         SAFEGUARD_DELTA, _SchurComplement, fixed_barrier_loop, settle_guard)
 from lsfa.objective import hessian_vector_product
 from conftest import random_interior_point, random_spd
 
@@ -701,6 +701,40 @@ def test_line_search_accepts_zeroing_paid_by_the_penalty():
         s_trial[T] = root.s[T] + alpha * d.d_s[T]
         trial = Iterate(root.ell + alpha * d.d_ell, s_trial, basis)
         assert eval_h_tau(trial, barrier) > h0 + DECREASE_SIGMA * alpha * slope
+
+
+def _search_with_trial_rise(monkeypatch, slope_share, rise_share):
+    # a direction along -/+ g, scaled so that its full step's required
+    # decrease is slope_share of h_tau's rounding, and every trial point
+    # reading rise_share of that rounding above the start
+    rng = np.random.default_rng(31)
+    problem = ProblemData(random_spd(rng, 3), C=1.0, mu=1.0)
+    barrier = BarrierObjective(problem, tau=0.5)
+    it, basis = random_interior_point(rng, 3)
+    g = grad_h_tau(it, barrier)
+    h0 = eval_h_tau(it, barrier)
+    rounding = H_ROUNDING_RTOL * abs(h0)
+    scale = slope_share * rounding / (DECREASE_SIGMA * float(g[0] @ g[0] + g[1] @ g[1]))
+    d = Direction(d_ell=-scale * g[0], d_s=-scale * g[1], kind="newton", T=np.arange(basis.m))
+    monkeypatch.setattr(lsfa.newton, "eval_h_tau",
+                        lambda x, b: h0 if x is it else h0 + rise_share * rounding)
+    return line_search(it, d, barrier, grad=g)
+
+
+def test_line_search_accepts_a_rise_within_rounding_below_the_rounding_slope(monkeypatch):
+    ls = _search_with_trial_rise(monkeypatch, slope_share=0.1, rise_share=0.5)
+    assert ls.success and ls.alpha == 1.0
+
+
+@pytest.mark.parametrize("slope_share, rise_share", [
+    (0.1, 2.0),    # a rise beyond the rounding
+    (10.0, 0.5),   # a slope the test resolves: a rise fails at every alpha
+    (-0.1, 0.5),   # an ascent direction gets no allowance
+])
+def test_line_search_rejects_a_rise_the_rounding_does_not_cover(monkeypatch, slope_share,
+                                                                  rise_share):
+    ls = _search_with_trial_rise(monkeypatch, slope_share, rise_share)
+    assert not ls.success and ls.n_backtracks == MAX_BACKTRACKS + 1
 
 
 # ---------- inner solver ----------

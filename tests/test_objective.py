@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lsfa.objective
-from lsfa.objective import _try_cholesky, eval_f_at
+from lsfa.objective import _Block, _try_cholesky, eval_f_at
 from lsfa import (
     BarrierObjective,
     DataError,
@@ -254,8 +254,8 @@ def test_try_cholesky_is_none_exactly_where_numpy_raises(p):
 @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_block_is_not_positive_definite(bad, where):
-    # built from coordinates: an infinite matrix fails mat_to_vec's symmetry
-    # check with a RuntimeWarning (inf - inf) before any factorization
+    # built from coordinates, so mat_to_vec's symmetry check is not on the way:
+    # the factorization alone rejects the block
     problem = ProblemData(np.eye(3), C=1.0, mu=1.0)
     basis = SymmetricBasis(3)
     ell = basis.mat_to_vec(np.eye(3))
@@ -264,6 +264,51 @@ def test_a_non_finite_block_is_not_positive_definite(bad, where):
                Iterate(basis.mat_to_vec(np.eye(3)), ell, basis)):
         assert not it.is_strictly_feasible
         assert eval_h_tau(it, BarrierObjective(problem, tau=0.5)) == np.inf
+
+
+# ---------- block inverse ----------
+
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9, 1e12])
+@pytest.mark.parametrize("p", [5, 40])
+def test_block_inverse_matches_numpy_to_its_condition(p, cond):
+    rng = np.random.default_rng(80 + p)
+    eps = np.finfo(float).eps
+    for _ in range(3):
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        M = (Q * np.geomspace(1.0, 1.0 / cond, p)) @ Q.T
+        block = _Block(0.5 * (M + M.T))
+        expected = np.linalg.inv(block.M)
+        # the oracle's own error is of the same order
+        assert (np.linalg.norm(block.inv - expected)
+                <= 4 * np.linalg.cond(block.M) * eps * np.linalg.norm(expected))
+        assert np.array_equal(block.inv, block.inv.T)
+        C, Li = block.chol, block.chol_inv
+        assert not np.triu(Li, 1).any()
+        assert (np.linalg.norm(Li @ C - np.eye(p))
+                <= p * eps * np.linalg.norm(Li) * np.linalg.norm(C))
+
+
+def test_one_block_trial_shares_the_triangular_inverse_it_does_not_move(monkeypatch):
+    calls = []
+    trtri = lsfa.objective._trtri
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return trtri(*args, **kwargs)
+
+    monkeypatch.setattr(lsfa.objective, "_trtri", counting)
+    rng = np.random.default_rng(13)
+    it, basis = random_interior_point(rng, 4)
+    it.inv_L, it.inv_S
+    assert len(calls) == 2
+    step = 0.01 * rng.standard_normal(basis.m)
+    ell_trial = Iterate(it.ell + step, it.s, basis, it)
+    assert ell_trial.inv_S is it.inv_S and len(calls) == 2
+    s_trial = Iterate(it.ell, it.s + step, basis, it)
+    assert s_trial.chol_inv_L is it.chol_inv_L and s_trial.inv_L is it.inv_L
+    assert len(calls) == 2
+    ell_trial.inv_L
+    assert len(calls) == 3
 
 
 # ---------- gradient ----------

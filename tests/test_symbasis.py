@@ -66,6 +66,18 @@ def test_vec_rejects_asymmetric_input():
         basis.mat_to_vec(S)
 
 
+@pytest.mark.parametrize("upper, lower", [(np.nan, 5.0), (np.inf, -np.inf), (np.inf, 5.0)])
+def test_vec_rejects_unequal_non_finite_mirrored_pairs(upper, lower):
+    with pytest.raises(ValueError, match="symmetric"):
+        build_basis(2).mat_to_vec(np.array([[1.0, upper], [lower, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vec_passes_equal_non_finite_mirrored_pairs(bad):
+    # NaN facing NaN counts as equal: the factorization rejects such a matrix
+    v = build_basis(2).mat_to_vec(np.array([[1.0, bad], [bad, 1.0]]))
+    np.testing.assert_array_equal(v, [1.0, SQRT2 * bad, 1.0])
+
 def test_vec_rejects_wrong_shape():
     basis = build_basis(3)
     with pytest.raises(ValueError, match="3x3"):
