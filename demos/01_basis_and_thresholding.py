@@ -8,12 +8,12 @@ operator of the l0 penalty.
 
 import numpy as np
 
-from lsfa import build_basis, prox_l0_vec
+from lsfa import SymmetricBasis, prox_l0_vec
 
 np.set_printoptions(precision=4, suppress=True)
 
 # --- the basis for p = 2: two unit diagonal matrices and one scaled pair ---
-basis = build_basis(2)
+basis = SymmetricBasis(2)
 print("basis elements for p = 2:")
 for a in range(basis.m):
     print(basis.element(a), "\n")

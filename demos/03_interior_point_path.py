@@ -30,7 +30,7 @@ truth = generate_ground_truth(p=12, r=3, density=0.08, snr=1.0, seed=2)
 samples = sample_observations(truth, 3000, seed=3)
 problem = ProblemData(sample_covariance(samples), C=1.0, mu=20.0)
 
-params = IpmParams(gamma=0.25, tau0=0.5, theta=0.5, epsilon=1e-6)
+params = IpmParams(gamma=0.25, tau0=0.5, theta=0.5, eps=1e-6)
 solution = ipm_solve(problem, sparse_init(problem, params), params)
 
 print(f"status: {solution.status}; {solution.n_outer} barrier levels, "

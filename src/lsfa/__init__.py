@@ -55,7 +55,7 @@ from .prox import (
     prox_l0_vec,
     stationarity_residual,
 )
-from .symbasis import SymmetricBasis, build_basis
+from .symbasis import SymmetricBasis
 from .trace import TraceRow, read_trace_csv, write_trace_csv
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "SymmetricBasis",
     "TraceRow",
     "bcd_solve",
-    "build_basis",
     "check_gamma_stationary",
     "complement",
     "default_init",

@@ -24,7 +24,7 @@ import scipy.linalg
 from .baseline import BaselineParams, bcd_solve
 from .datagen import check_instance, generate_ground_truth, sample_observations
 from .errors import (ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError,
-                     require_count, require_fraction, require_positive)
+                     require_count, require_fraction)
 from .ipm import ETA_RANK, ETA_SUPP, IpmParams, Solution, ipm_solve, sparse_init
 from .newton import NewtonParams
 from .objective import (BarrierObjective, Iterate, ProblemData, _logdet_from_chol,
@@ -36,7 +36,7 @@ RUN_DIR_ENV = "LSFA_RUN_DIR"
 # solver-parameter field -> the RunConfig field that sets it, where the names
 # differ; every other IpmParams and BaselineParams field has a RunConfig field
 # of its own name
-_RENAMED = {"epsilon": "eps", "max_iters": "bcd_max_iters"}
+_RENAMED = {"max_iters": "bcd_max_iters"}
 # every run_* raises FloatingPointError on an overflow or invalid operation (an
 # input of extreme magnitude) instead of going on with non-finite numbers;
 # ipm_solve and bcd_solve called directly follow the caller's numpy errstate
@@ -64,7 +64,7 @@ class RunConfig:
     gamma: float = 0.1
     tau0: float = IpmParams.tau0
     theta: float = IpmParams.theta
-    eps: float = IpmParams.epsilon
+    eps: float = IpmParams.eps
     residual_tol: float = NewtonParams.residual_tol
     max_inner_iters: int = NewtonParams.max_inner_iters
     eta_rank: float = ETA_RANK
@@ -91,11 +91,11 @@ class RunConfig:
         Each value is checked by the code that uses it: the instance sizes by
         datagen.check_instance, the weights by ProblemData.check_weights, the
         solver parameters by the classes ipm_params() and baseline_params()
-        build.  Checked here are the fields nothing else reads, and the two
-        those classes know by other names (_RENAMED), so that the error names
-        the field that was set.
+        build.  Checked here are the fields no parameter class holds (the
+        read-out thresholds, which ipm_solve checks too, here before any file
+        is read), and bcd_max_iters, which BaselineParams knows as max_iters
+        (_RENAMED), so that the error names the field that was set.
         """
-        require_positive(eps=self.eps)
         # a read-out keeps the values above this share of the largest one
         require_fraction(eta_rank=self.eta_rank, eta_supp=self.eta_supp)
         require_count(p=self.p, r=self.r, n=self.n, bcd_max_iters=self.bcd_max_iters)

@@ -33,11 +33,11 @@ class IpmParams(NewtonParams):
 
     tau0: float = 0.5
     theta: float = 0.5
-    epsilon: float = 1e-6
+    eps: float = 1e-6
 
     def __post_init__(self):
         super().__post_init__()
-        require_positive(tau0=self.tau0, epsilon=self.epsilon)
+        require_positive(tau0=self.tau0, eps=self.eps)
         require_fraction(theta=self.theta)
 
 
@@ -222,7 +222,10 @@ def ipm_solve(
     eta_rank: float = ETA_RANK,
     eta_supp: float = ETA_SUPP,
 ) -> Solution:
-    """Drive the barrier parameter to the threshold, warm-starting each solve.
+    """Drive the barrier parameter down to eps, warm-starting each solve.
+
+    The read-out thresholds eta_rank and eta_supp must lie in (0, 1); they
+    are checked before any solve (ConfigError).
 
     Level 0 starts at `init` and level 1 at level 0's solution.  Once the
     two previous levels have both converged, a level starts at the point
@@ -235,16 +238,17 @@ def ipm_solve(
     in the status together with the partial trace.  An inner iteration cap,
     or an inner solve that stalled (its iterates settled into a cycle or
     stopped moving short of the residual rule), is recorded as
-    "iteration-cap" and the outer loop continues.  When tau0 <= epsilon the
+    "iteration-cap" and the outer loop continues.  When tau0 <= eps the
     schedule is empty: no solve runs, the initial matrices come back with
     status "empty-schedule", final_tau is tau0 and the residual is NaN.
     """
+    require_fraction(eta_rank=eta_rank, eta_supp=eta_supp)
     basis = SymmetricBasis(problem.p)
     it = Iterate.from_matrices(*init, basis)
     if not it.is_strictly_feasible:
         raise InfeasiblePointError("initial (L0, S0) must both be strictly positive definite")
 
-    if params.tau0 <= params.epsilon:
+    if params.tau0 <= params.eps:
         # no barrier level to solve: the start, read out with no barrier floor
         solution = recover_solution(it, eta_rank, eta_supp, status="empty-schedule")
         return replace(solution, final_tau=params.tau0)
@@ -253,7 +257,7 @@ def ipm_solve(
     statuses: list[str] = []
     centres: list[Iterate] = []  # the solutions of the last levels, while they converge
     k = 0
-    while (tau := params.tau0 * params.theta**k) > params.epsilon:
+    while (tau := params.tau0 * params.theta**k) > params.eps:
         barrier = BarrierObjective(problem, tau)
         start = extrapolated_start(*centres, params.theta) if len(centres) == 2 else it
         result: InnerSolveResult = solve_tau_min(start, barrier, params, outer_index=k)

@@ -76,7 +76,7 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -554,8 +554,8 @@ class InnerSolveResult:
 
     iterate: Iterate
     status: str  # "converged" | "iteration-cap" | "line-search-failure" | "stalled"
-    rows: list[TraceRow] = field(default_factory=list)
-    residual: StationarityResidual | None = None
+    rows: list[TraceRow]
+    residual: StationarityResidual  # at `iterate`
 
     @property
     def n_iters(self) -> int:

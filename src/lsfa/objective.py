@@ -140,8 +140,8 @@ class BarrierObjective:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"barrier parameter tau must be >= 0, got {self.tau}")
+        if not 0 <= self.tau < np.inf:
+            raise ValueError(f"barrier parameter tau must be finite and >= 0, got {self.tau}")
 
 
 class _Block:
@@ -204,11 +204,6 @@ class Iterate:
             ell = np.array(ell, dtype=float)
         if not keep_S:
             s = np.array(s, dtype=float)
-        if ell.shape != (basis.m,) or s.shape != (basis.m,):
-            raise ValueError(
-                f"coordinate vectors must have length m={basis.m}, "
-                f"got {ell.shape} and {s.shape}"
-            )
         self.ell = ell
         self.s = s
         self.basis = basis

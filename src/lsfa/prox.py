@@ -76,14 +76,16 @@ def complement(T: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass
 class StationarityResidual:
-    """Stacked residual [g_ell; g_s on T; s off T] with its Euclidean norm."""
+    """The working set T of an iterate and the size of its residual F.
 
-    r_ell: np.ndarray
-    r_s_T: np.ndarray
-    r_s_Tbar: np.ndarray
-    T: np.ndarray
-    norm: float
-    norm_normalized: float  # norm / sqrt(2m)
+    F(ell, s; T) = [g_ell; g_s on T; s off T] stacks the three parts of the
+    stationarity system (see the module docstring); norm_normalized is
+    ||F|| / sqrt(2m), the quantity the residual rule compares with its
+    tolerance.
+    """
+
+    T: np.ndarray  # sorted coordinate indices
+    norm_normalized: float
 
 
 def stationarity_residual(
@@ -104,22 +106,13 @@ def stationarity_residual(
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     basis = iterate.basis
-    m = basis.m
     in_T = ~basis.off_diag
     in_T[index_set_T(iterate.s, g_s, gamma, barrier.problem.C)] = True
     T = np.flatnonzero(in_T)
-    Tbar = complement(T, m)
     r_s_T = g_s[T]
-    r_s_Tbar = iterate.s[Tbar]
+    r_s_Tbar = iterate.s[~in_T]
     norm = float(np.sqrt(g_ell @ g_ell + r_s_T @ r_s_T + r_s_Tbar @ r_s_Tbar))
-    return StationarityResidual(
-        r_ell=g_ell,
-        r_s_T=r_s_T,
-        r_s_Tbar=r_s_Tbar,
-        T=T,
-        norm=norm,
-        norm_normalized=norm / np.sqrt(2.0 * m),
-    )
+    return StationarityResidual(T=T, norm_normalized=norm / np.sqrt(2.0 * basis.m))
 
 
 @dataclass

@@ -152,8 +152,3 @@ class SymmetricBasis:
     def _coord_scale(self) -> np.ndarray:
         """The factors c_a of E_a = c_a (e_i e_j^T + e_j e_i^T)."""
         return np.where(self.off_diag, 1.0 / _SQRT2, 0.5)
-
-
-def build_basis(p: int) -> SymmetricBasis:
-    """Construct the orthonormal symmetric-matrix basis for dimension p."""
-    return SymmetricBasis(p)

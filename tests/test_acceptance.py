@@ -22,7 +22,6 @@ from lsfa import (
     ProblemData,
     SymmetricBasis,
     bcd_solve,
-    build_basis,
     check_gamma_stationary,
     complement,
     default_init,
@@ -236,7 +235,7 @@ def test_criterion_8_structural_invariants(run_theta_05, run_theta_08, bcd_at_fi
     # basis orthonormality and isometry at 1e-12
     rng = np.random.default_rng(7)
     for p in (2, 5, 9, 12):
-        basis = build_basis(p)
+        basis = SymmetricBasis(p)
         E = basis.elements()
         gram = np.einsum("aij,bji->ab", E, E)
         if np.abs(gram - np.eye(basis.m)).max() > 1e-12:

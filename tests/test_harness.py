@@ -137,7 +137,7 @@ def test_config_hands_each_setting_to_its_own_solver_field():
     config = RunConfig(**settings).validate()
     ipm = config.ipm_params()
     assert ipm == IpmParams(gamma=0.11, residual_tol=5e-4, max_inner_iters=61, tau0=0.81,
-                            theta=0.91, epsilon=6e-6)
+                            theta=0.91, eps=6e-6)
     baseline = config.baseline_params()
     assert baseline == BaselineParams(gamma=0.11, residual_tol=5e-4, max_iters=81)
     # and no setting is a default, so each value reached its field from the config

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lsfa import (
+    ConfigError,
     InfeasiblePointError,
     IpmParams,
     Iterate,
@@ -45,16 +46,29 @@ def test_params_validation():
     with pytest.raises(ValueError):
         IpmParams(gamma=0.5, theta=1.0)
     with pytest.raises(ValueError):
-        IpmParams(gamma=0.5, epsilon=0.0)
+        IpmParams(gamma=0.5, eps=0.0)
 
 
-@pytest.mark.parametrize("name", ["gamma", "tau0", "epsilon"])
+@pytest.mark.parametrize("name", ["gamma", "tau0", "eps"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_params_reject_non_finite(name, bad):
     kwargs = dict(gamma=0.5)
     kwargs[name] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         IpmParams(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["eta_rank", "eta_supp"])
+@pytest.mark.parametrize("bad", [2.0, -1.0, np.nan])
+def test_read_out_thresholds_checked_before_any_solve(name, bad, monkeypatch):
+    # eta_supp = 2 would read out an empty support, eta = -1 would keep every entry
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a barrier level was solved")
+
+    monkeypatch.setattr(lsfa.ipm, "solve_tau_min", no_solve)
+    problem = ProblemData(random_spd(np.random.default_rng(41), 3, shift=2.0), C=0.5, mu=10.0)
+    with pytest.raises(ConfigError, match=rf"{name} must be in \(0, 1\), got {bad}"):
+        ipm_solve(problem, default_init(problem), IpmParams(gamma=0.1), **{name: bad})
 
 
 def test_params_build_default_newton():
@@ -105,7 +119,7 @@ def test_barrier_schedule_exact(small_ipm_run):
 def test_outer_count_matches_closed_form(small_ipm_run):
     problem, params, solution = small_ipm_run
     count = 0
-    while params.tau0 * params.theta**count > params.epsilon:
+    while params.tau0 * params.theta**count > params.eps:
         count += 1
     assert solution.n_outer == count == 19
 
@@ -114,7 +128,7 @@ def test_zero_solves_when_tau0_below_epsilon():
     rng = np.random.default_rng(43)
     sigma = random_spd(rng, 3)
     problem = ProblemData(sigma, C=1.0, mu=1.0)
-    params = IpmParams(gamma=0.5, tau0=1e-8, epsilon=1e-6)
+    params = IpmParams(gamma=0.5, tau0=1e-8, eps=1e-6)
     solution = ipm_solve(problem, default_init(problem), params)
     assert solution.n_outer == 0
     assert solution.traces == []
@@ -173,7 +187,7 @@ def test_stalled_levels_end_early_and_report_the_iteration_cap(monkeypatch, star
     # where they were: each level ran to the 200-step cap, 612 steps in all
     truth = generate_ground_truth(4, 1, 0.5, 2.0, 0)
     problem = ProblemData(sample_covariance(sample_observations(truth, 200, seed=1)), C=0.5, mu=10.0)
-    params = IpmParams(gamma=0.1, epsilon=1e-2)
+    params = IpmParams(gamma=0.1, eps=1e-2)
     init = start(problem) if start is default_init else start(problem, params)
     statuses = {}
     solve = lsfa.ipm.solve_tau_min
@@ -351,7 +365,7 @@ def test_extrapolation_waits_for_two_converged_levels(monkeypatch):
     # converged centres and start where the level before them ended
     rng = np.random.default_rng(46)
     problem = ProblemData(random_spd(rng, 5, shift=2.0), C=0.5, mu=10.0)
-    params = IpmParams(gamma=0.1, epsilon=0.5 * 0.5**6)
+    params = IpmParams(gamma=0.1, eps=0.5 * 0.5**6)
     starts, results = [], []
     solve = lsfa.ipm.solve_tau_min
 

@@ -477,7 +477,7 @@ def test_step_from_a_zero_residual_solves_to_the_largest_forcing_term(monkeypatc
     params = NewtonParams(gamma=0.1)
     residual = stationarity_residual(init, barrier, params.gamma)
     monkeypatch.setattr(lsfa.newton, "stationarity_residual",
-                        lambda *args, **kwargs: replace(residual, norm=0.0, norm_normalized=0.0))
+                        lambda *args, **kwargs: replace(residual, norm_normalized=0.0))
     rtols = []
     cg = _SchurComplement._cg
 
@@ -500,6 +500,20 @@ def test_nonpositive_curvature_in_conjugate_gradients_is_a_breakdown(monkeypatch
     problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
     with pytest.raises(NumericalBreakdownError, match="nonpositive curvature"):
         ipm_solve(problem, default_init(problem), IpmParams(gamma=0.1))
+
+
+def test_conjugate_gradients_without_convergence_is_a_breakdown(monkeypatch):
+    # a covariance of condition 1e13 leaves the diagonally preconditioned
+    # Schur system on all 55 coordinates far from an exact solve after 2|T| iterations
+    monkeypatch.setattr(lsfa.newton, "_ASSEMBLE_FLOPS", 0)
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 10)))
+    sigma = Q @ np.diag(np.geomspace(1e-13, 1.0, 10)) @ Q.T
+    problem = ProblemData(0.5 * (sigma + sigma.T), C=0.5, mu=100.0)
+    basis = SymmetricBasis(10)
+    it = Iterate.from_matrices(*default_init(problem), basis)
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"of size 55 stopped after 110 iterations .*: no convergence"):
+        newton_direction(it, np.arange(basis.m), BarrierObjective(problem, tau=0.5), rtol=1e-12)
 
 
 def test_reduced_matrix_positive_definite():

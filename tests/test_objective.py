@@ -116,7 +116,24 @@ def test_eval_f_singular_sum_is_inf():
     assert eval_f(L, S, problem) == np.inf
 
 
+def test_eval_f_at_an_iterate_whose_sum_is_not_pd_is_inf():
+    # L = -2I, S = I: Sigma = -I has no Cholesky factor, at an iterate as from matrices
+    problem = ProblemData(np.eye(2), C=1.0, mu=1.0)
+    L, S = -2.0 * np.eye(2), np.eye(2)
+    it = Iterate.from_matrices(L, S, SymmetricBasis(2))
+    assert it.chol_sigma is None
+    assert eval_f_at(it, problem) == eval_f(L, S, problem) == np.inf
+
+
 # ---------- barrier objective ----------
+
+@pytest.mark.parametrize("tau", [-0.5, np.nan, np.inf, -np.inf])
+def test_barrier_level_must_be_finite_and_nonnegative(tau):
+    problem = ProblemData(np.eye(2), C=1.0, mu=1.0)
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        BarrierObjective(problem, tau)
+    assert BarrierObjective(problem, 0.0).tau == 0.0
+
 
 def test_eval_h_tau_hand_value():
     # Sigma_check = I (p=2), mu=1, tau=0.5, L = S = I/2:

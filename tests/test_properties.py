@@ -43,7 +43,7 @@ from lsfa.cli import build_parser, config_from_args, main
 from lsfa.harness import FIELD_TYPES, RunConfig, run_solve, write_matrix_csv
 from lsfa.trace import _COLUMN_TYPES
 
-PARAMS = IpmParams(gamma=0.1, epsilon=1e-2)
+PARAMS = IpmParams(gamma=0.1, eps=1e-2)
 SCHEDULE = [PARAMS.tau0 * PARAMS.theta**k for k in range(6)]  # 0.5 down to 0.5**6 > 1e-2
 FLOAT_COLUMNS = [name for name, kind in _COLUMN_TYPES.items() if kind is float]
 
@@ -103,17 +103,17 @@ def _json_value(x: float) -> float | None:
 @given(problems())
 def test_solve_summary_is_json_and_reports_the_solution(problem):
     # tau0 = eps is an empty schedule: no level runs and the residual is NaN
-    for tau0 in (PARAMS.tau0, PARAMS.epsilon):
+    for tau0 in (PARAMS.tau0, PARAMS.eps):
         out = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
             write_matrix_csv(Path(tmp) / "cov.csv", problem.sigma_check)
             config = RunConfig(p=problem.p, r=1, C=problem.C, mu=problem.mu, gamma=PARAMS.gamma,
-                               tau0=tau0, eps=PARAMS.epsilon, run_dir=tmp, covariance_file="cov.csv")
+                               tau0=tau0, eps=PARAMS.eps, run_dir=tmp, covariance_file="cov.csv")
             solution = run_solve(config)
         [line] = [ln for ln in out.getvalue().splitlines() if ln.startswith("solve summary:")]
         summary = json.loads(line.removeprefix("solve summary:"), parse_constant=_no_constant)
         assert summary["status"] == solution.status
-        assert (tau0 > PARAMS.epsilon) == (solution.status != "empty-schedule")
+        assert (tau0 > PARAMS.eps) == (solution.status != "empty-schedule")
         assert summary["outer_solves"] == solution.n_outer
         assert summary["inner_iterations"] == solution.n_inner_total
         assert summary["rank_estimate"] == solution.rank_estimate

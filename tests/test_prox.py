@@ -127,12 +127,17 @@ def test_index_set_threshold_consistency():
 # ---------- stationarity residual ----------
 
 def test_residual_norm_decomposition(small_instance):
+    # F = [g_ell; g_s on T; s off T], with T the threshold set plus the diagonal
     barrier, result = small_instance["barrier"], small_instance["result"]
-    res = stationarity_residual(result.iterate, barrier, small_instance["params"].gamma)
-    stacked = np.concatenate([res.r_ell, res.r_s_T, res.r_s_Tbar])
-    assert_allclose(res.norm, np.linalg.norm(stacked), rtol=1e-15)
-    m = small_instance["basis"].m
-    assert_allclose(res.norm_normalized, res.norm / np.sqrt(2 * m), rtol=1e-15)
+    basis, gamma = small_instance["basis"], small_instance["params"].gamma
+    it = result.iterate
+    res = stationarity_residual(it, barrier, gamma)
+    g_ell, g_s = grad_h_tau(it, barrier)
+    in_T = ~basis.off_diag
+    in_T[index_set_T(it.s, g_s, gamma, barrier.problem.C)] = True
+    np.testing.assert_array_equal(res.T, np.flatnonzero(in_T))
+    F = np.concatenate([g_ell, g_s[in_T], it.s[~in_T]])
+    assert_allclose(res.norm_normalized, np.linalg.norm(F) / np.sqrt(2 * basis.m), rtol=1e-15)
 
 
 def test_residual_working_set_keeps_diagonal():
@@ -146,8 +151,9 @@ def test_residual_working_set_keeps_diagonal():
     assert len(index_set_T(it.s, g[1], 0.5, problem.C)) == 0
     res = stationarity_residual(it, barrier, 0.5, grad=g)
     assert_allclose(res.T, np.flatnonzero(~basis.off_diag))
-    assert_allclose(res.r_s_T, g[1][res.T])
-    assert_allclose(res.r_s_Tbar, np.zeros(1))
+    # F = [g_ell; g_s on the diagonal; the off-diagonal s, which is 0]
+    F = np.concatenate([g[0], g[1][res.T], np.zeros(1)])
+    assert_allclose(res.norm_normalized, np.linalg.norm(F) / np.sqrt(2 * basis.m), rtol=1e-15)
 
 
 def test_residual_small_at_converged_solve(small_instance):
@@ -166,7 +172,6 @@ def test_residual_perturbation_scales_linearly(small_instance):
     barrier, basis = small_instance["barrier"], small_instance["basis"]
     gamma = small_instance["params"].gamma
     root = small_instance["result"].iterate
-    res0 = stationarity_residual(root, barrier, gamma)
     supported = np.flatnonzero(root.s)
     i = supported[0]
     norms = []
@@ -174,9 +179,8 @@ def test_residual_perturbation_scales_linearly(small_instance):
         s = root.s.copy()
         s[i] += eps
         res = stationarity_residual(Iterate(root.ell, s, basis), barrier, gamma)
-        norms.append(res.norm)
+        norms.append(res.norm_normalized)
     # linear scaling: doubling eps doubles the residual change
-    d1 = norms[1] - res0.norm * 0
     ratio21 = norms[1] / norms[0]
     ratio42 = norms[2] / norms[1]
     assert 1.5 < ratio21 < 2.5
@@ -255,7 +259,7 @@ def test_theorem_roundtrip_root_passes_certificate():
     assert report.is_stationary, report.violations
     # converse: the verified point satisfies the system to 1e-6
     res = stationarity_residual(result.iterate, barrier, 0.1)
-    assert res.norm <= 1e-6
+    assert res.norm_normalized * np.sqrt(2 * m) <= 1e-6
 
 
 def test_support_matches_index_set_at_root(small_instance):
