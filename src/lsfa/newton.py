@@ -29,20 +29,22 @@ objective, and under the published rule alone the solve would abort there.
 The first test admits steps that bring coordinates into the support, which
 the penalized merit charges C each however small alpha is.  Trial points
 outside the positive-definite cone evaluate to +inf and fail both tests.
-Near a root, where the decrease a descent step must make falls below the
-rounding of h_tau, both tests accept a rise within that rounding instead
-(H_ROUNDING_RTOL; Hager and Zhang's approximate Armijo test, SIAM J.
-Optim. 2005), so the last bits of a direction do not decide whether a
-solve converges.
+Near a root, where a descent direction's slope falls below the rounding of
+h_tau, so that the change the step predicts is within that rounding, both
+tests accept a rise within it instead (H_ROUNDING_RTOL; Hager and Zhang's
+approximate Armijo test, SIAM J. Optim. 2005), so the last bits of a
+direction do not decide whether a solve converges.
 
 The reduced matrix of size m + |T| is never formed.  The ell block is
 eliminated exactly: in the generalized eigenbasis W of (L, Sigma) its
 inverse and its Schur complement apply in O(p^3), which leaves the |T| x |T|
-Schur complement K on s_T.  Every block of the barrier Hessian is diagonal
-in that basis, the S-barrier too, since S = Sigma - L makes W^T S W
-diagonal; so K = [Phi diag(delta) Phi^T]_TT, with Phi the matrix of
-Z -> W Z W^T and one weight delta built from lam and sig = diag(W^T S W)
-(see _SchurComplement).  Conjugate gradients solve with K through its
+Schur complement K on s_T.  The iterate holds W (Iterate.pencil_eigenbasis),
+found as a standard symmetric eigenproblem through the triangular inverse of
+Sigma's Cholesky factor that its gradient formed.  Every block of the
+barrier Hessian is diagonal in that basis, the S-barrier too, since
+S = Sigma - L makes W^T S W diagonal; so K = [Phi diag(delta) Phi^T]_TT,
+with Phi the matrix of Z -> W Z W^T and one weight delta built from lam and
+sig = diag(W^T S W) (see _SchurComplement).  Conjugate gradients solve with K through its
 O(p^3) product, preconditioned by the Cholesky factor of the assembled K
 while assembling it costs at most _ASSEMBLE_FLOPS, and by K's diagonal
 above that.  Every direction comes from refinement passes,
@@ -85,6 +87,7 @@ from .errors import InfeasiblePointError, NumericalBreakdownError, require_count
 from .objective import (
     BarrierObjective,
     Iterate,
+    _potrs,
     eval_h_tau,
     grad_h_tau,
     hessian_vector_product,
@@ -102,10 +105,10 @@ BACKTRACK_BETA = 0.5
 # The rounding of h_tau, relative to |h_tau|.  Evaluating it sums a trace, an
 # inner product and the log-determinants of three factors: near a root, trial
 # points whose true values differ by less than one ulp read from -56 to +92
-# ulp off the start.  Where the full step's required decrease
-# DECREASE_SIGMA |slope| is below this rounding, the line search accepts a rise
-# within it instead (Hager and Zhang's approximate Armijo test).  At the
-# default instance's |h_tau| ~ 4.8e3 it is 1.4e-10.
+# ulp off the start.  Where a descent direction's slope |slope|, the change of
+# h_tau its full step predicts, is below this rounding, the line search
+# accepts a rise within it instead (Hager and Zhang's approximate Armijo
+# test).  At the default instance's |h_tau| ~ 4.8e3 it is 1.4e-10.
 H_ROUNDING_RTOL = 128 * np.finfo(float).eps
 # The most halvings a backtracking search takes after its first trial:
 # BACKTRACK_BETA**50 ~ 9e-16 is at float64's relative spacing.
@@ -162,29 +165,31 @@ _FORCING_MAX = 0.1
 # complement (|T|^2 m), the Cholesky factor of the assembled K preconditions
 # conjugate gradients, which then take one or two iterations; above it K is
 # never formed and its diagonal preconditions them.  Measured, ms per
-# newton_direction (best of five), 1 BLAS thread, median over four iterates
-# of the dense-start ipm_solve of the generator's default instance at that p
-# (its first step and those a third, two thirds and all the way through), T
-# the diagonal plus random off-diagonal coordinates, median of three runs;
-# "assembled" forms and factors K and solves to 1e-12 (two passes), and the
-# CG columns use the diagonal, to 1e-12 and to the forcing term solve_tau_min
-# passes at those iterates (1e-3 at the first, 1e-2 to 1e-1 at the other
-# three, where the safeguard against oversolving sets it):
+# newton_direction (best of five, each on a fresh copy of the iterate, so
+# that every column includes the eigendecomposition), 1 BLAS thread, median
+# over four iterates of the dense-start ipm_solve of the generator's default
+# instance at that p (its first step and those a third, two thirds and all
+# the way through), T the diagonal plus random off-diagonal coordinates,
+# median of three runs; "assembled" forms and factors K and solves to 1e-12
+# (two passes), and the CG columns use the diagonal, to 1e-12 and to the
+# forcing term solve_tau_min passes at those iterates (1e-3 at the first,
+# 1e-2 to 1e-1 at the other three, where the safeguard against oversolving
+# sets it):
 #
 #     p   |T|   |T|^2 m   assembled   CG 1e-12   CG forcing
-#     20  100   2.1e6        1.0        2.8         0.6
-#     20  210   9.3e6        2.7        9.4         2.2
-#     40  120   1.2e7        3.9        4.4         1.2
-#     40  200   3.3e7        5.9        6.1         1.4
-#     60  300   1.6e8       15.1        7.1         2.2
+#     20  100   2.1e6        0.60       1.73        0.27
+#     20  210   9.3e6        1.10       5.22        0.96
+#     40  120   1.2e7        1.63       1.91        0.50
+#     40  200   3.3e7        2.46       2.42        0.54
+#     60  300   1.6e8        8.05       3.84        1.14
 #
 # Under the forcing term the diagonal wins at every row here, at p = 20 and
-# |T| = 210 by 1.5-2.6 ms against 2.3-3.3 over the three runs, so the bound
-# (every set at p = 20, |T| ~ 140 at p = 40) sits above the crossover.  It
-# counts only the flops of F F^T, not CG's iterations times its O(p^3)
-# product.  On a p = 100 sparse start (|T| 100-193, up to
-# 1.9e8) the diagonal takes sparse_init 0.31-0.36 s and ipm_solve after it
-# 0.25-0.27 s, against 0.85 s and 1.04-1.08 s with every set assembled.
+# |T| = 210 by 0.96-0.98 ms against 1.09-1.19 over the three runs, so the
+# bound (every set at p = 20, |T| ~ 140 at p = 40) sits above the crossover.
+# It counts only the flops of F F^T, not CG's iterations times its O(p^3)
+# product.  On a p = 100 sparse start (|T| 100-193, up to 1.9e8) the
+# diagonal takes sparse_init 0.15 s and ipm_solve after it 0.10-0.11 s,
+# against 0.48-0.53 s and 0.81 s with every set assembled.
 _ASSEMBLE_FLOPS = 1.6e7
 
 
@@ -198,7 +203,9 @@ class _SchurComplement:
 
         E = A - A (A + B)^-1 A = ((1/mu) G(Sigma) + (1/tau) G(L))^-1.
 
-    Every block is diagonal in the generalized eigenbasis of (L, Sigma):
+    Every block is diagonal in the generalized eigenbasis of (L, Sigma),
+    which the iterate holds (Iterate.pencil_eigenbasis: LAPACK syevd on
+    C^-1 L C^-T, W = C^-T Q, C^-1 the triangular inverse of Sigma's factor):
     with L W = Sigma W diag(lam) and W^T Sigma W = I, S = Sigma - L gives
     W^T S W = diag(sig), sig = 1 - lam, taken as diag(W^T S W).  With Phi
     the matrix of Z -> W Z W^T and V = Sigma W,
@@ -226,10 +233,11 @@ class _SchurComplement:
     - above it, K is never formed, and its diagonal, which costs
       O(|T| p^2) (_diagonal), preconditions.
 
-    X is scattered into a p x p array from the flat positions of T's
+    X is scattered into a p x p buffer at the flat positions of T's
     coordinates (_scatter), and the symmetric part of the result gathered
-    from them (_gather; _on keeps those positions per working set), with no
-    m-length vector and no symmetry check.  cg_iterations counts the
+    from them in one take (_gather; _on keeps those positions and the
+    buffer per working set), with no m-length vector and no symmetry check.
+    The factor preconditions by LAPACK potrs.  cg_iterations counts the
     iterations so far.
     """
 
@@ -238,12 +246,7 @@ class _SchurComplement:
         self._on(T)
         self.mu = mu = barrier.problem.mu
         tau = barrier.tau
-        try:
-            lam, W = scipy.linalg.eigh(iterate.L, iterate.sigma)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError(
-                f"generalized eigendecomposition of (L, Sigma) failed: {exc}"
-            ) from exc
+        lam, W = iterate.pencil_eigenbasis
         self.W, self.V = W, iterate.sigma @ W
         # the S-barrier's weight tau / (sig_k sig_l) is u u^T, u = sqrt(tau) / sig, with
         # sig = diag(W^T S W), not 1 - lam, which cancels where S is nearly singular
@@ -276,20 +279,31 @@ class _SchurComplement:
         return sub
 
     def _on(self, T: np.ndarray) -> None:
-        """Set the working set T with the flat positions and scales of its coordinates."""
+        """Set the working set T with the flat positions and scales of its coordinates.
+
+        Also a p x p buffer that _scatter writes T's entries into; the
+        entries off T are never written, so they stay zero.
+        """
         basis = self.basis
         self.T = T
         self.up_T, self.lo_T = basis.upper_flat[T], basis.lower_flat[T]
+        self.flat_T = np.concatenate([self.up_T, self.lo_T])
         self.scale_T = basis.vec_scale[T]
+        # 0.5 s_a is exact, so (M_ij + M_ji) (0.5 s_a) rounds as 0.5 (M_ij + M_ji) s_a
+        self.half_scale_T = 0.5 * self.scale_T
+        self._X = np.zeros((basis.p, basis.p))
 
     def _gather(self, M: np.ndarray) -> np.ndarray:
         """The coordinates on T of M's symmetric part, basis.sym_part_to_vec(M)[T]."""
-        return 0.5 * (M.take(self.up_T) + M.take(self.lo_T)) * self.scale_T
+        both = M.take(self.flat_T)
+        n = len(self.T)
+        return (both[:n] + both[n:]) * self.half_scale_T
 
     def _factor(self):
         try:
-            # K = F F^T is exactly symmetric, and finite because W and delta are
-            return scipy.linalg.cho_factor(self.K, lower=True, check_finite=False)
+            # K = F F^T is exactly symmetric, and finite because W and delta are;
+            # the factor is lower, and _cg solves with it by potrs
+            return scipy.linalg.cho_factor(self.K, lower=True, check_finite=False)[0]
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError(
                 f"Schur complement of the reduced Newton matrix, of size {len(self.T)}, "
@@ -307,20 +321,23 @@ class _SchurComplement:
         with 2 c_a^2 = 1 off the diagonal and 1/2 on it, where both terms agree.
         """
         basis, W = self.basis, self.W
-        i, j = basis.rows[self.T], basis.cols[self.T]
         W2 = W * W
-        P = W[i] * W[j]
-        diag = (W2 @ self.delta @ W2.T)[i, j] + ((P @ self.delta) * P).sum(axis=1)
+        P = W.take(basis.rows[self.T], axis=0)
+        P *= W.take(basis.cols[self.T], axis=0)
+        diag = (W2 @ self.delta @ W2.T).take(self.up_T) + ((P @ self.delta) * P).sum(axis=1)
         diag *= np.where(basis.off_diag[self.T], 1.0, 0.5)
         return diag
 
     def _scatter(self, x: np.ndarray) -> np.ndarray:
-        """The p x p matrix of coordinates x on T and 0 off it, basis.vec_to_mat of x embedded."""
-        X = np.zeros((self.basis.p, self.basis.p))
+        """The p x p matrix of coordinates x on T and 0 off it, basis.vec_to_mat of x embedded.
+
+        It is the working set's buffer, valid until the next call.
+        """
+        flat = self._X.ravel()
         entries = x / self.scale_T
-        X.ravel()[self.up_T] = entries
-        X.ravel()[self.lo_T] = entries
-        return X
+        flat[self.up_T] = entries
+        flat[self.lo_T] = entries
+        return self._X
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         """K x on T in four p x p GEMMs, scattered into and gathered from p x p arrays on T."""
@@ -332,7 +349,7 @@ class _SchurComplement:
     def _cg(self, b: np.ndarray, rtol: float) -> np.ndarray:
         """K^-1 b by conjugate gradients from zero, preconditioned by K's diagonal or factor.
 
-        Stops at ||K x - b|| <= rtol ||b||: rtol is 1e-12 for an exact solve,
+        Stops at ||K x - b||^2 <= (rtol ||b||)^2: rtol is 1e-12 for an exact solve,
         or the forcing term of an inexact Newton step, which needs the solve
         only to O(||F||) (Dembo-Eisenstat-Steihaug).  Stopped early from
         zero, PCG still gives b^T x = x^T K x > 0.  Adds its iterations to
@@ -340,17 +357,16 @@ class _SchurComplement:
         2 |T| iterations, raises NumericalBreakdownError.
         """
         x, res = np.zeros_like(b), b.copy()
-        tol = rtol * np.linalg.norm(b)
+        tol2 = (rtol * np.linalg.norm(b)) ** 2
         rz = d = None
         for k in range(2 * len(b) + 1):
-            if np.linalg.norm(res) <= tol:
+            if res @ res <= tol2:
                 self.cg_iterations += k
                 return x
             if k == 2 * len(b):
                 reason = "no convergence"
                 break
-            z = (res / self.diag if self.iterative
-                 else scipy.linalg.cho_solve(self.cho, res, check_finite=False))
+            z = res / self.diag if self.iterative else _potrs(self.cho, res, lower=1)[0]
             rz, rz_old = res @ z, rz
             d = z if k == 0 else z + (rz / rz_old) * d
             q = self._product(d)
@@ -521,11 +537,13 @@ def line_search(
     direction, including the off-T block that takes a unit step regardless
     of alpha.  Infeasible trial points evaluate to +inf and fail both tests.
 
-    Near a root the required decrease can fall below the rounding of h_tau
-    itself, and the test would then decide on the last bits of a direction.
-    So when the slope is negative and sigma |slope| is below
-    H_ROUNDING_RTOL |h_tau|, both tests instead accept a rise of at most
-    that rounding.  An ascent or zero slope never gets the allowance.
+    Near a root the slope can fall below the rounding of h_tau itself, and
+    the test would then decide on the last bits of a direction.  So when the
+    slope is negative and |slope| is below H_ROUNDING_RTOL |h_tau|, both
+    tests instead accept a rise of at most that rounding.  An ascent or zero
+    slope never gets the allowance, nor does a slope above the rounding
+    whose required decrease sigma |slope| is below it: there the rounding
+    does not hide the decrease the step predicts.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     h0 = eval_h_tau(iterate, barrier)
@@ -535,7 +553,7 @@ def line_search(
     in_T = np.zeros(iterate.basis.m, dtype=bool)
     in_T[direction.T] = True
     rounding = H_ROUNDING_RTOL * abs(h0)
-    below_rounding = slope < 0 and DECREASE_SIGMA * -slope < rounding
+    below_rounding = slope < 0 and -slope < rounding
 
     for v in range(MAX_BACKTRACKS + 1):
         alpha = BACKTRACK_BETA**v

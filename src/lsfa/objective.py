@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DataError, InfeasiblePointError, require_positive
+from .errors import DataError, InfeasiblePointError, NumericalBreakdownError, require_positive
 from .symbasis import SymmetricBasis
 
 
@@ -63,16 +63,26 @@ def sample_covariance(samples) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-# The LAPACK factorization behind np.linalg.cholesky, and the triangular
-# inverse every block inverse is formed from, called without numpy's and
-# scipy's wrappers and argument checks.  At the sizes the solvers run, the
-# wrappers cost about as much as the routines: one factorization took 5.7 us
-# through numpy against 2.0 us here at p = 20, and 19 us against 11 us at
-# p = 40.  A symmetrized inverse as trtri then the one GEMM Li^T Li took
-# 6.7 us at p = 20, 17.4 us at p = 40 and 110 us at p = 100, against 10.2,
-# 27.0 and 204 us by potrs against the identity, two triangular solves with
-# p right-hand sides (one core, OpenBLAS, best of 5 x 2000 calls).
-_potrf, _trtri = scipy.linalg.get_lapack_funcs(("potrf", "trtri"), (np.empty(0),))
+# The LAPACK factorization behind np.linalg.cholesky, the triangular inverse
+# every block inverse is formed from, the symmetric eigensolver behind the
+# pencil's eigenbasis, and the triangular solve the Newton step's factored
+# preconditioner runs, called without numpy's and scipy's wrappers and
+# argument checks.  At the sizes the solvers run, the wrappers cost about as
+# much as the routines: one factorization took 5.7 us through numpy against
+# 2.0 us here at p = 20, and 19 us against 11 us at p = 40.  A symmetrized
+# inverse as trtri then the one GEMM Li^T Li took 6.7 us at p = 20, 17.4 us
+# at p = 40 and 110 us at p = 100, against 10.2, 27.0 and 204 us by potrs
+# against the identity, two triangular solves with p right-hand sides.
+# The eigenbasis of (L, Sigma) as two GEMMs, syevd and one more GEMM, given
+# Sigma's triangular inverse, took 47 us at p = 20, 154 us at p = 40, 877 us
+# at p = 100 and 4.08 ms at p = 200, against 67 us, 195 us, 1.10 ms and
+# 4.58 ms through scipy.linalg.eigh(L, Sigma), which checks both matrices,
+# factors Sigma again and reduces the pencil by sygst.  One potrs with one
+# right-hand side took 1.3, 8.7 and 22.9 us at n = 20, 100 and 200, against
+# 7.5, 16.0 and 29.3 us through scipy.linalg.cho_solve, with the same bits
+# (one core, OpenBLAS, best of 5 x 60 to 2000 calls).
+_potrf, _trtri, _syevd, _potrs = scipy.linalg.get_lapack_funcs(
+    ("potrf", "trtri", "syevd", "potrs"), (np.empty(0),))
 
 
 def _try_cholesky(A: np.ndarray):
@@ -182,7 +192,8 @@ class Iterate:
 
     Building an iterate computes L, S, Sigma = L + S and attempts a Cholesky
     factorization of each; a failed factorization marks the point infeasible
-    instead of raising.  Inverses are computed lazily because line-search
+    instead of raising.  Inverses, and the generalized eigenbasis of
+    (L, Sigma) the Newton step reads, are computed lazily because line-search
     trial points only ever need the log-determinants.  The objective values
     are memoized too (eval_f_at, eval_h_tau): an accepted trial point is
     evaluated by the line search, by its trace row and by the next step.
@@ -249,6 +260,27 @@ class Iterate:
         """The inverse of L's lower Cholesky factor."""
         self._require_feasible()
         return self._L.chol_inv
+
+    @functools.cached_property
+    def pencil_eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, W): the generalized eigenbasis of (L, Sigma), from Sigma's held factor.
+
+        L W = Sigma W diag(lam) and W^T Sigma W = I, lam ascending.  With
+        Sigma = C C^T, the pencil has the eigenpairs of C^-1 L C^-T: the
+        triangular inverse C^-1 the gradient formed Sigma^-1 from reduces it
+        to a standard symmetric problem in two GEMMs, LAPACK syevd (which
+        reads the lower triangle) gives C^-1 L C^-T = Q diag(lam) Q^T, and
+        W = C^-T Q.  A failed syevd raises NumericalBreakdownError.
+        """
+        self._require_feasible()
+        Li = self._sigma.chol_inv
+        lam, Q, info = _syevd(Li @ self.L @ Li.T, compute_v=1, lower=1, overwrite_a=1)
+        if info != 0:
+            raise NumericalBreakdownError(
+                f"generalized eigendecomposition of (L, Sigma) failed: "
+                f"LAPACK syevd returned info={info}"
+            )
+        return lam, Li.T @ Q
 
     @property
     def inv_S(self) -> np.ndarray:

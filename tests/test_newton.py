@@ -7,6 +7,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import lsfa.newton
+import lsfa.objective
 from lsfa import (
     BarrierObjective,
     ConfigError,
@@ -516,6 +517,42 @@ def test_conjugate_gradients_without_convergence_is_a_breakdown(monkeypatch):
         newton_direction(it, np.arange(basis.m), BarrierObjective(problem, tau=0.5), rtol=1e-12)
 
 
+def test_schur_complement_reads_the_eigenbasis_off_sigmas_held_factor(monkeypatch):
+    # after the gradient, which factored every block and inverted their
+    # factors, the eigenbasis takes one symmetric eigensolve and no further
+    # factorization or inversion
+    it, basis, barrier, T = _interior_point_with_working_set(57, 6)
+    grad_h_tau(it, barrier)
+    calls = []
+
+    def counted(name):
+        routine = getattr(lsfa.objective, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return counting
+
+    for name in ("_potrf", "_trtri", "_syevd"):
+        monkeypatch.setattr(lsfa.objective, name, counted(name))
+    _SchurComplement(it, T, barrier)
+    assert calls == ["_syevd"]
+
+
+def test_failed_eigendecomposition_is_a_breakdown(monkeypatch):
+    syevd = lsfa.objective._syevd
+
+    def failing(*args, **kwargs):
+        lam, Q, _ = syevd(*args, **kwargs)
+        return lam, Q, 1
+
+    monkeypatch.setattr(lsfa.objective, "_syevd", failing)
+    it, basis, barrier, T = _interior_point_with_working_set(58, 5)
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"eigendecomposition of \(L, Sigma\) failed: .*info=1"):
+        newton_direction(it, T, barrier)
+
+
 def test_reduced_matrix_positive_definite():
     rng = np.random.default_rng(77)
     p = 4
@@ -718,9 +755,9 @@ def test_line_search_accepts_zeroing_paid_by_the_penalty():
 
 
 def _search_with_trial_rise(monkeypatch, slope_share, rise_share):
-    # a direction along -/+ g, scaled so that its full step's required
-    # decrease is slope_share of h_tau's rounding, and every trial point
-    # reading rise_share of that rounding above the start
+    # a direction along -/+ g, scaled so that its slope is slope_share of
+    # h_tau's rounding, and every trial point reading rise_share of that
+    # rounding above the start
     rng = np.random.default_rng(31)
     problem = ProblemData(random_spd(rng, 3), C=1.0, mu=1.0)
     barrier = BarrierObjective(problem, tau=0.5)
@@ -728,7 +765,7 @@ def _search_with_trial_rise(monkeypatch, slope_share, rise_share):
     g = grad_h_tau(it, barrier)
     h0 = eval_h_tau(it, barrier)
     rounding = H_ROUNDING_RTOL * abs(h0)
-    scale = slope_share * rounding / (DECREASE_SIGMA * float(g[0] @ g[0] + g[1] @ g[1]))
+    scale = slope_share * rounding / float(g[0] @ g[0] + g[1] @ g[1])
     d = Direction(d_ell=-scale * g[0], d_s=-scale * g[1], kind="newton", T=np.arange(basis.m))
     monkeypatch.setattr(lsfa.newton, "eval_h_tau",
                         lambda x, b: h0 if x is it else h0 + rise_share * rounding)
@@ -743,6 +780,9 @@ def test_line_search_accepts_a_rise_within_rounding_below_the_rounding_slope(mon
 @pytest.mark.parametrize("slope_share, rise_share", [
     (0.1, 2.0),    # a rise beyond the rounding
     (10.0, 0.5),   # a slope the test resolves: a rise fails at every alpha
+    # a slope far above the rounding, though its required decrease
+    # DECREASE_SIGMA |slope| is below it: the rounding does not hide it
+    (100.0, 0.5),
     (-0.1, 0.5),   # an ascent direction gets no allowance
 ])
 def test_line_search_rejects_a_rise_the_rounding_does_not_cover(monkeypatch, slope_share,

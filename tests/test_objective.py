@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import lsfa.objective
@@ -303,6 +304,35 @@ def test_block_inverse_matches_numpy_to_its_condition(p, cond):
         assert not np.triu(Li, 1).any()
         assert (np.linalg.norm(Li @ C - np.eye(p))
                 <= p * eps * np.linalg.norm(Li) * np.linalg.norm(C))
+
+
+def _pencil_with_condition(rng, p, cond):
+    """A unit-norm Sigma of condition `cond` split as L + S, with the pencil's
+    eigenvalues drawn from (0.1, 0.9), so that L and S are positive definite."""
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    sigma = (Q * np.geomspace(1.0, 1.0 / cond, p)) @ Q.T
+    sigma = 0.5 * (sigma + sigma.T)
+    root = (Q * np.geomspace(1.0, 1.0 / cond, p) ** 0.5) @ Q.T
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    L = root @ (Q * rng.uniform(0.1, 0.9, p)) @ Q.T @ root
+    L = 0.5 * (L + L.T)
+    return Iterate.from_matrices(L, sigma - L, SymmetricBasis(p))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e10])
+@pytest.mark.parametrize("p", [5, 40])
+def test_pencil_eigenbasis_matches_the_generalized_eigenproblem(p, cond):
+    rng = np.random.default_rng(70 + p)
+    eps = np.finfo(float).eps
+    for _ in range(3):
+        it = _pencil_with_condition(rng, p, cond)
+        lam, W = it.pencil_eigenbasis
+        bound = 4 * p * np.linalg.cond(it.sigma) * eps
+        expected = scipy.linalg.eigh(it.L, it.sigma, eigvals_only=True)
+        assert np.abs(lam - expected).max() <= bound
+        assert np.linalg.norm(W.T @ it.sigma @ W - np.eye(p), 2) <= bound
+        assert np.linalg.norm(it.L @ W - it.sigma @ W * lam, 2) <= bound
+        assert it.pencil_eigenbasis is it.pencil_eigenbasis
 
 
 def test_one_block_trial_shares_the_triangular_inverse_it_does_not_move(monkeypatch):
