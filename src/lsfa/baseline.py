@@ -33,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import require_count, require_positive
 from .newton import (BACKTRACK_BETA, MAX_BACKTRACKS, InnerSolveResult, NewtonParams,
                      fixed_barrier_loop)
-from .objective import BarrierObjective, Iterate, eval_h_tau, grad_h_tau
+from .objective import BarrierObjective, Iterate, call_lapack, eval_h_tau, grad_h_tau
 from .prox import prox_l0_vec
 
 # Standard small sufficient-decrease fraction for the smooth-block step.
@@ -49,10 +48,6 @@ _ARMIJO_SLOPE = 1e-4
 # cond(L) ~ 4e9 the p = 40 baseline reaches at tau ~ 2e-6, a hundredth of the
 # margin.  Trials nearer the bound are built, so the Cholesky decides them.
 _CONE_MARGIN = 1e-4
-
-
-# The LAPACK eigensolver of scipy.linalg.eigh, asked for one eigenvalue.
-_syevr = scipy.linalg.get_lapack_funcs("syevr", (np.empty(0),))
 
 
 def pencil_top(chol_inv_L: np.ndarray, G: np.ndarray) -> float:
@@ -66,11 +61,9 @@ def pencil_top(chol_inv_L: np.ndarray, G: np.ndarray) -> float:
     lower triangle).
     """
     p = G.shape[0]
-    reduced = chol_inv_L @ G @ chol_inv_L.T
-    top, _, _, _, info = _syevr(reduced, compute_v=0, range="I", il=p, iu=p, lower=1,
-                                overwrite_a=1)
-    if info != 0:
-        raise ValueError(f"LAPACK returned info={info} for the pencil's top eigenvalue")
+    top = call_lapack("syevr", "C^-1 G C^-T, the pencil (G, L) reduced",
+                      chol_inv_L @ G @ chol_inv_L.T, compute_v=0, range="I", il=p, iu=p,
+                      lower=1, overwrite_a=1)[0]
     return float(top[0])
 
 

@@ -17,17 +17,16 @@ class InfeasiblePointError(ValueError):
 
 
 class NumericalBreakdownError(RuntimeError):
-    """A solve that is guaranteed to succeed by the problem structure failed.
+    """A computation that the problem's structure guarantees to succeed failed.
 
-    Raised when the Newton step's generalized eigendecomposition of (L, Sigma)
-    fails, or when the Schur complement on s_T of the reduced Newton system
-    (positive definite, since the reduced system is a principal submatrix of
-    the positive-definite Hessian) fails: its Cholesky factorization, where
-    the assembled complement preconditions, or the conjugate gradients every
-    solve with it runs, which can meet nonpositive curvature or not converge
-    within twice its size in iterations; the message then gives the size,
-    the iterations taken and the relative residual reached.  This signals an
-    assembly bug or catastrophic conditioning rather than a user error.
+    At a strictly feasible point every matrix the solvers factor, invert,
+    eigendecompose or solve with is one those routines cannot fail on: a
+    positive-definite block or Schur complement, the nonsingular factor of
+    one, a symmetric reduced pencil.  So a failure signals an assembly bug
+    or catastrophic conditioning rather than a user error.  The message
+    names what failed on which matrix: a LAPACK routine with its info, a
+    factorization, or conjugate gradients with the system's size, the
+    iterations taken and the relative residual reached.
     """
 
 

@@ -365,9 +365,9 @@ def run_cv(config: RunConfig) -> dict:
                 val_idx = fold_ids[k]
                 train_idx = np.concatenate([fold_ids[j] for j in range(config.folds) if j != k])
                 # a grid point whose fit fails, aborts or stalls (a level that
-                # hit the step cap or settled short of the residual rule, both
-                # "iteration-cap") is not a usable configuration; rank it
-                # behind every fit that completed its barrier schedule
+                # hit the step cap or ended "stalled", both "iteration-cap")
+                # is not a usable configuration; rank it behind every fit
+                # that completed its barrier schedule
                 score = math.inf
                 with contextlib.suppress(*FIT_FAILURES):
                     problem = ProblemData(sample_covariance(samples[train_idx]), C=C, mu=mu)

@@ -100,10 +100,8 @@ def sparse_init(problem: ProblemData, params: IpmParams) -> tuple[np.ndarray, np
     iterate is strictly feasible.  When gamma_start exceeds the inverse
     curvature of the fit (mu = 300 on the default instance), coordinates
     enter below the keep floor and leave again, so the solve cannot
-    converge: the Newton step's settle_guard ends it "stalled" once an
-    iterate repeats one it visited earlier in the solve (a cycle of any
-    period, returned at its lowest-merit point, or steps that no longer
-    move), or it ends in a line-search failure.
+    converge: it ends "stalled" (see newton.settle_guard) or in a
+    line-search failure.
     """
     sigma = problem.sigma_check
     scale = np.sqrt(np.diag(sigma))
@@ -235,12 +233,12 @@ def ipm_solve(
     the previous solution, and only that solve's trace rows are kept.
 
     A line-search failure in an inner solve aborts the loop and propagates
-    in the status together with the partial trace.  An inner iteration cap,
-    or an inner solve that stalled (its iterates settled into a cycle or
-    stopped moving short of the residual rule), is recorded as
-    "iteration-cap" and the outer loop continues.  When tau0 <= eps the
-    schedule is empty: no solve runs, the initial matrices come back with
-    status "empty-schedule", final_tau is tau0 and the residual is NaN.
+    in the status together with the partial trace.  An inner solve that
+    hit its iteration cap or ended "stalled" (see newton.settle_guard) is
+    recorded as "iteration-cap" and the outer loop continues.  When
+    tau0 <= eps the schedule is empty: no solve runs, the initial matrices
+    come back with status "empty-schedule", final_tau is tau0 and the
+    residual is NaN.
     """
     require_fraction(eta_rank=eta_rank, eta_supp=eta_supp)
     basis = SymmetricBasis(problem.p)

@@ -45,9 +45,9 @@ barrier Hessian is diagonal in that basis, the S-barrier too, since
 S = Sigma - L makes W^T S W diagonal; so K = [Phi diag(delta) Phi^T]_TT,
 with Phi the matrix of Z -> W Z W^T and one weight delta built from lam and
 sig = diag(W^T S W) (see _SchurComplement).  Conjugate gradients solve with K through its
-O(p^3) product, preconditioned by the Cholesky factor of the assembled K
-while assembling it costs at most _ASSEMBLE_FLOPS, and by K's diagonal
-above that.  Every direction comes from refinement passes,
+O(p^3) product, preconditioned by the Cholesky factor of the assembled K or
+by K's diagonal, whichever the _ASSEMBLE_FLOPS comment picks.  Every
+direction comes from refinement passes,
 d += K^-1 (-g - H d) with the matrix-free Hessian-vector product (_refine):
 two from d_{s_T} = 0 reach the accuracy of a dense solve when the exact
 1e-12 is asked for, and one suffices at a forcing term.  A drop takes
@@ -55,22 +55,23 @@ one more pass, on T \\ D, through the same solver restricted to that set.
 The dense Hessian (objective.hessian_blocks) remains as the test oracle.
 
 Each solve runs only as tightly as the step needs: to the relative residual
-1e-12 by default, and in solve_tau_min to the forcing term
+1e-12 (_EXACT_RTOL) by default, and in solve_tau_min to the forcing term
 
     max(1e-12, min(1e-3, ||F||), min(0.1, 0.5 residual_tol / ||F||))
 
-of the point the step starts from.  A solve accurate to O(||F||) keeps
-Newton's local quadratic rate (Dembo, Eisenstat and Steihaug, "Inexact
-Newton methods", SIAM J. Numer. Anal. 1982); the cap 1e-3 keeps the early
-steps, whose predicted drops decide the support, on the exact solve's path.
-The last term is the safeguard against oversolving (Eisenstat and Walker,
-SIAM J. Sci. Comput. 1996; Kelley, Iterative Methods for Linear and
-Nonlinear Equations, 1995, eq. 6.20): the solve ends once ||F|| <=
-residual_tol, so a step that starts a few times above that rule needs its
-system solved only to about residual_tol / (2 ||F||).  A point with F = 0
-takes 0.1.  Stopped early from zero, preconditioned CG still gives
-b^T x > 0, so a Newton direction keeps a negative joint slope (see
-descent_safeguard).
+of the point the step starts from, ||F|| its normalized residual, with the
+caps 1e-3 (_FORCING_CAP) and 0.1 (_FORCING_MAX).  A solve accurate to
+O(||F||) keeps Newton's local quadratic rate (Dembo, Eisenstat and
+Steihaug, "Inexact Newton methods", SIAM J. Numer. Anal. 1982); the cap
+1e-3 keeps the early steps, whose predicted drops decide the support, on
+the exact solve's path.  The last term is the safeguard against
+oversolving (Eisenstat and Walker, SIAM J. Sci. Comput. 1996; Kelley,
+Iterative Methods for Linear and Nonlinear Equations, 1995, eq. 6.20): the
+solve ends once ||F|| <= residual_tol, so a step that starts a few times
+above that rule needs its system solved only to about
+residual_tol / (2 ||F||).  A point with F = 0 takes 0.1.  Stopped early
+from zero, preconditioned CG still gives b^T x > 0, so a Newton direction
+keeps a negative joint slope (see descent_safeguard).
 """
 
 from __future__ import annotations
@@ -150,12 +151,10 @@ class Direction:
     cg_iterations: int = 0
 
 
-# The relative residual conjugate gradients solve the Schur system to by
-# default; the cap on the forcing term min(_FORCING_CAP, ||F||) that
-# solve_tau_min asks for while ||F|| is large; and the cap on its safeguard
-# against oversolving, 0.5 residual_tol / ||F|| (see the module docstring).
-# Looser caps on the first change the path: min(0.1, sqrt(||F||)) took the
-# p = 40 dense start from 36 steps to 45 and to another optimum.
+# The constants of the forcing term, which the module docstring states.  A
+# looser cap on the term that follows ||F|| changes the path: min(0.1,
+# sqrt(||F||)) took the p = 40 dense start from 36 steps to 45 and to another
+# optimum.
 _EXACT_RTOL = 1e-12
 _FORCING_CAP = 1e-3
 _FORCING_MAX = 0.1
@@ -220,25 +219,17 @@ class _SchurComplement:
         K x = [W (delta o (W^T X W)) W^T]_T,   X = vec^-1(x),
 
     four p x p GEMMs each (o the entrywise product), to the relative
-    residual rtol that solve is given: the exact 1e-12 by default, the
-    forcing term of the module docstring in solve_tau_min, since an inexact
-    Newton step needs a solve only as accurate as O(||F||) to keep its
-    quadratic rate (Dembo-Eisenstat-Steihaug), and near the residual rule
-    no more accurate than that rule needs.  The cost |T|^2 m of assembling
-    K picks the preconditioner (iterative says which):
-
-    - up to _ASSEMBLE_FLOPS, K = F F^T is formed, with F = Phi_T sqrt(delta)
-      the rows T of sym_kron(W) scaled by column, and its Cholesky factor
-      preconditions, so a solve takes one or two iterations;
-    - above it, K is never formed, and its diagonal, which costs
-      O(|T| p^2) (_diagonal), preconditions.
+    residual rtol that solve is given (_cg).  The preconditioner is the one
+    the _ASSEMBLE_FLOPS comment picks, and iterative says which: K's
+    diagonal, built in O(|T| p^2) (_diagonal) without forming K, or the
+    Cholesky factor of K = F F^T, with F = Phi_T sqrt(delta) the rows T of
+    sym_kron(W) scaled by column, which LAPACK potrs solves with.
 
     X is scattered into a p x p buffer at the flat positions of T's
     coordinates (_scatter), and the symmetric part of the result gathered
     from them in one take (_gather; _on keeps those positions and the
     buffer per working set), with no m-length vector and no symmetry check.
-    The factor preconditions by LAPACK potrs.  cg_iterations counts the
-    iterations so far.
+    cg_iterations counts the iterations so far.
     """
 
     def __init__(self, iterate: Iterate, T: np.ndarray, barrier: BarrierObjective):
@@ -349,9 +340,8 @@ class _SchurComplement:
     def _cg(self, b: np.ndarray, rtol: float) -> np.ndarray:
         """K^-1 b by conjugate gradients from zero, preconditioned by K's diagonal or factor.
 
-        Stops at ||K x - b||^2 <= (rtol ||b||)^2: rtol is 1e-12 for an exact solve,
-        or the forcing term of an inexact Newton step, which needs the solve
-        only to O(||F||) (Dembo-Eisenstat-Steihaug).  Stopped early from
+        Stops at ||K x - b||^2 <= (rtol ||b||)^2, rtol the exact 1e-12 or the
+        step's forcing term (see the module docstring).  Stopped early from
         zero, PCG still gives b^T x = x^T K x > 0.  Adds its iterations to
         cg_iterations.  Nonpositive curvature, or no convergence within
         2 |T| iterations, raises NumericalBreakdownError.
@@ -613,9 +603,11 @@ def settle_guard(step: Step, barrier: BarrierObjective) -> Step:
     is out of reach at this gamma, where the prox brings in coordinates that
     the keep floor pins at zero or drops again.  A cycle of any period thus
     ends on its lowest-merit point, and steps that no longer move end at
-    once.  The visits are kept by the support's bytes, so a step compares
-    only with the iterates of its own support.  The guard reads only the
-    memoized h_tau and the residual the loop passes in.
+    once.  The guard runs before a step, so a solve that settles at its
+    last allowed step ends "iteration-cap" instead.  The visits are kept by
+    the support's bytes, so a step compares only with the iterates of its
+    own support.  The guard reads only the memoized h_tau and the residual
+    the loop passes in.
     """
     visits: dict[bytes, list[tuple[int, float, float]]] = {}  # support -> (index, h_tau, residual)
     merits: list[float] = []  # of the accepted iterates, in order
@@ -714,16 +706,13 @@ def solve_tau_min(
     support, so that h_tau must rise when the prox later drops the
     coordinate.
 
-    The step runs under settle_guard: a solve that cannot reach F = 0 ends
-    "stalled" instead of at max_inner_iters or in a line-search failure
-    (it ends "iteration-cap" if it settles at that last step).
+    The step runs under settle_guard, so a solve whose iterates settle
+    short of F = 0 ends "stalled" (see settle_guard for the rule).
 
     Conjugate gradients solve each Newton system to the forcing term of the
-    point the step starts from (see the module docstring): min(1e-3, ||F||)
-    far from the residual rule, and up to 0.5 residual_tol / ||F||, at most
-    0.1, near it, where a tighter solve buys nothing the rule keeps.  The
-    trace row counts their iterations and the relative residual they were
-    asked for (cg_rtol), also when the safeguard rejects the direction.
+    point the step starts from (see the module docstring).  The trace row
+    counts their iterations and the relative residual they were asked for
+    (cg_rtol), also when the safeguard rejects the direction.
     """
     keep_floor = prox_keep_floor(params.gamma, barrier.problem.C)
 

@@ -81,8 +81,31 @@ def sample_covariance(samples) -> np.ndarray:
 # right-hand side took 1.3, 8.7 and 22.9 us at n = 20, 100 and 200, against
 # 7.5, 16.0 and 29.3 us through scipy.linalg.cho_solve, with the same bits
 # (one core, OpenBLAS, best of 5 x 60 to 2000 calls).
-_potrf, _trtri, _syevd, _potrs = scipy.linalg.get_lapack_funcs(
-    ("potrf", "trtri", "syevd", "potrs"), (np.empty(0),))
+# syevr is scipy.linalg.eigh's eigensolver, asked here for the one top
+# eigenvalue the baseline's cone test reads (baseline.pencil_top).
+_potrf, _trtri, _syevd, _syevr, _potrs = scipy.linalg.get_lapack_funcs(
+    ("potrf", "trtri", "syevd", "syevr", "potrs"), (np.empty(0),))
+
+
+def call_lapack(routine: str, matrix: str, *args, **kwargs) -> list:
+    """The outputs of the LAPACK routine bound above as _<routine>, without its info.
+
+    The one rule for a failed call: every matrix these routines are handed
+    is, by the problem's structure, one they cannot fail on (the factor of a
+    positive-definite block, a symmetric reduced pencil), so a nonzero info
+    is a numerical breakdown, and raises NumericalBreakdownError naming the
+    routine, the info and `matrix`, with its first argument's shape.  Two
+    calls read their info themselves: _try_cholesky's potrf, whose failure
+    marks a point infeasible, and the Newton step's potrs, whose info
+    reports only an illegal argument.  The binding is looked up at each
+    call, so that replacing it in this module reaches every caller.
+    """
+    *outputs, info = globals()[f"_{routine}"](*args, **kwargs)
+    if info != 0:
+        rows, cols = args[0].shape
+        raise NumericalBreakdownError(
+            f"LAPACK {routine} returned info={info} on {matrix} ({rows} x {cols})")
+    return outputs
 
 
 def _try_cholesky(A: np.ndarray):
@@ -170,9 +193,7 @@ class _Block:
     @functools.cached_property
     def chol_inv(self) -> np.ndarray:
         """C^-1, lower triangular like C."""
-        Li, info = _trtri(self.chol, lower=1)
-        if info != 0:
-            raise ValueError(f"LAPACK trtri returned info={info}")
+        Li, = call_lapack("trtri", "a Cholesky factor", self.chol, lower=1)
         return Li
 
     @functools.cached_property
@@ -270,16 +291,12 @@ class Iterate:
         triangular inverse C^-1 the gradient formed Sigma^-1 from reduces it
         to a standard symmetric problem in two GEMMs, LAPACK syevd (which
         reads the lower triangle) gives C^-1 L C^-T = Q diag(lam) Q^T, and
-        W = C^-T Q.  A failed syevd raises NumericalBreakdownError.
+        W = C^-T Q.
         """
         self._require_feasible()
         Li = self._sigma.chol_inv
-        lam, Q, info = _syevd(Li @ self.L @ Li.T, compute_v=1, lower=1, overwrite_a=1)
-        if info != 0:
-            raise NumericalBreakdownError(
-                f"generalized eigendecomposition of (L, Sigma) failed: "
-                f"LAPACK syevd returned info={info}"
-            )
+        lam, Q = call_lapack("syevd", "C^-1 L C^-T, the pencil (L, Sigma) reduced",
+                             Li @ self.L @ Li.T, compute_v=1, lower=1, overwrite_a=1)
         return lam, Li.T @ Q
 
     @property

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lsfa.objective
 from lsfa import (
     BarrierObjective,
     Iterate,
@@ -23,6 +24,17 @@ def random_interior_point(rng, p, shift=1.0):
     L = random_spd(rng, p, shift)
     S = random_spd(rng, p, shift)
     return Iterate.from_matrices(L, S, basis), basis
+
+
+def fail_lapack(monkeypatch, routine):
+    """Make lsfa.objective's LAPACK binding _<routine> return info=1 after computing."""
+    bound = getattr(lsfa.objective, f"_{routine}")
+
+    def failing(*args, **kwargs):
+        *outputs, _ = bound(*args, **kwargs)
+        return (*outputs, 1)
+
+    monkeypatch.setattr(lsfa.objective, f"_{routine}", failing)
 
 
 @pytest.fixture(scope="session")

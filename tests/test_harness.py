@@ -27,6 +27,7 @@ from lsfa.harness import (
     run_solve,
     write_matrix_csv,
 )
+from conftest import fail_lapack
 
 SMALL = ["--p", "6", "--r", "2", "--n", "200", "--seed", "3", "--mu", "10", "--C", "0.5",
          "--gamma", "0.1"]
@@ -84,6 +85,13 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(rows, path)
     assert read_trace_csv(path) == rows
+
+
+def test_read_trace_csv_rejects_a_file_with_other_columns(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("outer_iter,tau\n0,0.5\n")
+    with pytest.raises(ValueError, match="unexpected trace columns"):
+        read_trace_csv(path)
 
 
 def test_accepted_row_stores_declared_types_and_rejects_unknown_columns():
@@ -403,6 +411,13 @@ def test_cli_has_no_flag_for_the_fixed_search_constants(tmp_path, flag):
     assert exc.value.code == 2
 
 
+def test_cli_grid_that_does_not_parse_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cv", "--run-dir", str(tmp_path), "--c-grid", "0.5,x"])
+    assert exc.value.code == 2
+    assert "grid must be comma-separated numbers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["p", "n", "bcd_max_iters"])
 @pytest.mark.parametrize("bad", [10.5, True])
 def test_config_validation_names_a_count_that_is_not_an_integer(name, bad):
@@ -529,6 +544,24 @@ def test_cli_cv_scores_a_fold_that_breaks_down_inf(small_run_dir, capsys, monkey
     assert result["best_score"] is None
     lines = (small_run_dir / "cv_scores.csv").read_text().strip().splitlines()
     assert lines[1:] == ["0.25,10,inf", "0.5,10,inf"]
+
+
+def test_cv_scores_inf_where_a_triangular_inverse_fails(small_run_dir, monkeypatch):
+    # every fold's covariance is factored, and the inverse of its factor fails
+    fail_lapack(monkeypatch, "trtri")
+    cfg = RunConfig(p=6, r=2, n=200, seed=3, mu=10.0, run_dir=str(small_run_dir),
+                    c_grid=(0.25, 0.5), mu_grid=(10.0,), folds=2)
+    assert [row["score"] for row in run_cv(cfg)["table"]] == [np.inf, np.inf]
+
+
+def test_cli_compare_exits_4_where_the_baselines_eigensolve_fails(small_run_dir, capsys,
+                                                                   monkeypatch):
+    fail_lapack(monkeypatch, "syevr")
+    code = main(["compare", *SMALL, "--run-dir", str(small_run_dir), "--bcd-max-iters", "5"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4
+    assert len(err) == 1 and err[0].startswith("numerical failure: lsfa compare on ")
+    assert "LAPACK syevr returned info=1" in err[0]
 
 
 def test_cv_warns_on_small_folds(small_run_dir):

@@ -10,6 +10,7 @@ import lsfa.newton
 import lsfa.objective
 from lsfa import (
     BarrierObjective,
+    BaselineParams,
     ConfigError,
     Direction,
     InfeasiblePointError,
@@ -19,6 +20,7 @@ from lsfa import (
     NewtonParams,
     ProblemData,
     SymmetricBasis,
+    bcd_solve,
     check_gamma_stationary,
     complement,
     default_init,
@@ -41,7 +43,7 @@ from lsfa import (
 from lsfa.newton import (BACKTRACK_BETA, DECREASE_SIGMA, H_ROUNDING_RTOL, MAX_BACKTRACKS,
                          SAFEGUARD_DELTA, _SchurComplement, fixed_barrier_loop, settle_guard)
 from lsfa.objective import hessian_vector_product
-from conftest import random_interior_point, random_spd
+from conftest import fail_lapack, random_interior_point, random_spd
 
 
 def _full_newton_system(it, barrier, T):
@@ -539,17 +541,30 @@ def test_schur_complement_reads_the_eigenbasis_off_sigmas_held_factor(monkeypatc
     assert calls == ["_syevd"]
 
 
-def test_failed_eigendecomposition_is_a_breakdown(monkeypatch):
-    syevd = lsfa.objective._syevd
+@pytest.mark.parametrize("routine,compute", [
+    ("syevd", lambda it, T, barrier: newton_direction(it, T, barrier)),
+    ("trtri", lambda it, T, barrier: grad_h_tau(it, barrier)),
+    ("syevr", lambda it, T, barrier: bcd_solve(it, barrier,
+                                               BaselineParams(gamma=0.1, max_iters=1))),
+], ids=["syevd", "trtri", "syevr"])
+def test_failed_lapack_call_is_a_breakdown(monkeypatch, routine, compute):
+    # the point's blocks are factored before the routine fails; their
+    # inverses, eigenbasis and pencil are formed lazily, after it does
+    it, basis, barrier, T = _interior_point_with_working_set(58, 5)
+    fail_lapack(monkeypatch, routine)
+    with pytest.raises(NumericalBreakdownError,
+                       match=rf"LAPACK {routine} returned info=1 on .* \(5 x 5\)$"):
+        compute(it, T, barrier)
 
+
+def test_failed_factorization_of_the_schur_complement_is_a_breakdown(monkeypatch):
     def failing(*args, **kwargs):
-        lam, Q, _ = syevd(*args, **kwargs)
-        return lam, Q, 1
+        raise np.linalg.LinAlgError("2-th leading minor of the array is not positive definite")
 
-    monkeypatch.setattr(lsfa.objective, "_syevd", failing)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
     it, basis, barrier, T = _interior_point_with_working_set(58, 5)
     with pytest.raises(NumericalBreakdownError,
-                       match=r"eigendecomposition of \(L, Sigma\) failed: .*info=1"):
+                       match=rf"of size {len(T)}, is not positive definite: 2-th leading minor"):
         newton_direction(it, T, barrier)
 
 

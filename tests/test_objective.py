@@ -44,6 +44,11 @@ def test_sample_covariance_empty_rejected():
         sample_covariance(np.zeros((0, 3)))
 
 
+def test_sample_covariance_rejects_a_one_dimensional_array():
+    with pytest.raises(DataError, match="N x p array, got ndim=1"):
+        sample_covariance(np.ones(3))
+
+
 def test_sample_covariance_ragged_rejected():
     with pytest.raises(ValueError):
         sample_covariance([[1.0, 2.0], [3.0]])
