@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, NumericalBreakdownError, require_count, require_positive
+from .errors import ConfigError, require_count, require_positive
 from .objective import _logdet_from_chol
 
 
@@ -62,12 +62,7 @@ def generate_ground_truth(
     """
     check_instance(p, r, density, snr)
     rng = np.random.default_rng(seed)
-    for _ in range(100):
-        Gamma = rng.standard_normal((p, r))
-        if np.linalg.matrix_rank(Gamma) == r:
-            break
-    else:  # pragma: no cover - Gaussian matrices are full rank a.s.
-        raise NumericalBreakdownError("could not draw a full-column-rank loading matrix")
+    Gamma = rng.standard_normal((p, r))  # full column rank almost surely
     L_hat = Gamma @ Gamma.T
 
     iu, ju = np.triu_indices(p, k=1)

@@ -66,7 +66,7 @@ class Solution:
 def default_init(problem: ProblemData) -> tuple[np.ndarray, np.ndarray]:
     """Standard strictly feasible start (L0, S0) = (Sigma_check/2, Sigma_check/2)."""
     half = 0.5 * problem.sigma_check
-    return half.copy(), half.copy()
+    return half, half.copy()
 
 
 def sparse_init(problem: ProblemData, params: IpmParams) -> tuple[np.ndarray, np.ndarray]:

@@ -606,8 +606,8 @@ def settle_guard(step: Step, barrier: BarrierObjective) -> Step:
     once.  The guard runs before a step, so a solve that settles at its
     last allowed step ends "iteration-cap" instead.  The visits are kept by
     the support's bytes, so a step compares only with the iterates of its
-    own support.  The guard reads only the memoized h_tau and the residual
-    the loop passes in.
+    own support.  The guard reads only h_tau, computed from the memoized f,
+    and the residual the loop passes in.
     """
     visits: dict[bytes, list[tuple[int, float, float]]] = {}  # support -> (index, h_tau, residual)
     merits: list[float] = []  # of the accepted iterates, in order

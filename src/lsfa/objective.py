@@ -215,8 +215,9 @@ class Iterate:
     factorization of each; a failed factorization marks the point infeasible
     instead of raising.  Inverses, and the generalized eigenbasis of
     (L, Sigma) the Newton step reads, are computed lazily because line-search
-    trial points only ever need the log-determinants.  The objective values
-    are memoized too (eval_f_at, eval_h_tau): an accepted trial point is
+    trial points only ever need the log-determinants.  The smooth objective f
+    is memoized too (eval_f_at), and h_tau is computed from it and the
+    cached log-determinants (eval_h_tau): an accepted trial point is
     evaluated by the line search, by its trace row and by the next step.
 
     A trial point that moves one block passes the iterate it moved from as
@@ -246,7 +247,6 @@ class Iterate:
         self.S, self.chol_S = self._S.M, self._S.chol
         self.sigma, self.chol_sigma = self._sigma.M, self._sigma.chol
         self._f: dict[ProblemData, float] = {}
-        self._h: dict[tuple[ProblemData, float], float] = {}
 
     @classmethod
     def from_matrices(cls, L: np.ndarray, S: np.ndarray, basis: SymmetricBasis) -> "Iterate":
@@ -334,7 +334,7 @@ def eval_f_at(iterate: Iterate, problem: ProblemData) -> float:
 
     Sigma may be PD even when L or S alone is not, so this only requires the
     Sigma factorization.  The value is memoized on the iterate per problem,
-    so a repeat call returns the identical float.
+    so a repeat call returns the identical float, and eval_h_tau reads it.
     """
     if iterate.chol_sigma is None:
         return np.inf
@@ -347,16 +347,13 @@ def eval_f_at(iterate: Iterate, problem: ProblemData) -> float:
 def eval_h_tau(iterate: Iterate, barrier: BarrierObjective) -> float:
     """Barrier objective f(L,S) - tau [log det L + log det S]; +inf off the cone.
 
-    Memoized on the iterate per (problem, tau), like eval_f_at.
+    Computed at each call from the memoized f (eval_f_at) and the cached
+    log-determinants, so a repeat call returns an equal float.
     """
     if not iterate.is_strictly_feasible:
         return np.inf
-    key = (barrier.problem, barrier.tau)
-    h = iterate._h.get(key)
-    if h is None:
-        h = iterate._h[key] = (eval_f_at(iterate, barrier.problem)
-                               - barrier.tau * (iterate.logdet_L + iterate.logdet_S))
-    return h
+    logdet = iterate.logdet_L + iterate.logdet_S
+    return eval_f_at(iterate, barrier.problem) - barrier.tau * logdet
 
 
 def penalized_merit(h_tau: float, s: np.ndarray, C: float) -> float:
@@ -370,7 +367,6 @@ def grad_h_tau(iterate: Iterate, barrier: BarrierObjective) -> tuple[np.ndarray,
     Returns:
         (g_ell, g_s), each of length m.
     """
-    iterate._require_feasible()
     problem, tau = barrier.problem, barrier.tau
     M = problem.mu * (problem.sigma_check_inv - iterate.inv_sigma)
     g_ell_mat = np.eye(problem.p) + M - tau * iterate.inv_L
@@ -388,7 +384,6 @@ def hessian_blocks(
     A dense oracle: the Newton step applies the Hessian through
     hessian_vector_product and never forms these blocks.
     """
-    iterate._require_feasible()
     basis = iterate.basis
     tau = barrier.tau
     mu_G_sigma = basis.sym_kron(iterate.inv_sigma)
@@ -420,11 +415,11 @@ def hessian_vector_product(
         H [x_ell; x_s] = vec( mu Sigma^-1 (X_l + X_s) Sigma^-1 + tau L^-1 X_l L^-1 ;
                               mu Sigma^-1 (X_l + X_s) Sigma^-1 + tau S^-1 X_s S^-1 ).
     """
-    iterate._require_feasible()
+    inv_sigma = iterate.inv_sigma  # first, so that an infeasible iterate fails here
     basis = iterate.basis
     tau = barrier.tau
     X_l, X_s = basis.vec_to_mat(x_ell), basis.vec_to_mat(x_s)
-    fit = _congruence(iterate.inv_sigma, X_l + X_s)
+    fit = _congruence(inv_sigma, X_l + X_s)
     fit *= barrier.problem.mu
     H_l = fit + tau * _congruence(iterate.inv_L, X_l)
     H_s = fit + tau * _congruence(iterate.inv_S, X_s)

@@ -32,6 +32,17 @@ def test_snr_rescaling_exact(snr):
     assert abs(got - snr) < 1e-10
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 20, 41])
+def test_loading_matrix_is_the_seeds_first_draw(p):
+    # Gamma is drawn once, with no full-rank retry, so every later draw of
+    # the instance comes from the same point of the random stream
+    for r in sorted({1, p // 2 or 1, p - 1}):
+        for seed in range(12):
+            truth = generate_ground_truth(p, r, density=0.3, snr=1.0, seed=seed)
+            first = np.random.default_rng(seed).standard_normal((p, r))
+            assert np.array_equal(truth.Gamma, first), (p, r, seed)
+
+
 def test_determinism_and_seed_sensitivity():
     a = generate_ground_truth(p=10, r=2, seed=3)
     b = generate_ground_truth(p=10, r=2, seed=3)

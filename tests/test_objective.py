@@ -15,6 +15,7 @@ from lsfa import (
     eval_f,
     eval_h_tau,
     grad_h_tau,
+    hessian_blocks,
     hessian_h_tau,
     hessian_vector_product,
     sample_covariance,
@@ -176,7 +177,7 @@ def test_eval_h_tau_compositional_consistency():
 
 
 def test_objective_values_memoized_per_problem_and_tau(monkeypatch):
-    # a repeat call returns the identical float; another tau or problem recomputes
+    # a repeat call returns f's identical float and an equal h; another tau or problem recomputes
     rng = np.random.default_rng(8)
     problem = ProblemData(random_spd(rng, 4), C=1.0, mu=2.3)
     other = ProblemData(problem.sigma_check, C=1.0, mu=5.0)
@@ -186,7 +187,7 @@ def test_objective_values_memoized_per_problem_and_tau(monkeypatch):
     calls = []
     smooth_f = lsfa.objective._smooth_f
     monkeypatch.setattr(lsfa.objective, "_smooth_f", lambda *a: calls.append(a) or smooth_f(*a))
-    assert eval_h_tau(it, BarrierObjective(problem, tau=0.37)) is h
+    assert eval_h_tau(it, BarrierObjective(problem, tau=0.37)).hex() == h.hex()
     assert eval_f_at(it, problem) is f
     assert calls == []
     # another tau reuses f, another problem recomputes it; each equals a fresh evaluation
@@ -438,13 +439,19 @@ def test_gradient_vanishing_mismatch():
     assert_allclose(g_ell, basis.mat_to_vec(np.eye(4)), atol=1e-12)
 
 
-def test_gradient_requires_feasible_point():
+@pytest.mark.parametrize("derivative", [
+    grad_h_tau,
+    hessian_blocks,
+    lambda it, barrier: hessian_vector_product(it, barrier, it.ell, it.s),
+], ids=["grad_h_tau", "hessian_blocks", "hessian_vector_product"])
+def test_gradient_requires_feasible_point(derivative):
+    # none checks feasibility itself: the first inverse it reads raises
     problem = ProblemData(np.eye(2), C=1.0, mu=1.0)
     barrier = BarrierObjective(problem, tau=0.1)
     basis = SymmetricBasis(2)
     it = Iterate.from_matrices(-np.eye(2), np.eye(2), basis)
     with pytest.raises(InfeasiblePointError):
-        grad_h_tau(it, barrier)
+        derivative(it, barrier)
 
 
 # ---------- hessian ----------
