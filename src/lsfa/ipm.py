@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InfeasiblePointError, require_fraction, require_positive
+from .errors import require_fraction, require_positive
 from .newton import InnerSolveResult, NewtonParams, solve_tau_min
 from .objective import BarrierObjective, Iterate, ProblemData
 from .symbasis import SymmetricBasis
@@ -243,8 +243,7 @@ def ipm_solve(
     require_fraction(eta_rank=eta_rank, eta_supp=eta_supp)
     basis = SymmetricBasis(problem.p)
     it = Iterate.from_matrices(*init, basis)
-    if not it.is_strictly_feasible:
-        raise InfeasiblePointError("initial (L0, S0) must both be strictly positive definite")
+    it.require_feasible()
 
     if params.tau0 <= params.eps:
         # no barrier level to solve: the start, read out with no barrier floor

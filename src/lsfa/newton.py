@@ -20,20 +20,13 @@ exactly:
     ell(alpha) = ell + alpha d_ell,
     s(alpha)   = s + alpha d_s on T,   0 off T.
 
-A trial point is accepted when it makes sufficient decrease on h_tau alone
-(the published rule) or on the penalized merit h_tau + C * nnz(s), the
-barrier form of the objective the solver minimizes.  The second test admits
+A trial point is accepted by one inequality, which line_search states:
+sufficient decrease on h_tau (the published rule), with a credit of C for
+each coordinate the step zeroes beyond those it admits.  The credit admits
 steps that zero a small coordinate off T: such a step can raise h_tau by
 more than the slope allows at every alpha while lowering the penalized
-objective, and under the published rule alone the solve would abort there.
-The first test admits steps that bring coordinates into the support, which
-the penalized merit charges C each however small alpha is.  Trial points
-outside the positive-definite cone evaluate to +inf and fail both tests.
-Near a root, where a descent direction's slope falls below the rounding of
-h_tau, so that the change the step predicts is within that rounding, both
-tests accept a rise within it instead (H_ROUNDING_RTOL; Hager and Zhang's
-approximate Armijo test, SIAM J. Optim. 2005), so the last bits of a
-direction do not decide whether a solve converges.
+objective h_tau + C * nnz(s), the barrier form of the objective the solver
+minimizes, and under the published rule alone the solve would abort there.
 
 The reduced matrix of size m + |T| is never formed.  The ell block is
 eliminated exactly: in the generalized eigenbasis W of (L, Sigma) its
@@ -84,7 +77,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import InfeasiblePointError, NumericalBreakdownError, require_count, require_positive
+from .errors import NumericalBreakdownError, require_count, require_positive
 from .objective import (
     BarrierObjective,
     Iterate,
@@ -92,7 +85,6 @@ from .objective import (
     eval_h_tau,
     grad_h_tau,
     hessian_vector_product,
-    penalized_merit,
 )
 from .prox import StationarityResidual, complement, prox_keep_floor, stationarity_residual
 from .trace import TraceRow
@@ -521,24 +513,27 @@ def line_search(
     """Backtracking search over alpha = beta^v with the modified update on T = direction.T.
 
     Each trial point moves s on T by alpha d_s and zeroes it off T.  It is
-    accepted when h_tau(trial) <= h_tau + sigma alpha slope, or when the
-    same holds with C nnz(.) added to both sides; beta is BACKTRACK_BETA and
-    sigma DECREASE_SIGMA.  The slope uses the full concatenated gradient and
-    direction, including the off-T block that takes a unit step regardless
-    of alpha.  Infeasible trial points evaluate to +inf and fail both tests.
+    accepted when h_tau(trial) <= h_tau + margin + C max(0, nnz(s) - nnz(trial s)),
+    margin = sigma alpha slope (sigma DECREASE_SIGMA, beta BACKTRACK_BETA):
+    sufficient decrease on h_tau + C nnz(.) for a trial that zeroes more
+    coordinates than it admits, else on h_tau alone, the published test bit
+    for bit.  The slope uses the full concatenated gradient and direction,
+    including the off-T block that takes a unit step regardless of alpha.
+    Infeasible trial points evaluate to +inf and fail.
 
     Near a root the slope can fall below the rounding of h_tau itself, and
     the test would then decide on the last bits of a direction.  So when the
-    slope is negative and |slope| is below H_ROUNDING_RTOL |h_tau|, both
-    tests instead accept a rise of at most that rounding.  An ascent or zero
-    slope never gets the allowance, nor does a slope above the rounding
-    whose required decrease sigma |slope| is below it: there the rounding
-    does not hide the decrease the step predicts.
+    slope is negative and |slope| is below H_ROUNDING_RTOL |h_tau|, the
+    margin is instead a rise of at most that rounding (Hager and Zhang's
+    approximate Armijo test, SIAM J. Optim. 2005).  An ascent or zero slope
+    never gets the allowance, nor does a slope above the rounding whose
+    required decrease sigma |slope| is below it: there the rounding does
+    not hide the decrease the step predicts.
     """
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     h0 = eval_h_tau(iterate, barrier)
     C = barrier.problem.C
-    merit0 = penalized_merit(h0, iterate.s, C)
+    nnz0 = np.count_nonzero(iterate.s)
     slope = float(g_ell @ direction.d_ell + g_s @ direction.d_s)
     in_T = np.zeros(iterate.basis.m, dtype=bool)
     in_T[direction.T] = True
@@ -551,7 +546,7 @@ def line_search(
         trial = Iterate(iterate.ell + alpha * direction.d_ell, trial_s, iterate.basis)
         h_trial = eval_h_tau(trial, barrier)
         margin = rounding if below_rounding else DECREASE_SIGMA * alpha * slope
-        if h_trial <= h0 + margin or penalized_merit(h_trial, trial_s, C) <= merit0 + margin:
+        if h_trial <= h0 + margin + C * max(0, nnz0 - np.count_nonzero(trial_s)):
             return LineSearchResult(iterate=trial, n_backtracks=v)
     return LineSearchResult(iterate=None, n_backtracks=MAX_BACKTRACKS + 1)
 
@@ -595,38 +590,35 @@ SETTLE_RTOL = 1e-8
 def settle_guard(step: Step, barrier: BarrierObjective) -> Step:
     """`step`, returning "stalled" instead of stepping once the solve has settled.
 
-    Before each step but the first, the last accepted iterate is compared
-    with every iterate accepted before it.  It has settled when it repeats
-    one of them (the same support, and h_tau and the normalized residual
-    equal to SETTLE_RTOL relative) at a penalized merit h_tau + C nnz(s) no
-    higher than that of any iterate accepted since the one it repeats: F = 0
-    is out of reach at this gamma, where the prox brings in coordinates that
-    the keep floor pins at zero or drops again.  A cycle of any period thus
-    ends on its lowest-merit point, and steps that no longer move end at
-    once.  The guard runs before a step, so a solve that settles at its
-    last allowed step ends "iteration-cap" instead.  The visits are kept by
-    the support's bytes, so a step compares only with the iterates of its
-    own support.  The guard reads only h_tau, computed from the memoized f,
-    and the residual the loop passes in.
+    Each point a step starts from, the solve's start and then every
+    accepted iterate, is compared with the points recorded before it, then
+    recorded.  It has settled when it repeats one of them (the same support,
+    and h_tau and the normalized residual equal to SETTLE_RTOL relative) at
+    a penalized merit h_tau + C nnz(s) no higher than that of any point
+    recorded since: F = 0 is out of reach at this gamma, where the prox
+    brings in coordinates that the keep floor pins at zero or drops again.
+    A cycle of any period thus ends on its lowest-merit point, and a step
+    that does not move ends the solve at once: one that returns the start
+    leaves one trace row.  The guard runs before a step, so a solve that
+    settles at its last allowed step ends "iteration-cap" instead.  The
+    visits are kept by the support's bytes, so a point compares only with
+    those of its own support.  The guard reads only h_tau, computed from
+    the memoized f, and the residual the loop passes in.
     """
     visits: dict[bytes, list[tuple[int, float, float]]] = {}  # support -> (index, h_tau, residual)
-    merits: list[float] = []  # of the accepted iterates, in order
-    started = False
+    merits: list[float] = []  # of the recorded points, in order
 
     def guarded(it, g, res):
-        nonlocal started
-        if started:
-            support, h, residual = it.s != 0, eval_h_tau(it, barrier), res.norm_normalized
-            merit = penalized_merit(h, support, barrier.problem.C)
-            same_support = visits.setdefault(support.tobytes(), [])
-            if any(math.isclose(h, h_prev, rel_tol=SETTLE_RTOL)
-                   and math.isclose(residual, residual_prev, rel_tol=SETTLE_RTOL)
-                   and merit <= min(merits[k:])
-                   for k, h_prev, residual_prev in same_support):
-                return "stalled"
-            same_support.append((len(merits), h, residual))
-            merits.append(merit)
-        started = True
+        support, h, residual = it.s != 0, eval_h_tau(it, barrier), res.norm_normalized
+        merit = h + barrier.problem.C * np.count_nonzero(support)
+        same_support = visits.setdefault(support.tobytes(), [])
+        if any(math.isclose(h, h_prev, rel_tol=SETTLE_RTOL)
+               and math.isclose(residual, residual_prev, rel_tol=SETTLE_RTOL)
+               and merit <= min(merits[k:])
+               for k, h_prev, residual_prev in same_support):
+            return "stalled"
+        same_support.append((len(merits), h, residual))
+        merits.append(merit)
         return step(it, g, res)
 
     return guarded
@@ -654,8 +646,7 @@ def fixed_barrier_loop(
     with it.  Each accepted step appends one trace row stamped with
     `outer_index` and the barrier level; the returned iterate is the last row's.
     """
-    if not init.is_strictly_feasible:
-        raise InfeasiblePointError("fixed-barrier solve requires a strictly feasible starting point")
+    init.require_feasible()
 
     it = init
     g = grad_h_tau(it, barrier)

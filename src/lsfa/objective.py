@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DataError, InfeasiblePointError, NumericalBreakdownError, require_positive
+from .errors import (ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError,
+                     require_positive)
 from .symbasis import SymmetricBasis
 
 
@@ -147,7 +148,7 @@ class ProblemData:
             raise DataError("sample covariance must be symmetric")
         # mu = 0 passes too: the degenerate limit of the derivative identities
         self.check_weights(C, 1.0 if mu == 0 else mu)
-        block = _Block(S)
+        block = _Block(S, "the sample covariance")
         if block.chol is None:
             raise DataError(
                 "sample covariance is not positive definite (fewer samples than "
@@ -174,7 +175,7 @@ class BarrierObjective:
 
     def __post_init__(self):
         if not 0 <= self.tau < np.inf:
-            raise ValueError(f"barrier parameter tau must be finite and >= 0, got {self.tau}")
+            raise ConfigError(f"barrier parameter tau must be finite and >= 0, got {self.tau}")
 
 
 class _Block:
@@ -186,14 +187,21 @@ class _Block:
     log-determinant computed through one of them serves the other too.
     """
 
-    def __init__(self, M: np.ndarray):
+    def __init__(self, M: np.ndarray, name: str):
         self.M = M
+        self.name = name
         self.chol = _try_cholesky(M)
+
+    def factor(self) -> np.ndarray:
+        """C, or InfeasiblePointError "<name> is not positive definite" when there is none."""
+        if self.chol is None:
+            raise InfeasiblePointError(f"{self.name} is not positive definite")
+        return self.chol
 
     @functools.cached_property
     def chol_inv(self) -> np.ndarray:
         """C^-1, lower triangular like C."""
-        Li, = call_lapack("trtri", "a Cholesky factor", self.chol, lower=1)
+        Li, = call_lapack("trtri", "a Cholesky factor", self.factor(), lower=1)
         return Li
 
     @functools.cached_property
@@ -205,7 +213,7 @@ class _Block:
 
     @functools.cached_property
     def logdet(self) -> float:
-        return _logdet_from_chol(self.chol)
+        return _logdet_from_chol(self.factor())
 
 
 class Iterate:
@@ -213,12 +221,15 @@ class Iterate:
 
     Building an iterate computes L, S, Sigma = L + S and attempts a Cholesky
     factorization of each; a failed factorization marks the point infeasible
-    instead of raising.  Inverses, and the generalized eigenbasis of
-    (L, Sigma) the Newton step reads, are computed lazily because line-search
-    trial points only ever need the log-determinants.  The smooth objective f
-    is memoized too (eval_f_at), and h_tau is computed from it and the
-    cached log-determinants (eval_h_tau): an accepted trial point is
-    evaluated by the line search, by its trace row and by the next step.
+    instead of raising, and reading that block's inverse or log-determinant
+    raises InfeasiblePointError naming it ("L is not positive definite";
+    require_feasible checks all three).  Inverses, and the generalized
+    eigenbasis of (L, Sigma) the Newton step reads, are computed lazily
+    because line-search trial points only ever need the log-determinants.
+    The smooth objective f is memoized too (eval_f_at), and h_tau is
+    computed from it and the cached log-determinants (eval_h_tau): an
+    accepted trial point is evaluated by the line search, by its trace row
+    and by the next step.
 
     A trial point that moves one block passes the iterate it moved from as
     `source`, with the other coordinate array as that iterate's own object
@@ -240,9 +251,9 @@ class Iterate:
         self.ell = ell
         self.s = s
         self.basis = basis
-        self._L = source._L if keep_L else _Block(basis.vec_to_mat(ell))
-        self._S = source._S if keep_S else _Block(basis.vec_to_mat(s))
-        self._sigma = _Block(self._L.M + self._S.M)
+        self._L = source._L if keep_L else _Block(basis.vec_to_mat(ell), "L")
+        self._S = source._S if keep_S else _Block(basis.vec_to_mat(s), "S")
+        self._sigma = _Block(self._L.M + self._S.M, "Sigma")
         self.L, self.chol_L = self._L.M, self._L.chol
         self.S, self.chol_S = self._S.M, self._S.chol
         self.sigma, self.chol_sigma = self._sigma.M, self._sigma.chol
@@ -257,29 +268,26 @@ class Iterate:
         """True when both L and S (hence Sigma) are positive definite."""
         return self.chol_L is not None and self.chol_S is not None and self.chol_sigma is not None
 
-    def _require_feasible(self):
-        if not self.is_strictly_feasible:
-            raise InfeasiblePointError("iterate is not strictly feasible (L or S is not PD)")
+    def require_feasible(self) -> None:
+        """Raise InfeasiblePointError naming the first of L, S and Sigma without a factor."""
+        for block in (self._L, self._S, self._sigma):
+            block.factor()
 
     @property
     def logdet_L(self) -> float:
-        self._require_feasible()
         return self._L.logdet
 
     @property
     def logdet_S(self) -> float:
-        self._require_feasible()
         return self._S.logdet
 
     @property
     def inv_L(self) -> np.ndarray:
-        self._require_feasible()
         return self._L.inv
 
     @property
     def chol_inv_L(self) -> np.ndarray:
         """The inverse of L's lower Cholesky factor."""
-        self._require_feasible()
         return self._L.chol_inv
 
     @functools.cached_property
@@ -293,7 +301,7 @@ class Iterate:
         reads the lower triangle) gives C^-1 L C^-T = Q diag(lam) Q^T, and
         W = C^-T Q.
         """
-        self._require_feasible()
+        self.require_feasible()
         Li = self._sigma.chol_inv
         lam, Q = call_lapack("syevd", "C^-1 L C^-T, the pencil (L, Sigma) reduced",
                              Li @ self.L @ Li.T, compute_v=1, lower=1, overwrite_a=1)
@@ -301,12 +309,10 @@ class Iterate:
 
     @property
     def inv_S(self) -> np.ndarray:
-        self._require_feasible()
         return self._S.inv
 
     @property
     def inv_sigma(self) -> np.ndarray:
-        self._require_feasible()
         return self._sigma.inv
 
 
@@ -323,7 +329,7 @@ def eval_f(L: np.ndarray, S: np.ndarray, problem: ProblemData) -> float:
     """
     L = np.asarray(L, dtype=float)
     sigma = L + np.asarray(S, dtype=float)
-    block = _Block(0.5 * (sigma + sigma.T))
+    block = _Block(0.5 * (sigma + sigma.T), "Sigma")
     if block.chol is None:
         return np.inf
     return _smooth_f(L, block, problem)
@@ -354,11 +360,6 @@ def eval_h_tau(iterate: Iterate, barrier: BarrierObjective) -> float:
         return np.inf
     logdet = iterate.logdet_L + iterate.logdet_S
     return eval_f_at(iterate, barrier.problem) - barrier.tau * logdet
-
-
-def penalized_merit(h_tau: float, s: np.ndarray, C: float) -> float:
-    """h_tau + C nnz(s): the barrier objective with the l0 penalty, given h_tau at the point."""
-    return h_tau + C * np.count_nonzero(s)
 
 
 def grad_h_tau(iterate: Iterate, barrier: BarrierObjective) -> tuple[np.ndarray, np.ndarray]:
@@ -415,11 +416,10 @@ def hessian_vector_product(
         H [x_ell; x_s] = vec( mu Sigma^-1 (X_l + X_s) Sigma^-1 + tau L^-1 X_l L^-1 ;
                               mu Sigma^-1 (X_l + X_s) Sigma^-1 + tau S^-1 X_s S^-1 ).
     """
-    inv_sigma = iterate.inv_sigma  # first, so that an infeasible iterate fails here
     basis = iterate.basis
     tau = barrier.tau
     X_l, X_s = basis.vec_to_mat(x_ell), basis.vec_to_mat(x_s)
-    fit = _congruence(inv_sigma, X_l + X_s)
+    fit = _congruence(iterate.inv_sigma, X_l + X_s)
     fit *= barrier.problem.mu
     H_l = fit + tau * _congruence(iterate.inv_L, X_l)
     H_s = fit + tau * _congruence(iterate.inv_S, X_s)

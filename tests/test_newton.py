@@ -769,6 +769,39 @@ def test_line_search_accepts_zeroing_paid_by_the_penalty():
         assert eval_h_tau(trial, barrier) > h0 + DECREASE_SIGMA * alpha * slope
 
 
+@pytest.mark.parametrize("rise_share, n_backtracks", [
+    (1.5, 0),                     # within C plus the margin at alpha = 1
+    (0.75, 1),                    # beyond it at alpha = 1, within it at alpha = 1/2
+    (-0.01, MAX_BACKTRACKS + 1),  # above C at every alpha
+])
+def test_line_search_credits_a_mixed_step_c_per_net_zeroed_coordinate(
+        monkeypatch, rise_share, n_backtracks):
+    # a trial that zeroes two held coordinates and admits one is credited C
+    # once: with every trial reading C + rise_share * margin(1) above the
+    # start, it passes where the rise is at most C plus its own margin
+    basis = SymmetricBasis(3)
+    off = np.flatnonzero(basis.off_diag)
+    s = basis.mat_to_vec(np.eye(3))
+    s[off[:2]] = 0.3
+    it = Iterate(basis.mat_to_vec(np.eye(3)), s, basis)
+    T = np.setdiff1d(np.arange(basis.m), off[:2])
+    d_ell = np.random.default_rng(34).standard_normal(basis.m)
+    d_s = -s
+    d_s[T] = 0.1
+    d = Direction(d_ell=d_ell, d_s=d_s, kind="newton", T=T)
+    # the search reads the slope off the gradient it is given: -100 here
+    k = 100.0 / float(d_ell @ d_ell + d_s @ d_s)
+    barrier = BarrierObjective(ProblemData(np.eye(3), C=1.0, mu=1.0), tau=0.5)
+    h0, C = 3.0, barrier.problem.C
+    rise = C + rise_share * DECREASE_SIGMA * -100.0
+    monkeypatch.setattr(lsfa.newton, "eval_h_tau", lambda x, b: h0 if x is it else h0 + rise)
+    ls = line_search(it, d, barrier, grad=(-k * d_ell, -k * d_s))
+    assert ls.n_backtracks == n_backtracks
+    if ls.success:
+        assert np.count_nonzero(ls.iterate.s) == np.count_nonzero(s) - 1
+        assert ls.iterate.s[off[2]] != 0.0 and not ls.iterate.s[off[:2]].any()
+
+
 def _search_with_trial_rise(monkeypatch, slope_share, rise_share):
     # a direction along -/+ g, scaled so that its slope is slope_share of
     # h_tau's rounding, and every trial point reading rise_share of that
@@ -986,6 +1019,19 @@ def test_fixed_barrier_loop_ends_a_cycle_on_its_lowest_merit_iterate(period):
     assert (plain.status, plain.n_iters) == ("iteration-cap", 200)
 
 
+def test_settle_guard_ends_a_step_that_returns_its_start_after_one_row():
+    # the start is recorded like every accepted iterate, so a step that does
+    # not move is caught at the next call
+    rng = np.random.default_rng(33)
+    problem = ProblemData(random_spd(rng, 4, shift=2.0), C=0.5, mu=10.0)
+    barrier = BarrierObjective(problem, tau=0.1)
+    init = Iterate.from_matrices(0.5 * problem.sigma_check, 0.5 * problem.sigma_check, SymmetricBasis(4))
+    result = fixed_barrier_loop(init, barrier, settle_guard(lambda it, g, res: (it, _STUB_FIELDS), barrier),
+                                gamma=0.1, residual_tol=1e-12, max_iters=200)
+    assert (result.status, result.n_iters) == ("stalled", 1)
+    assert result.iterate is init
+
+
 def test_fixed_barrier_loop_never_stops_steps_that_lower_h_or_the_residual(small_instance):
     # on one support: gradient steps in ell that keep lowering h_tau, and
     # steps toward a root that keep lowering the residual while h_tau is flat
@@ -1021,6 +1067,26 @@ def test_solver_rejects_infeasible_init():
     bad = Iterate.from_matrices(-np.eye(3), np.eye(3), basis)
     with pytest.raises(InfeasiblePointError):
         solve_tau_min(bad, barrier, NewtonParams(gamma=0.5))
+
+
+@pytest.mark.parametrize("block", ["L", "S"])
+@pytest.mark.parametrize("entry", ["ipm_solve", "solve_tau_min", "bcd_solve", "grad_h_tau"])
+def test_an_indefinite_block_is_named(entry, block):
+    # Sigma = L + S stays positive definite, so the indefinite block is the one to fail
+    problem = ProblemData(np.eye(3), C=1.0, mu=1.0)
+    barrier = BarrierObjective(problem, tau=0.1)
+    indefinite, definite = np.diag([1.0, 1.0, -0.5]), 2.0 * np.eye(3)
+    L0, S0 = (indefinite, definite) if block == "L" else (definite, indefinite)
+    it = Iterate.from_matrices(L0, S0, SymmetricBasis(3))
+    assert it.chol_sigma is not None
+    call = {
+        "ipm_solve": lambda: ipm_solve(problem, (L0, S0), IpmParams(gamma=0.5)),
+        "solve_tau_min": lambda: solve_tau_min(it, barrier, NewtonParams(gamma=0.5)),
+        "bcd_solve": lambda: bcd_solve(it, barrier, BaselineParams(gamma=0.5)),
+        "grad_h_tau": lambda: grad_h_tau(it, barrier),
+    }[entry]
+    with pytest.raises(InfeasiblePointError, match=f"^{block} is not positive definite$"):
+        call()
 
 
 def test_support_contained_in_working_set_each_step():

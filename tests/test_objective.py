@@ -7,6 +7,7 @@ import lsfa.objective
 from lsfa.objective import _Block, _try_cholesky, eval_f_at
 from lsfa import (
     BarrierObjective,
+    ConfigError,
     DataError,
     InfeasiblePointError,
     Iterate,
@@ -142,6 +143,13 @@ def test_barrier_level_must_be_finite_and_nonnegative(tau):
     assert BarrierObjective(problem, 0.0).tau == 0.0
 
 
+@pytest.mark.parametrize("tau", [-0.5, np.nan, np.inf])
+def test_barrier_level_out_of_range_is_a_config_error(tau):
+    # the documented type for a parameter out of its range
+    with pytest.raises(ConfigError, match="tau must be finite and >= 0"):
+        BarrierObjective(ProblemData(np.eye(2), C=1.0, mu=1.0), tau)
+
+
 def test_eval_h_tau_hand_value():
     # Sigma_check = I (p=2), mu=1, tau=0.5, L = S = I/2:
     # f = 3; barrier = -0.5*(log det(I/2) + log det(I/2)) = 2 log 2
@@ -236,8 +244,10 @@ def test_one_block_trial_with_a_moved_block_off_the_cone_is_infeasible():
     assert not trial.is_strictly_feasible
     assert np.isfinite(eval_f_at(trial, problem))
     assert eval_h_tau(trial, BarrierObjective(problem, tau=0.37)) == np.inf
-    with pytest.raises(InfeasiblePointError):
-        trial.inv_S
+    with pytest.raises(InfeasiblePointError, match="L is not positive definite"):
+        trial.inv_L
+    # S is positive definite, so its inverse is there to read
+    assert_allclose(trial.inv_S, np.linalg.inv(trial.S), rtol=1e-10)
 
 
 # ---------- Cholesky factor ----------
@@ -300,7 +310,7 @@ def test_block_inverse_matches_numpy_to_its_condition(p, cond):
     for _ in range(3):
         Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
         M = (Q * np.geomspace(1.0, 1.0 / cond, p)) @ Q.T
-        block = _Block(0.5 * (M + M.T))
+        block = _Block(0.5 * (M + M.T), "M")
         expected = np.linalg.inv(block.M)
         # the oracle's own error is of the same order
         assert (np.linalg.norm(block.inv - expected)
