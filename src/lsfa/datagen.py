@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, require_count, require_positive
-from .objective import _logdet_from_chol
+from .objective import _Block
 
 
 @dataclass
@@ -97,19 +96,23 @@ def sample_observations(truth: GroundTruth, N: int, seed: int = 0) -> np.ndarray
     p = truth.S_hat.shape[0]
     U = rng.standard_normal((N, truth.Gamma.shape[1]))
     Z = rng.standard_normal((N, p))
+    # numpy's factor, not objective._Block's potrf: the two can differ in
+    # the last bits, and the seeds pin the samples drawn through this one
     noise_factor = np.linalg.cholesky(truth.S_hat)
     return U @ truth.Gamma.T + Z @ noise_factor.T
 
 
 def gaussian_kl(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
-    """KL divergence between zero-mean Gaussians N(0, cov_p) and N(0, cov_q)."""
-    cov_p = np.asarray(cov_p, dtype=float)
-    cov_q = np.asarray(cov_q, dtype=float)
-    p = cov_p.shape[0]
-    chol_q = np.linalg.cholesky(cov_q)
-    chol_p = np.linalg.cholesky(cov_p)
-    trace_term = float(np.sum(scipy.linalg.cho_solve((chol_q, True), cov_p).diagonal()))
-    return 0.5 * (trace_term - p + _logdet_from_chol(chol_q) - _logdet_from_chol(chol_p))
+    """KL divergence between zero-mean Gaussians N(0, cov_p) and N(0, cov_q).
+
+    Raises InfeasiblePointError naming cov_p or cov_q when it is not
+    positive definite.
+    """
+    P = _Block(np.asarray(cov_p, dtype=float), "cov_p")
+    Q = _Block(np.asarray(cov_q, dtype=float), "cov_q")
+    # tr(cov_q^-1 cov_p), both symmetric
+    trace_term = float(np.sum(Q.inv * P.M))
+    return 0.5 * (trace_term - P.M.shape[0] + Q.logdet - P.logdet)
 
 
 def recovery_metrics(solution, truth: GroundTruth) -> dict:

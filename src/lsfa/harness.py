@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
-import scipy.linalg
 
 from .baseline import BaselineParams, bcd_solve
 from .datagen import check_instance, generate_ground_truth, sample_observations
@@ -27,8 +26,7 @@ from .errors import (ConfigError, DataError, InfeasiblePointError, NumericalBrea
                      require_count, require_fraction)
 from .ipm import ETA_RANK, ETA_SUPP, IpmParams, Solution, ipm_solve, sparse_init
 from .newton import NewtonParams
-from .objective import (BarrierObjective, Iterate, ProblemData, _logdet_from_chol,
-                        sample_covariance)
+from .objective import BarrierObjective, Iterate, ProblemData, _Block, sample_covariance
 from .symbasis import SymmetricBasis
 from .trace import write_trace_csv
 
@@ -42,7 +40,8 @@ _RENAMED = {"max_iters": "bcd_max_iters"}
 # ipm_solve and bcd_solve called directly follow the caller's numpy errstate
 _RAISE_ON_FP_ERROR = np.errstate(over="raise", invalid="raise", divide="raise")
 # the failures that leave no usable fit: the CLI exits 4 on them, run_cv
-# scores the fold inf
+# scores the fold inf; a fit's LinAlgError comes only from np.linalg.eigvalsh,
+# in sparse_init and recover_solution
 FIT_FAILURES = (DataError, InfeasiblePointError, NumericalBreakdownError, FloatingPointError,
                 np.linalg.LinAlgError)
 
@@ -324,13 +323,15 @@ def run_compare(config: RunConfig) -> dict:
 
 
 def gaussian_nll(samples: np.ndarray, cov: np.ndarray) -> float:
-    """Mean negative log-likelihood of zero-mean Gaussian samples under cov."""
-    p = cov.shape[0]
-    chol = np.linalg.cholesky(cov)
-    # y' cov^{-1} y via triangular solve, averaged over rows
-    z = scipy.linalg.solve_triangular(chol, samples.T, lower=True)
+    """Mean negative log-likelihood of zero-mean Gaussian samples under cov.
+
+    Raises InfeasiblePointError when cov is not positive definite.
+    """
+    block = _Block(np.asarray(cov, dtype=float), "the fitted covariance")
+    # y' cov^{-1} y = ||C^-1 y||^2 with cov = C C^T, averaged over rows
+    z = block.chol_inv @ samples.T
     quad = float(np.mean(np.sum(z * z, axis=0)))
-    return 0.5 * (quad + _logdet_from_chol(chol) + p * math.log(2.0 * math.pi))
+    return 0.5 * (quad + block.logdet + len(block.M) * math.log(2.0 * math.pi))
 
 
 @_RAISE_ON_FP_ERROR

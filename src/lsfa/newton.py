@@ -63,8 +63,10 @@ Iterative Methods for Linear and Nonlinear Equations, 1995, eq. 6.20): the
 solve ends once ||F|| <= residual_tol, so a step that starts a few times
 above that rule needs its system solved only to about
 residual_tol / (2 ||F||).  A point with F = 0 takes 0.1.  Stopped early
-from zero, preconditioned CG still gives b^T x > 0, so a Newton direction
-keeps a negative joint slope (see descent_safeguard).
+from zero, preconditioned CG still gives b^T x > 0, so a direction solved
+in one pass from d = 0, with s_{~T} = 0 and nothing dropped, keeps a
+negative joint slope; one that holds a nonzero s_{~T} or was re-solved
+after a drop need not (see descent_safeguard).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from .errors import NumericalBreakdownError, require_count, require_positive
 from .objective import (
     BarrierObjective,
     Iterate,
-    _potrs,
+    call_lapack,
     eval_h_tau,
     grad_h_tau,
     hessian_vector_product,
@@ -348,7 +350,8 @@ class _SchurComplement:
             if k == 2 * len(b):
                 reason = "no convergence"
                 break
-            z = res / self.diag if self.iterative else _potrs(self.cho, res, lower=1)[0]
+            z = res / self.diag if self.iterative else call_lapack(
+                "potrs", "the Schur complement's Cholesky factor", self.cho, res, lower=1)[0]
             rz, rz_old = res @ z, rz
             d = z if k == 0 else z + (rz / rz_old) * d
             q = self._product(d)
@@ -466,10 +469,15 @@ def descent_safeguard(
 
     The s-block test rejects Newton directions that move s uphill while ell
     compensates; with s_{~T} = 0 the joint slope of a Newton direction is
-    -r^T K^-1 r < 0, so the joint test accepts them.  Solved inexactly, with
-    d_ell eliminated exactly and conjugate gradients stopped early from zero
-    on the Schur system K_s x = b, the slope is -(r_ell^T P^-1 r_ell + b^T x)
-    with P the ell block and b^T x = x^T K_s x > 0, still negative.
+    -r^T K^-1 r < 0, so the joint test accepts them.  Solved inexactly in
+    one pass from d = 0 with nothing dropped, with d_ell eliminated exactly
+    and conjugate gradients stopped early from zero on the Schur system
+    K_s x = b, the slope is -(r_ell^T P^-1 r_ell + b^T x) with P the ell
+    block and b^T x = x^T K_s x > 0, still negative.  A direction that holds
+    a nonzero s_{~T}, or that was re-solved after a drop, has no such sign
+    when solved inexactly: the held part enters the right-hand side, the
+    re-solve starts from the first pass, and the joint slope can be
+    positive, which the joint test then rejects.
     """
     T, d_s = direction.T, direction.d_s
     held = d_s[complement(T, len(d_s))]

@@ -91,15 +91,14 @@ _potrf, _trtri, _syevd, _syevr, _potrs = scipy.linalg.get_lapack_funcs(
 def call_lapack(routine: str, matrix: str, *args, **kwargs) -> list:
     """The outputs of the LAPACK routine bound above as _<routine>, without its info.
 
-    The one rule for a failed call: every matrix these routines are handed
+    The one way lsfa calls LAPACK.  Every matrix these routines are handed
     is, by the problem's structure, one they cannot fail on (the factor of a
     positive-definite block, a symmetric reduced pencil), so a nonzero info
     is a numerical breakdown, and raises NumericalBreakdownError naming the
-    routine, the info and `matrix`, with its first argument's shape.  Two
-    calls read their info themselves: _try_cholesky's potrf, whose failure
-    marks a point infeasible, and the Newton step's potrs, whose info
-    reports only an illegal argument.  The binding is looked up at each
-    call, so that replacing it in this module reaches every caller.
+    routine, the info and `matrix`, with its first argument's shape.  One
+    call reads its info itself: _Block's potrf, whose failure marks a matrix
+    not positive definite.  The binding is looked up at each call, so that
+    replacing it in this module reaches every caller.
     """
     *outputs, info = globals()[f"_{routine}"](*args, **kwargs)
     if info != 0:
@@ -109,23 +108,6 @@ def call_lapack(routine: str, matrix: str, *args, **kwargs) -> list:
     return outputs
 
 
-def _try_cholesky(A: np.ndarray):
-    """Lower Cholesky factor of A, or None when A is not positive definite.
-
-    Only A's lower triangle is read.  A matrix with a NaN or an infinity
-    there is not positive definite either: the factorization does not
-    always stop on one, but it carries it into the factor's diagonal.
-    """
-    chol, info = _potrf(A, lower=1, clean=1)
-    if info != 0 or not np.isfinite(chol.diagonal()).all():
-        return None
-    return chol
-
-
-def _logdet_from_chol(chol: np.ndarray) -> float:
-    return 2.0 * float(np.log(chol.diagonal()).sum())
-
-
 class ProblemData:
     """Fixed problem data: sample covariance, cached inverse, and weights.
 
@@ -133,9 +115,7 @@ class ProblemData:
         sigma_check: finite, symmetric positive-definite p x p sample
             covariance; any other matrix raises DataError.
         C: sparsity weight on the noise block, finite and > 0.
-        mu: fit (KL) weight, finite and > 0 (check_weights).  Zero is also
-            accepted here, so that derivative identities can be exercised
-            in the degenerate limit.
+        mu: fit (KL) weight, finite and > 0 (check_weights).
     """
 
     def __init__(self, sigma_check: np.ndarray, C: float, mu: float):
@@ -146,8 +126,7 @@ class ProblemData:
             raise DataError("sample covariance contains NaN or infinite values")
         if np.linalg.norm(S - S.T) > 1e-12 * np.linalg.norm(S):
             raise DataError("sample covariance must be symmetric")
-        # mu = 0 passes too: the degenerate limit of the derivative identities
-        self.check_weights(C, 1.0 if mu == 0 else mu)
+        self.check_weights(C, mu)
         block = _Block(S, "the sample covariance")
         if block.chol is None:
             raise DataError(
@@ -181,16 +160,20 @@ class BarrierObjective:
 class _Block:
     """A symmetric matrix with its Cholesky factor, and lazily its inverses and log-determinant.
 
-    The factor C (M = C C^T) is None when the matrix is not positive
-    definite.  Each of L, S and Sigma of an iterate is one.  Iterates that
-    have a block in common hold the same _Block, so an inverse or
-    log-determinant computed through one of them serves the other too.
+    lsfa's one factored form of a symmetric positive-definite matrix: the
+    iterates' L, S and Sigma, the sample covariance, and the covariances
+    gaussian_nll and gaussian_kl read.  The factor C (M = C C^T, by potrf on
+    M's lower triangle) is None when M is not positive definite, or has a
+    NaN or an infinity there, which potrf carries into C's diagonal.
+    Iterates that have a block in common hold the same _Block, so an
+    inverse or log-determinant computed through one serves the other too.
     """
 
     def __init__(self, M: np.ndarray, name: str):
         self.M = M
         self.name = name
-        self.chol = _try_cholesky(M)
+        chol, info = _potrf(M, lower=1, clean=1)
+        self.chol = chol if info == 0 and np.isfinite(chol.diagonal()).all() else None
 
     def factor(self) -> np.ndarray:
         """C, or InfeasiblePointError "<name> is not positive definite" when there is none."""
@@ -213,7 +196,8 @@ class _Block:
 
     @functools.cached_property
     def logdet(self) -> float:
-        return _logdet_from_chol(self.factor())
+        """log det M = 2 sum log diag(C)."""
+        return 2.0 * float(np.log(self.factor().diagonal()).sum())
 
 
 class Iterate:

@@ -5,12 +5,14 @@ from numpy.testing import assert_allclose
 from lsfa import (
     ConfigError,
     GroundTruth,
+    InfeasiblePointError,
     Solution,
     gaussian_kl,
     generate_ground_truth,
     recovery_metrics,
     sample_observations,
 )
+from lsfa.harness import FIT_FAILURES
 from conftest import random_spd
 
 
@@ -159,3 +161,13 @@ def test_kl_properties():
         if not np.allclose(A, B):
             assert gaussian_kl(A, B) > 0
             assert gaussian_kl(B, A) > 0
+
+
+@pytest.mark.parametrize("indefinite", ["cov_p", "cov_q"])
+def test_kl_names_an_indefinite_covariance(indefinite):
+    good, bad = np.eye(3), np.diag([1.0, 2.0, -1.0])
+    cov_p, cov_q = (bad, good) if indefinite == "cov_p" else (good, bad)
+    with pytest.raises(InfeasiblePointError,
+                       match=f"^{indefinite} is not positive definite$") as info:
+        gaussian_kl(cov_p, cov_q)
+    assert isinstance(info.value, FIT_FAILURES)

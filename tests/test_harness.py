@@ -12,12 +12,13 @@ from numpy.testing import assert_allclose
 
 import lsfa.harness
 import lsfa.newton
-from lsfa import (BarrierObjective, BaselineParams, ConfigError, IpmParams, Iterate, ProblemData,
-                  SymmetricBasis, TraceRow, ipm_solve, read_trace_csv, recover_solution,
-                  write_trace_csv)
+from lsfa import (BarrierObjective, BaselineParams, ConfigError, InfeasiblePointError, IpmParams,
+                  Iterate, ProblemData, SymmetricBasis, TraceRow, ipm_solve, read_trace_csv,
+                  recover_solution, write_trace_csv)
 from lsfa.cli import build_parser, main
 from lsfa.harness import (
     FIELD_TYPES,
+    FIT_FAILURES,
     RunConfig,
     config_from_dict,
     gaussian_nll,
@@ -164,7 +165,7 @@ def test_config_validation_rejects_non_finite_weights(name, bad):
 
 
 def test_config_validation_rejects_zero_weights():
-    # ProblemData itself admits mu = 0, the degenerate limit; a run needs mu > 0
+    # by ProblemData.check_weights, the check ProblemData itself makes
     with pytest.raises(ConfigError, match="C must be"):
         RunConfig(C=0.0).validate()
     with pytest.raises(ConfigError, match="mu must be"):
@@ -628,3 +629,10 @@ def test_gaussian_nll_matches_direct_formula():
     expected = np.mean([0.5 * (y @ inv @ y + np.log(np.linalg.det(cov))
                                + 2 * np.log(2 * np.pi)) for y in samples])
     assert_allclose(gaussian_nll(samples, cov), expected, rtol=1e-12)
+
+
+def test_gaussian_nll_under_an_indefinite_covariance_is_a_fit_failure():
+    with pytest.raises(InfeasiblePointError,
+                       match="^the fitted covariance is not positive definite$") as info:
+        gaussian_nll(np.ones((4, 2)), np.diag([2.0, -0.5]))
+    assert isinstance(info.value, FIT_FAILURES)

@@ -557,6 +557,17 @@ def test_failed_lapack_call_is_a_breakdown(monkeypatch, routine, compute):
         compute(it, T, barrier)
 
 
+def test_failed_preconditioner_solve_is_a_breakdown(monkeypatch):
+    # K is small enough here to be assembled, so CG solves with its factor by potrs
+    it, basis, barrier, T = _interior_point_with_working_set(58, 5)
+    assert len(T) ** 2 * basis.m <= lsfa.newton._ASSEMBLE_FLOPS
+    fail_lapack(monkeypatch, "potrs")
+    n = len(T)
+    with pytest.raises(NumericalBreakdownError,
+                       match=rf"LAPACK potrs returned info=1 on .* \({n} x {n}\)$"):
+        newton_direction(it, T, barrier)
+
+
 def test_failed_factorization_of_the_schur_complement_is_a_breakdown(monkeypatch):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("2-th leading minor of the array is not positive definite")

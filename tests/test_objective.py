@@ -4,7 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import lsfa.objective
-from lsfa.objective import _Block, _try_cholesky, eval_f_at
+from lsfa.objective import _Block, eval_f_at
 from lsfa import (
     BarrierObjective,
     ConfigError,
@@ -257,7 +257,7 @@ def test_try_cholesky_matches_numpy_on_spd_matrices(p):
     rng = np.random.default_rng(60 + p)
     for _ in range(5):
         A = random_spd(rng, p, shift=0.1)
-        chol = _try_cholesky(A)
+        chol = _Block(A, "A").chol
         # numpy and scipy may link different LAPACK builds: equal to rounding
         assert_allclose(chol, np.linalg.cholesky(A), rtol=0, atol=1e-15 * np.abs(chol).max())
         assert not np.triu(chol, 1).any()
@@ -282,7 +282,7 @@ def test_try_cholesky_is_none_exactly_where_numpy_raises(p):
     for kind, A in _not_positive_definite(p).items():
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(A)
-        assert _try_cholesky(A) is None, kind
+        assert _Block(A, "A").chol is None, kind
 
 
 @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
@@ -425,15 +425,19 @@ def test_gradient_step_scaling_sanity():
     assert errs[1] < errs[0] / 3
 
 
-def test_gradient_degenerate_weights():
-    # mu = 0, tau = 0: only tr(L) survives
+def test_gradient_blocks_differ_by_the_trace_term():
+    # tau = 0: the fit term enters both blocks alike, so g_ell - g_s = vec(I) for any mu
     rng = np.random.default_rng(9)
-    problem = ProblemData(random_spd(rng, 3), C=1.0, mu=0.0)
+    problem = ProblemData(random_spd(rng, 3), C=1.0, mu=7.0)
     barrier = BarrierObjective(problem, tau=0.0)
     it, basis = random_interior_point(rng, 3)
     g_ell, g_s = grad_h_tau(it, barrier)
-    assert_allclose(g_ell, basis.mat_to_vec(np.eye(3)), atol=1e-12)
-    assert_allclose(g_s, np.zeros(basis.m), atol=1e-12)
+    assert_allclose(g_ell - g_s, basis.mat_to_vec(np.eye(3)), atol=1e-12)
+
+
+def test_problem_data_rejects_a_zero_fit_weight():
+    with pytest.raises(ConfigError, match="mu must be"):
+        ProblemData(np.eye(3), C=1.0, mu=0.0)
 
 
 def test_gradient_vanishing_mismatch():
