@@ -158,28 +158,38 @@ class BarrierObjective:
 
 
 class _Block:
-    """A symmetric matrix with its Cholesky factor, and lazily its inverses and log-determinant.
+    """A symmetric matrix with its Cholesky factor and log-determinant, and lazily its inverses.
 
     lsfa's one factored form of a symmetric positive-definite matrix: the
     iterates' L, S and Sigma, the sample covariance, and the covariances
     gaussian_nll and gaussian_kl read.  The factor C (M = C C^T, by potrf on
     M's lower triangle) is None when M is not positive definite, or has a
-    NaN or an infinity there, which potrf carries into C's diagonal.
-    Iterates that have a block in common hold the same _Block, so an
-    inverse or log-determinant computed through one serves the other too.
+    NaN or an infinity there, which potrf carries into C's diagonal.  The
+    log-determinant 2 sum log diag(C) is computed with the factor and
+    doubles as its check: when potrf succeeds, it is finite exactly when
+    C's diagonal is finite and positive.  Iterates that have a block in
+    common hold the same _Block, so an inverse computed through one serves
+    the other too.
     """
 
     def __init__(self, M: np.ndarray, name: str):
         self.M = M
         self.name = name
         chol, info = _potrf(M, lower=1, clean=1)
-        self.chol = chol if info == 0 and np.isfinite(chol.diagonal()).all() else None
+        self._logdet = 2.0 * float(np.log(chol.diagonal()).sum()) if info == 0 else np.nan
+        self.chol = chol if np.isfinite(self._logdet) else None
 
     def factor(self) -> np.ndarray:
         """C, or InfeasiblePointError "<name> is not positive definite" when there is none."""
         if self.chol is None:
             raise InfeasiblePointError(f"{self.name} is not positive definite")
         return self.chol
+
+    @property
+    def logdet(self) -> float:
+        """log det M = 2 sum log diag(C), or InfeasiblePointError as factor() when there is no C."""
+        self.factor()
+        return self._logdet
 
     @functools.cached_property
     def chol_inv(self) -> np.ndarray:
@@ -193,11 +203,6 @@ class _Block:
         Li = self.chol_inv
         inv = Li.T @ Li
         return 0.5 * (inv + inv.T)
-
-    @functools.cached_property
-    def logdet(self) -> float:
-        """log det M = 2 sum log diag(C)."""
-        return 2.0 * float(np.log(self.factor().diagonal()).sum())
 
 
 class Iterate:
@@ -302,8 +307,8 @@ class Iterate:
 
 def _smooth_f(L: np.ndarray, sigma: _Block, problem: ProblemData) -> float:
     """tr(L) + mu (<Sigma, Sigma_check^-1> - log det Sigma), given Sigma's factored block."""
-    fit = float(np.sum(sigma.M * problem.sigma_check_inv)) - sigma.logdet
-    return float(np.trace(L)) + problem.mu * fit
+    fit = float((sigma.M * problem.sigma_check_inv).sum()) - sigma.logdet
+    return float(L.trace()) + problem.mu * fit
 
 
 def eval_f(L: np.ndarray, S: np.ndarray, problem: ProblemData) -> float:
@@ -349,16 +354,24 @@ def eval_h_tau(iterate: Iterate, barrier: BarrierObjective) -> float:
 def grad_h_tau(iterate: Iterate, barrier: BarrierObjective) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the barrier objective in basis coordinates.
 
+    Formed on the m coordinates alone, never as a p x p matrix: the upper
+    triangles of Sigma_check^-1, Sigma^-1, L^-1 and S^-1 are taken once
+    each, combined as in the formulas of the module docstring (the identity
+    as its coordinates, 1 on the diagonal and 0 off it) and scaled by
+    vec_scale.  That is bit for bit sym_part_to_vec of the p x p gradients,
+    because every inverse is exactly symmetric (symmetrized when formed), so
+    the mean of two mirrored entries sym_part_to_vec takes is exact.
+
     Returns:
         (g_ell, g_s), each of length m.
     """
     problem, tau = barrier.problem, barrier.tau
-    M = problem.mu * (problem.sigma_check_inv - iterate.inv_sigma)
-    g_ell_mat = np.eye(problem.p) + M - tau * iterate.inv_L
-    g_s_mat = M - tau * iterate.inv_S
-    # both exactly symmetric: the inverses are symmetrized when formed
     basis = iterate.basis
-    return basis.sym_part_to_vec(g_ell_mat), basis.sym_part_to_vec(g_s_mat)
+    upper = basis.upper_flat
+    M = problem.mu * (problem.sigma_check_inv.take(upper) - iterate.inv_sigma.take(upper))
+    g_ell = basis.identity_vec + M - tau * iterate.inv_L.take(upper)
+    g_s = M - tau * iterate.inv_S.take(upper)
+    return g_ell * basis.vec_scale, g_s * basis.vec_scale
 
 
 def hessian_blocks(

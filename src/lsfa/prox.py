@@ -64,7 +64,12 @@ def index_set_T(s: np.ndarray, g_s: np.ndarray, gamma: float, C: float) -> np.nd
     g_s = np.asarray(g_s, dtype=float)
     if s.shape != g_s.shape:
         raise ValueError(f"s and g_s must have equal length, got {s.shape} and {g_s.shape}")
-    return np.flatnonzero(np.abs(s - gamma * g_s) >= prox_keep_floor(gamma, C))
+    return np.flatnonzero(_in_index_set_T(s, g_s, gamma, C))
+
+
+def _in_index_set_T(s: np.ndarray, g_s: np.ndarray, gamma: float, C: float) -> np.ndarray:
+    """The mask |s - gamma * g_s| >= sqrt(2 gamma C) of index_set_T, on checked arguments."""
+    return np.abs(s - gamma * g_s) >= prox_keep_floor(gamma, C)
 
 
 def complement(T: np.ndarray, m: int) -> np.ndarray:
@@ -104,10 +109,11 @@ def stationarity_residual(
     carry a precomputed (g_ell, g_s) pair to avoid a second evaluation
     inside solver loops.
     """
+    require_positive(gamma=gamma)
     g_ell, g_s = grad if grad is not None else grad_h_tau(iterate, barrier)
     basis = iterate.basis
-    in_T = ~basis.off_diag
-    in_T[index_set_T(iterate.s, g_s, gamma, barrier.problem.C)] = True
+    in_T = _in_index_set_T(iterate.s, g_s, gamma, barrier.problem.C)
+    in_T |= ~basis.off_diag
     T = np.flatnonzero(in_T)
     r_s_T = g_s[T]
     r_s_Tbar = iterate.s[~in_T]

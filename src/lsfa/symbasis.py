@@ -49,6 +49,8 @@ class SymmetricBasis:
             (rows[a], cols[a]) and (cols[a], rows[a]).
         vec_scale: the factors s_a = <S, E_a> / S[rows[a], cols[a]] of a
             symmetric S, sqrt(2) off the diagonal and 1 on it.
+        identity_vec: the coordinates of the identity, 1 on the diagonal
+            and 0 off it.
     """
 
     def __init__(self, p: int):
@@ -61,6 +63,7 @@ class SymmetricBasis:
         self.off_diag = rows != cols
         # <S, E_a> picks up both mirrored entries of an off-diagonal pair.
         self.vec_scale = np.where(self.off_diag, _SQRT2, 1.0)
+        self.identity_vec = np.where(self.off_diag, 0.0, 1.0)
         coords = np.arange(self.m)
         self.pair_index = np.empty((self.p, self.p), dtype=np.intp)
         self.pair_index[rows, cols] = coords

@@ -411,6 +411,40 @@ def test_gradient_matches_finite_differences():
     assert checked == 20
 
 
+def _p_by_p_gradient(it, barrier):
+    """Oracle: the symmetric parts of the p x p gradients, in coordinates."""
+    problem, tau = barrier.problem, barrier.tau
+    M = problem.mu * (problem.sigma_check_inv - it.inv_sigma)
+    g_ell = np.eye(problem.p) + M - tau * it.inv_L
+    g_s = M - tau * it.inv_S
+    return it.basis.sym_part_to_vec(g_ell), it.basis.sym_part_to_vec(g_s)
+
+
+def _nearly_singular_S(rng, p):
+    """An iterate whose S has condition number 1e12, on random eigenvectors."""
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    S = (Q * np.geomspace(1.0, 1e-12, p)) @ Q.T
+    return Iterate.from_matrices(random_spd(rng, p), 0.5 * (S + S.T), SymmetricBasis(p))
+
+
+@pytest.mark.parametrize("case", ["random", "tau=0", "nearly singular S"])
+@pytest.mark.parametrize("p", [1, 2, 5, 40])
+def test_gradient_is_bit_for_bit_the_p_by_p_formula(p, case):
+    # the coordinates are gathered from exactly symmetric inverses, so they
+    # match the mean of the mirrored entries in every bit, signed zeros too
+    rng = np.random.default_rng(60 + p)
+    for _ in range(3):
+        problem = ProblemData(random_spd(rng, p), C=1.0, mu=rng.uniform(0.5, 300.0))
+        tau = 0.0 if case == "tau=0" else rng.uniform(1e-6, 1.0)
+        barrier = BarrierObjective(problem, tau=tau)
+        if case == "nearly singular S":
+            it = _nearly_singular_S(rng, p)
+        else:
+            it, _ = random_interior_point(rng, p)
+        for got, expected in zip(grad_h_tau(it, barrier), _p_by_p_gradient(it, barrier)):
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_gradient_step_scaling_sanity():
     # central differences improve roughly quadratically as the step shrinks
     rng = np.random.default_rng(3)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from lsfa import (
     BarrierObjective,
+    ConfigError,
     Iterate,
     NewtonParams,
     ProblemData,
@@ -154,6 +155,29 @@ def test_residual_working_set_keeps_diagonal():
     # F = [g_ell; g_s on the diagonal; the off-diagonal s, which is 0]
     F = np.concatenate([g[0], g[1][res.T], np.zeros(1)])
     assert_allclose(res.norm_normalized, np.linalg.norm(F) / np.sqrt(2 * basis.m), rtol=1e-15)
+
+
+def test_residual_working_set_is_the_diagonal_and_index_set_T():
+    # gamma = 0.5, C = 1: the keep floor sqrt(2 gamma C) is exactly 1, and
+    # coordinate 1 sits on it (1.5 - 0.5 * 1), which the inclusive >= keeps;
+    # coordinate 4 lies one ulp below it, and coordinate 2 enters from zero
+    gamma, C = 0.5, 1.0
+    problem = ProblemData(np.eye(3), C=C, mu=1.0)
+    barrier = BarrierObjective(problem, tau=0.1)
+    basis = SymmetricBasis(3)
+    # coordinates (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
+    s = np.array([4.0, 1.5, 0.0, 4.0, 1.5, 4.0])
+    g_s = np.array([8.0, 1.0, -2.5, 8.0, np.nextafter(1.0, 2.0), 8.0])
+    it = Iterate(np.diag([1.0, 1.0, 1.0])[basis.rows, basis.cols], s, basis)
+    assert it.is_strictly_feasible
+    assert abs(s[4] - gamma * g_s[4]) == np.nextafter(1.0, 0.0)
+    T_rule = index_set_T(s, g_s, gamma, C)
+    assert list(T_rule) == [1, 2]
+    res = stationarity_residual(it, barrier, gamma, grad=(np.zeros(basis.m), g_s))
+    np.testing.assert_array_equal(res.T, np.union1d(np.flatnonzero(~basis.off_diag), T_rule))
+    assert list(res.T) == [0, 1, 2, 3, 5]
+    with pytest.raises(ConfigError, match="gamma must be finite and > 0"):
+        stationarity_residual(it, barrier, 0.0, grad=(np.zeros(basis.m), g_s))
 
 
 def test_residual_small_at_converged_solve(small_instance):
