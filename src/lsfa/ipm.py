@@ -105,6 +105,8 @@ def sparse_init(problem: ProblemData, params: IpmParams) -> tuple[np.ndarray, np
     """
     sigma = problem.sigma_check
     scale = np.sqrt(np.diag(sigma))
+    # numpy's eigensolver, not objective's syevd: the two differ in the last
+    # bits, and every pipeline fit starts from this value
     c = 0.5 * float(np.linalg.eigvalsh(sigma / np.outer(scale, scale))[0])
     S0 = np.diag(c * np.diag(sigma))
     basis = SymmetricBasis(problem.p)

@@ -113,7 +113,8 @@ class ProblemData:
 
     Args:
         sigma_check: finite, symmetric positive-definite p x p sample
-            covariance; any other matrix raises DataError.
+            covariance; any other matrix raises DataError.  Symmetric
+            means to 1e-12 relative, and the symmetric part is what is kept.
         C: sparsity weight on the noise block, finite and > 0.
         mu: fit (KL) weight, finite and > 0 (check_weights).
     """
@@ -126,6 +127,9 @@ class ProblemData:
             raise DataError("sample covariance contains NaN or infinite values")
         if np.linalg.norm(S - S.T) > 1e-12 * np.linalg.norm(S):
             raise DataError("sample covariance must be symmetric")
+        # potrf reads the lower triangle, mat_to_vec the upper: both must
+        # read one matrix (exact on a matrix that is already symmetric)
+        S = 0.5 * (S + S.T)
         self.check_weights(C, mu)
         block = _Block(S, "the sample covariance")
         if block.chol is None:

@@ -57,7 +57,9 @@ def index_set_T(s: np.ndarray, g_s: np.ndarray, gamma: float, C: float) -> np.nd
 
     The inequality is inclusive, matching the definition used by the Newton
     solver (the prox keep-branch is strict; the one-point discrepancy at exact
-    ties is measure zero).
+    ties is measure zero).  The solver's working set (stationarity_residual)
+    is this set plus every diagonal coordinate; see
+    tests/test_prox.py::test_residual_working_set_is_the_diagonal_and_index_set_T.
     """
     require_positive(gamma=gamma, C=C)
     s = np.asarray(s, dtype=float)

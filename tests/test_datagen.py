@@ -27,6 +27,18 @@ def test_default_scale_invariants():
     assert abs(snr - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("density", [0.01, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("p", [2, 3, 10, 40, 100])
+def test_noise_covariance_is_strictly_diagonally_dominant(p, density):
+    # the generator's only positive-definiteness guarantee (Gershgorin): it
+    # factors nothing, so a diagonal without its margin over the row's
+    # off-diagonal magnitudes would go unseen until a fit failed
+    for seed in range(5):
+        S_hat = generate_ground_truth(p, 1, density=density, seed=seed).S_hat
+        diag = np.diag(S_hat)
+        assert np.all(diag > np.abs(S_hat).sum(axis=1) - diag), (p, density, seed)
+
+
 @pytest.mark.parametrize("snr", [0.5, 1.0, 4.0])
 def test_snr_rescaling_exact(snr):
     truth = generate_ground_truth(p=12, r=3, snr=snr, seed=5)

@@ -258,6 +258,28 @@ def test_cli_solve_from_covariance_file(small_run_dir):
     assert code == 0
 
 
+def test_cli_solve_preconditions_large_working_sets_by_the_diagonal(tmp_path, monkeypatch):
+    # the p=100 sparse instance's working sets are too large for the Schur
+    # complement to be assembled, so conjugate gradients run preconditioned
+    # by its diagonal; steps near the residual rule are asked for a relative
+    # residual above the 1e-3 cap (the guard against oversolving)
+    kinds = []
+    cg = lsfa.newton._SchurComplement._cg
+
+    def spy(self, b, rtol):
+        kinds.append(self.iterative)
+        return cg(self, b, rtol)
+
+    monkeypatch.setattr(lsfa.newton._SchurComplement, "_cg", spy)
+    assert main(["generate", "--p", "100", "--r", "5", "--density", "0.0202", "--n", "1200",
+                 "--run-dir", str(tmp_path)]) == 0
+    assert main(["solve", "--mu", "300", "--run-dir", str(tmp_path)]) == 0
+    assert True in kinds
+    rows = read_trace_csv(tmp_path / "trace.csv")
+    assert any(row.cg_iterations > 0 for row in rows)
+    assert any(row.cg_rtol > 1e-3 for row in rows)
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN and Infinity, which are not JSON."""
     def reject(constant):

@@ -10,15 +10,18 @@ from lsfa import (
     ConfigError,
     DataError,
     InfeasiblePointError,
+    IpmParams,
     Iterate,
     ProblemData,
     SymmetricBasis,
+    default_init,
     eval_f,
     eval_h_tau,
     grad_h_tau,
     hessian_blocks,
     hessian_h_tau,
     hessian_vector_product,
+    ipm_solve,
     sample_covariance,
 )
 from conftest import random_interior_point, random_spd
@@ -74,6 +77,26 @@ def test_problem_data_requires_pd():
 def test_problem_data_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         ProblemData(np.array([[1.0, 0.5], [0.0, 1.0]]), C=1.0, mu=1.0)
+
+
+def test_problem_data_keeps_the_symmetric_part_of_a_nearly_symmetric_covariance():
+    # potrf reads sigma_check's lower triangle for its inverse and
+    # default_init's coordinates its upper one, so an accepted asymmetry
+    # must not reach either
+    sigma = random_spd(np.random.default_rng(4), 6)
+    sigma[1, 4] *= 1 + 1e-14
+    symmetric = 0.5 * (sigma + sigma.T)
+    assert not np.array_equal(sigma, sigma.T)
+    problem = ProblemData(sigma, C=0.5, mu=10.0)
+    reference = ProblemData(symmetric, C=0.5, mu=10.0)
+    assert np.array_equal(problem.sigma_check, problem.sigma_check.T)
+    params = IpmParams(gamma=0.1)
+    got = ipm_solve(problem, default_init(problem), params)
+    want = ipm_solve(reference, default_init(reference), params)
+    assert got.status == want.status == "converged"
+    assert np.array_equal(got.L_star, want.L_star)
+    assert np.array_equal(got.S_star, want.S_star)
+    assert got.n_inner_total == want.n_inner_total
 
 
 def test_problem_data_rejects_bad_weights():
