@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, require_count, require_positive
 from .objective import _Block
+from .symbasis import require_symmetric
 
 
 @dataclass
@@ -106,11 +107,14 @@ def sample_observations(truth: GroundTruth, N: int, seed: int = 0) -> np.ndarray
 def gaussian_kl(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
     """KL divergence between zero-mean Gaussians N(0, cov_p) and N(0, cov_q).
 
-    Raises InfeasiblePointError naming cov_p or cov_q when it is not
-    positive definite.
+    Raises:
+        DataError: naming cov_p or cov_q when it is not square or not
+            symmetric (symbasis.require_symmetric).
+        InfeasiblePointError: naming cov_p or cov_q when it is not positive
+            definite.
     """
-    P = _Block(np.asarray(cov_p, dtype=float), "cov_p")
-    Q = _Block(np.asarray(cov_q, dtype=float), "cov_q")
+    P = _Block(require_symmetric(cov_p, "cov_p"), "cov_p")
+    Q = _Block(require_symmetric(cov_q, "cov_q"), "cov_q")
     # tr(cov_q^-1 cov_p), both symmetric
     trace_term = float(np.sum(Q.inv * P.M))
     return 0.5 * (trace_term - P.M.shape[0] + Q.logdet - P.logdet)

@@ -27,7 +27,7 @@ from .errors import (ConfigError, DataError, InfeasiblePointError, NumericalBrea
 from .ipm import ETA_RANK, ETA_SUPP, IpmParams, Solution, ipm_solve, sparse_init
 from .newton import NewtonParams
 from .objective import BarrierObjective, Iterate, ProblemData, _Block, sample_covariance
-from .symbasis import SymmetricBasis
+from .symbasis import SymmetricBasis, require_symmetric
 from .trace import write_trace_csv
 
 RUN_DIR_ENV = "LSFA_RUN_DIR"
@@ -292,11 +292,6 @@ def run_compare(config: RunConfig) -> dict:
     write_trace_csv(ipm_solution.traces, config.path("ipm_trace.csv"))
     write_trace_csv(bcd_result.rows, config.path("bcd_trace.csv"))
 
-    bcd_to_tol = next(
-        (row.inner_iter for row in bcd_result.rows
-         if row.residual_normalized <= config.residual_tol),
-        None,
-    )
     summary = {
         "baseline_tau": ipm_solution.final_tau,
         "residual_tol": config.residual_tol,
@@ -314,7 +309,9 @@ def run_compare(config: RunConfig) -> dict:
         "bcd": {
             "status": bcd_result.status,
             "iterations": bcd_result.n_iters,
-            "iterations_to_tol": bcd_to_tol,
+            "iterations_to_tol": (
+                bcd_result.n_iters if bcd_result.status == "converged" else None
+            ),
             "final_residual_normalized": bcd_result.residual.norm_normalized,
         },
     }
@@ -325,9 +322,13 @@ def run_compare(config: RunConfig) -> dict:
 def gaussian_nll(samples: np.ndarray, cov: np.ndarray) -> float:
     """Mean negative log-likelihood of zero-mean Gaussian samples under cov.
 
-    Raises InfeasiblePointError when cov is not positive definite.
+    Raises:
+        DataError: cov is not square or not symmetric
+            (symbasis.require_symmetric).
+        InfeasiblePointError: cov is not positive definite.
     """
-    block = _Block(np.asarray(cov, dtype=float), "the fitted covariance")
+    what = "the fitted covariance"
+    block = _Block(require_symmetric(cov, what), what)
     # y' cov^{-1} y = ||C^-1 y||^2 with cov = C C^T, averaged over rows
     z = block.chol_inv @ samples.T
     quad = float(np.mean(np.sum(z * z, axis=0)))

@@ -35,7 +35,7 @@ import scipy.linalg
 
 from .errors import (ConfigError, DataError, InfeasiblePointError, NumericalBreakdownError,
                      require_positive)
-from .symbasis import SymmetricBasis
+from .symbasis import SymmetricBasis, require_symmetric
 
 
 def sample_covariance(samples) -> np.ndarray:
@@ -113,23 +113,22 @@ class ProblemData:
 
     Args:
         sigma_check: finite, symmetric positive-definite p x p sample
-            covariance; any other matrix raises DataError.  Symmetric
-            means to 1e-12 relative, and the symmetric part is what is kept.
+            covariance; any other matrix raises DataError.  Symmetric is
+            symbasis.require_symmetric's rule, and the symmetric part it
+            returns is what is kept.
         C: sparsity weight on the noise block, finite and > 0.
         mu: fit (KL) weight, finite and > 0 (check_weights).
     """
 
     def __init__(self, sigma_check: np.ndarray, C: float, mu: float):
-        S = np.asarray(sigma_check, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1] or S.size == 0:
-            raise DataError(f"sample covariance must be square and non-empty, got shape {S.shape}")
+        # a copy: the problem keeps it, and later writes to the caller's
+        # array must not reach it
+        S = np.array(sigma_check, dtype=float)
+        if S.size == 0:
+            raise DataError(f"sample covariance must be non-empty, got shape {S.shape}")
         if not np.isfinite(S).all():
             raise DataError("sample covariance contains NaN or infinite values")
-        if np.linalg.norm(S - S.T) > 1e-12 * np.linalg.norm(S):
-            raise DataError("sample covariance must be symmetric")
-        # potrf reads the lower triangle, mat_to_vec the upper: both must
-        # read one matrix (exact on a matrix that is already symmetric)
-        S = 0.5 * (S + S.T)
+        S = require_symmetric(S, "the sample covariance")
         self.check_weights(C, mu)
         block = _Block(S, "the sample covariance")
         if block.chol is None:
@@ -319,10 +318,11 @@ def eval_f(L: np.ndarray, S: np.ndarray, problem: ProblemData) -> float:
     """Smooth objective tr(L) + mu * {tr[(L+S) Sigma_check^{-1}] - log det(L+S)}.
 
     Returns +inf when L + S is not positive definite (boundary convention).
+    L and S must be symmetric (symbasis.require_symmetric, else DataError);
+    their symmetric parts are what is read.
     """
-    L = np.asarray(L, dtype=float)
-    sigma = L + np.asarray(S, dtype=float)
-    block = _Block(0.5 * (sigma + sigma.T), "Sigma")
+    L = require_symmetric(L, "L")
+    block = _Block(L + require_symmetric(S, "S"), "Sigma")
     if block.chol is None:
         return np.inf
     return _smooth_f(L, block, problem)

@@ -11,7 +11,8 @@ Coordinates enumerate the upper triangle in row-major order, so for p = 2
 the basis is [[1,0],[0,0]], (1/sqrt 2)[[0,1],[1,0]], [[0,0],[0,1]].  A p x p
 table holds the coordinate of every position (the pair index), so both maps
 are single gathers; so is the map from any square array to the coordinates
-of its symmetric part (sym_part_to_vec).  The matrix of the congruence
+of its symmetric part (sym_part_to_vec).  require_symmetric is lsfa's one
+rule for what a caller's symmetric matrix is.  The matrix of the congruence
 X -> A X A^T (sym_kron), or some of its rows, is formed entry by entry
 from gathers, a block of rows at a time.
 """
@@ -22,7 +23,7 @@ import functools
 
 import numpy as np
 
-from .errors import require_count
+from .errors import DataError, require_count
 
 _SQRT2 = np.sqrt(2.0)
 # Rows of sym_kron formed per pass.  A pass copies whole rows of p x m
@@ -32,6 +33,45 @@ _SQRT2 = np.sqrt(2.0)
 # p = 20-60 (per-pass overhead), 64 took 0.8-0.86x at p = 20 and 40 but 1.1x
 # at p = 60, and 128 took 0.94-2x.
 _ROW_BLOCK = 32
+
+
+def require_symmetric(M, what: str) -> np.ndarray:
+    """The symmetric part 0.5 (M + M^T) of a caller's square matrix M.
+
+    lsfa's one rule for a symmetric matrix, applied once to every matrix a
+    caller hands it (a covariance, a start, a fitted model).  M is symmetric
+    when the largest |M_ij - M_ji| over its unequal mirrored pairs is at
+    most 1e-12 times its largest |M_ij|, a scale-free test that overflows
+    nowhere.  Equal pairs, infinities and NaN facing NaN too, are never
+    subtracted; an unequal pair with a NaN or an infinity in it is not
+    symmetric.  Non-finite entries that pass are left to the caller's own
+    checks.
+
+    The symmetric part is returned, bit for bit M itself when M is exactly
+    symmetric, because lsfa reads both triangles of one matrix: potrf
+    factors the lower one and the coordinate gathers take the upper one.
+
+    Raises:
+        DataError: naming `what`, when M is not square or not symmetric.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DataError(f"{what} must be a square matrix, got shape {M.shape}")
+    unequal = (M != M.T) & ~(np.isnan(M) & np.isnan(M.T))
+    if not unequal.any():
+        return M
+    # finite entries of opposite signs may differ by more than the largest
+    # float: that difference is inf, and rejected as such
+    with np.errstate(over="ignore"):
+        asym = np.abs(M[unequal] - M.T[unequal]).max()
+    # at max |M_ij| = inf the tolerance alone would pass inf facing -inf
+    if not np.isfinite(asym) or asym > 1e-12 * np.abs(M).max():
+        raise DataError(
+            f"{what} is not symmetric: max |M_ij - M_ji| = {asym:.3e} exceeds "
+            "1e-12 times max |M_ij|")
+    # each unequal pair by its mean, halved before the sum so that it cannot
+    # overflow; equal pairs keep their bits
+    return np.where(unequal, 0.5 * M + 0.5 * M.T, M)
 
 
 class SymmetricBasis:
@@ -75,24 +115,14 @@ class SymmetricBasis:
         """Coordinates of a symmetric matrix: s_a = <S, E_a>.
 
         Diagonal entries map unchanged; an off-diagonal entry S_ij maps to
-        sqrt(2) * S_ij.  Asymmetric input (beyond 1e-12 relative to ||S||_F,
-        or an unequal mirrored pair with a NaN or an infinity in it) is
-        rejected rather than silently symmetrized.
+        sqrt(2) * S_ij.  S must be p x p (else ValueError) and symmetric by
+        require_symmetric's rule (else DataError); the coordinates are those
+        of the symmetric part it returns.
         """
         S = np.asarray(S, dtype=float)
         if S.shape != (self.p, self.p):
             raise ValueError(f"expected a {self.p}x{self.p} matrix, got shape {S.shape}")
-        # only unequal mirrored entries are subtracted: equal ones, infinities
-        # and NaN facing NaN too, differ by exactly 0, and inf - inf would
-        # warn; an unequal pair with a NaN or an infinity differs by NaN or inf
-        unequal = (S != S.T) & ~(np.isnan(S) & np.isnan(S.T))
-        asym = np.linalg.norm(np.subtract(S, S.T, out=np.zeros_like(S), where=unequal))
-        if not np.isfinite(asym) or asym > 1e-12 * np.linalg.norm(S):
-            raise ValueError(
-                f"matrix is not symmetric: ||S - S.T||_F = {asym:.3e} exceeds "
-                "the relative tolerance 1e-12"
-            )
-        return S.take(self.upper_flat) * self.vec_scale
+        return require_symmetric(S, "matrix").take(self.upper_flat) * self.vec_scale
 
     def sym_part_to_vec(self, M: np.ndarray) -> np.ndarray:
         """Coordinates of the symmetric part 0.5 (M + M^T) of a p x p array, unchecked.
@@ -101,7 +131,8 @@ class SymmetricBasis:
         copy, for the matrices the solver builds symmetric by construction:
         bit for bit mat_to_vec(0.5 (M + M^T)) on any M, and mat_to_vec(M) on
         an exactly symmetric M, where the mean of the two equal entries is
-        exact.  Caller-supplied matrices go through mat_to_vec and its check.
+        exact.  Caller-supplied matrices go through mat_to_vec and its
+        require_symmetric check.
         """
         return 0.5 * (M.take(self.upper_flat) + M.take(self.lower_flat)) * self.vec_scale
 

@@ -1,10 +1,11 @@
-"""lsfa's one way to factor a matrix and to call LAPACK, read off its sources with ast.
+"""lsfa's one way to factor a matrix, to call LAPACK and to check symmetry, read off its sources with ast.
 
 objective._Block factors every symmetric positive-definite matrix and
 objective.call_lapack makes every LAPACK call.  Two factorizations stay
 outside them, each named here: newton's scipy.linalg.cho_factor, which the
 benchmark times under that name, and datagen's np.linalg.cholesky, whose
-factor the seeded instances are drawn through.
+factor the seeded instances are drawn through.  symbasis.require_symmetric
+alone decides whether a matrix is symmetric.
 """
 
 import ast
@@ -38,7 +39,8 @@ def _names(tree) -> set[str]:
     return names
 
 
-NAMES = {path.stem: _names(ast.parse(path.read_text())) for path in SOURCES}
+TREES = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+NAMES = {module: _names(tree) for module, tree in TREES.items()}
 
 
 def _modules_where(predicate) -> set[str]:
@@ -61,3 +63,45 @@ def test_scipy_is_read_only_by_objective_and_newtons_cho_factor():
 
 def test_only_datagen_factors_with_numpy():
     assert _modules_where(lambda name: name.split(".")[-1] == "cholesky") == {"datagen"}
+
+
+def _is_transpose(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "T"
+
+
+def _compares_with_transpose(node) -> bool:
+    """True for X - Y.T, X -= Y.T, X == Y.T, X != Y.T and np.subtract(X, Y.T), in either order."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        operands = [node.left, node.right]
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
+        operands = [node.target, node.value]
+    elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+        operands = [node.left, *node.comparators]
+    elif isinstance(node, ast.Call) and _dotted(node.func) in ("np.subtract", "numpy.subtract"):
+        operands = node.args
+    else:
+        return False
+    return any(map(_is_transpose, operands))
+
+
+def _functions_comparing_with_transposes(tree) -> set[str]:
+    """The functions (innermost enclosing def, or <module>) holding such a comparison."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if _compares_with_transpose(node):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_require_symmetric_compares_a_matrix_with_its_transpose():
+    # symmetrizing sums such as _Block.inv's inv + inv.T stay allowed
+    found = {(module, function) for module, tree in TREES.items()
+             for function in _functions_comparing_with_transposes(tree)}
+    assert found == {("symbasis", "require_symmetric")}

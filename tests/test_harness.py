@@ -509,6 +509,26 @@ def test_cli_compare_outputs(small_run_dir):
     assert summary["baseline_tau"] == ipm_rows[-1].tau
 
 
+@pytest.mark.parametrize("max_iters, status", [("2000", "converged"), ("1", "iteration-cap")])
+def test_cli_compare_reports_the_baselines_iterations_to_tol(small_run_dir, max_iters, status):
+    # the baseline stops at the first row within the tolerance: its count,
+    # or null when it stopped at the cap; it converges from 1114 iterations
+    # on at the barrier level eps = 0.1 leaves (none at the default eps)
+    assert main(["compare", *SMALL, "--run-dir", str(small_run_dir), "--eps", "0.1",
+                 "--bcd-max-iters", max_iters]) == 0
+    bcd = json.loads((small_run_dir / "summary.json").read_text())["bcd"]
+    residuals = [row.residual_normalized for row in read_trace_csv(small_run_dir / "bcd_trace.csv")]
+    assert bcd["status"] == status
+    assert bcd["iterations"] == len(residuals)
+    assert all(r > 1e-4 for r in residuals[:-1])
+    if status == "converged":
+        assert residuals[-1] <= 1e-4
+        assert bcd["iterations_to_tol"] == len(residuals)
+    else:
+        assert residuals[-1] > 1e-4
+        assert bcd["iterations_to_tol"] is None
+
+
 def test_cli_compare_empty_schedule_writes_strict_json(small_run_dir, capsys):
     # the empty schedule's residual is NaN: null on stdout and in summary.json
     code = main(["compare", *SMALL, "--run-dir", str(small_run_dir), "--tau0", "1e-7",

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lsfa import SymmetricBasis
+from lsfa import DataError, ProblemData, SymmetricBasis, eval_f, gaussian_kl
+from lsfa.harness import gaussian_nll
+from lsfa.symbasis import require_symmetric
 
 SQRT2 = np.sqrt(2.0)
 
@@ -77,6 +81,59 @@ def test_vec_passes_equal_non_finite_mirrored_pairs(bad):
     # NaN facing NaN counts as equal: the factorization rejects such a matrix
     v = SymmetricBasis(2).mat_to_vec(np.array([[1.0, bad], [bad, 1.0]]))
     np.testing.assert_array_equal(v, [1.0, SQRT2 * bad, 1.0])
+
+# every caller of require_symmetric, as a map from a 2 x 2 matrix to what it gives back
+_PROBLEM = ProblemData(np.eye(2), C=1.0, mu=1.0)
+_CALLERS = {
+    "ProblemData": lambda M: ProblemData(M, C=1.0, mu=1.0).sigma_check,
+    "mat_to_vec": lambda M: SymmetricBasis(2).mat_to_vec(M),
+    "eval_f-L": lambda M: eval_f(M, np.eye(2), _PROBLEM),
+    "eval_f-S": lambda M: eval_f(np.eye(2), M, _PROBLEM),
+    "gaussian_nll": lambda M: gaussian_nll(np.ones((3, 2)), M),
+    "gaussian_kl-p": lambda M: gaussian_kl(M, np.eye(2)),
+    "gaussian_kl-q": lambda M: gaussian_kl(np.eye(2), M),
+}
+
+
+@pytest.mark.parametrize("caller", _CALLERS)
+@pytest.mark.parametrize("M", [
+    # 1e-10 relative: a Frobenius norm of it overflows and passes any asymmetry
+    [[1e160, 1e150], [0.0, 1e160]],
+    # potrf reads only the lower triangle, and would factor diag(2)
+    [[2.0, 5.0], [0.0, 2.0]],
+], ids=["huge", "upper-only"])
+def test_every_caller_rejects_an_asymmetric_matrix_without_a_warning(caller, M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="not symmetric"):
+            _CALLERS[caller](np.array(M))
+
+
+@pytest.mark.parametrize("caller", _CALLERS)
+def test_every_caller_reads_the_symmetric_part_of_a_nearly_symmetric_matrix(caller):
+    M = np.array([[2.0, 0.5 * (1 + 1e-14)], [0.5, 2.0]])
+    symmetric = require_symmetric(M, "M")
+    assert symmetric[0, 1] == symmetric[1, 0] == 0.5 * (M[0, 1] + M[1, 0])
+    np.testing.assert_array_equal(_CALLERS[caller](M), _CALLERS[caller](symmetric))
+
+
+def test_an_exactly_symmetric_matrix_comes_back_bit_for_bit():
+    # M + M^T would overflow on the diagonal and lose the subnormal's bit
+    M = np.array([[1.5e308, 5e-324], [5e-324, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = require_symmetric(M, "M")
+    assert got.tobytes() == M.tobytes()
+
+
+def test_the_symmetric_part_of_a_huge_nearly_symmetric_matrix_is_finite():
+    M = np.array([[1.7e308, 1e308], [1e308 * (1 + 1e-13), 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = require_symmetric(M, "M")
+    assert got[0, 1] == got[1, 0] == 0.5 * M[0, 1] + 0.5 * M[1, 0]
+    np.testing.assert_array_equal(got.diagonal(), M.diagonal())
+
 
 def test_vec_rejects_wrong_shape():
     basis = SymmetricBasis(3)
